@@ -32,7 +32,9 @@ AtomicFile::write(const void *data, std::size_t size)
 void
 AtomicFile::commit()
 {
-    const bool flushed = std::fflush(file_) == 0;
+    // A failed write (say, ENOSPC) sets the error flag even when
+    // the final flush has nothing left to write.
+    const bool flushed = std::fflush(file_) == 0 && !std::ferror(file_);
     std::fclose(file_);
     file_ = nullptr;
     if (!flushed) {

@@ -16,8 +16,8 @@ namespace ctcp {
 
 /**
  * A file whose content only becomes visible at commit(). Write through
- * stream() (or write()); destroying the object without committing
- * removes the temporary and leaves any existing target file as it was.
+ * write(); destroying the object without committing removes the
+ * temporary and leaves any existing target file as it was.
  */
 class AtomicFile
 {
@@ -28,9 +28,6 @@ class AtomicFile
 
     AtomicFile(const AtomicFile &) = delete;
     AtomicFile &operator=(const AtomicFile &) = delete;
-
-    /** The staging stream; valid until commit() or destruction. */
-    std::FILE *stream() { return file_; }
 
     void write(const void *data, std::size_t size);
     void write(const std::string &text) { write(text.data(), text.size()); }

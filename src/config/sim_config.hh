@@ -294,8 +294,6 @@ struct ObsConfig
     std::string intervalPath;
     /** Interval sampling period in cycles (0 = off). */
     std::uint64_t intervalCycles = 0;
-    /** Events staged in the sink ring between writer drains. */
-    std::size_t ringCapacity = 8192;
     /**
      * Cycle-accounting layer (obs/accounting): attribute every cluster
      * issue slot each cycle to the closed stall taxonomy and collect

@@ -163,7 +163,7 @@ CtcpSimulator::setupObservability()
 {
     const ObsConfig &oc = cfg_.obs;
     if (oc.tracingEnabled()) {
-        obs_ = std::make_unique<ObsSink>(oc.ringCapacity);
+        obs_ = std::make_unique<ObsSink>();
         obs_->setFilter(ObsSink::parseFilter(oc.traceFilter));
         if (!oc.traceEventsPath.empty())
             obs_->addWriter(
@@ -904,7 +904,6 @@ CtcpSimulator::dumpPipelineSnapshot(const char *reason)
         ev.arg0 = static_cast<std::int64_t>(clusters_[c].occupancy());
         obs_->record(ev);
     }
-    obs_->flush();
 }
 
 SimResult

@@ -3,6 +3,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "common/logging.hh"
+
 namespace ctcp {
 
 const char *
@@ -28,15 +30,16 @@ obsKindName(ObsKind kind)
     return "unknown";
 }
 
-ObsSink::ObsSink(std::size_t ring_capacity)
-    : capacity_(ring_capacity ? ring_capacity : 1)
-{
-    ring_.reserve(capacity_);
-}
-
 ObsSink::~ObsSink()
 {
-    finish();
+    // Reached without finish() when the run threw. A destructor must
+    // not throw, so report a trace that could not be published; the
+    // previous file at its path stays (AtomicFile).
+    try {
+        finish();
+    } catch (const std::exception &e) {
+        ctcp_warn("event trace not published: %s", e.what());
+    }
 }
 
 void
@@ -87,21 +90,11 @@ ObsSink::parseFilter(const std::string &spec)
 }
 
 void
-ObsSink::flush()
-{
-    for (const ObsEvent &event : ring_)
-        for (const auto &writer : writers_)
-            writer->write(event);
-    ring_.clear();
-}
-
-void
 ObsSink::finish()
 {
     if (finished_)
         return;
     finished_ = true;
-    flush();
     for (const auto &writer : writers_)
         writer->end();
 }

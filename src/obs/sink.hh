@@ -1,7 +1,8 @@
 /**
  * @file
- * The event sink: a bounded staging ring of ObsEvents drained into
- * pluggable writers, with a runtime kind filter.
+ * The event sink: a runtime kind filter in front of pluggable writers.
+ * Each recorded event goes straight to every writer, in record order;
+ * the writers buffer their own output bytes.
  *
  * Overhead contract: every instrumented component holds a raw
  * `ObsSink *` that is null when observability is off, and each emission
@@ -26,7 +27,7 @@
 
 namespace ctcp {
 
-/** Destination for drained events (one per output format). */
+/** Destination for recorded events (one per output format). */
 class ObsWriter
 {
   public:
@@ -39,12 +40,11 @@ class ObsWriter
     virtual void end() {}
 };
 
-/** Ring-buffered, filtered event sink. */
+/** Filtered event sink. */
 class ObsSink
 {
   public:
-    /** @param ring_capacity events staged between writer drains */
-    explicit ObsSink(std::size_t ring_capacity = 8192);
+    ObsSink() = default;
     ~ObsSink();
 
     ObsSink(const ObsSink &) = delete;
@@ -83,15 +83,11 @@ class ObsSink
         if (!enabled(event.kind))
             return;
         ++recordedPerKind_[static_cast<std::size_t>(event.kind)];
-        ring_.push_back(event);
-        if (ring_.size() >= capacity_)
-            flush();
+        for (const auto &writer : writers_)
+            writer->write(event);
     }
 
-    /** Drain staged events into every writer. */
-    void flush();
-
-    /** Flush and end() every writer; idempotent. */
+    /** end() every writer; idempotent. */
     void finish();
 
     /** Total events recorded (post-filter). */
@@ -105,8 +101,6 @@ class ObsSink
     }
 
   private:
-    std::size_t capacity_;
-    std::vector<ObsEvent> ring_;
     std::vector<std::unique_ptr<ObsWriter>> writers_;
     std::uint32_t mask_ = allKinds();
     std::uint64_t recordedPerKind_[numObsKinds] = {};

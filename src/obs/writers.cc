@@ -1,8 +1,5 @@
 #include "obs/writers.hh"
 
-#include <cinttypes>
-#include <stdexcept>
-
 namespace ctcp {
 
 namespace {
@@ -27,10 +24,52 @@ tidFor(const ObsEvent &event)
     }
 }
 
+/** obsKindName(), with each name's length measured once. */
+std::string_view
+kindName(ObsKind kind)
+{
+    static const auto names = [] {
+        std::array<std::string_view, numObsKinds + 1> out;
+        for (unsigned k = 0; k <= numObsKinds; ++k)
+            out[k] = obsKindName(static_cast<ObsKind>(k));
+        return out;
+    }();
+    return names[static_cast<std::size_t>(kind)];
+}
+
 } // namespace
 
-ChromeTraceWriter::ChromeTraceWriter(const std::string &path)
-    : out_(path), file_(out_.stream())
+TraceBuffer::TraceBuffer(const std::string &path)
+    : out_(path), buf_(new char[capacity]), cur_(buf_.get()),
+      end_(buf_.get() + capacity)
+{
+}
+
+void
+TraceBuffer::drain()
+{
+    out_.write(buf_.get(), static_cast<std::size_t>(cur_ - buf_.get()));
+    cur_ = buf_.get();
+}
+
+void
+TraceBuffer::spill(std::string_view text)
+{
+    drain();
+    if (text.size() > capacity)
+        out_.write(text.data(), text.size());
+    else
+        cur_ = std::copy(text.begin(), text.end(), cur_);
+}
+
+void
+TraceBuffer::commit()
+{
+    drain();
+    out_.commit();
+}
+
+ChromeTraceWriter::ChromeTraceWriter(const std::string &path) : out_(path)
 {
 }
 
@@ -50,94 +89,107 @@ ChromeTraceWriter::~ChromeTraceWriter()
 void
 ChromeTraceWriter::begin()
 {
-    std::fputs("{\"traceEvents\":[\n", file_);
-    std::fputs("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-               "\"args\":{\"name\":\"ctcpsim\"}}", file_);
-    first_ = false;
+    out_.put("{\"traceEvents\":[\n"
+             "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+             "\"args\":{\"name\":\"ctcpsim\"}}");
 }
 
 void
-ChromeTraceWriter::nameThread(int tid, const char *name)
+ChromeTraceWriter::nameThread(int tid)
 {
-    if (!namedTids_.insert(tid).second)
+    bool &named = namedTids_[static_cast<std::uint8_t>(tid)];
+    if (named)
         return;
-    std::fprintf(file_,
-                 ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                 "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                 tid, name);
+    named = true;
+    out_.put(",\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    out_.dec(tid);
+    out_.put(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+    if (tid == 0) {
+        out_.put("frontend");
+    } else if (tid == 1) {
+        out_.put("commit");
+    } else if (tid == 2) {
+        out_.put("memory");
+    } else {
+        out_.put("cluster ");
+        out_.dec(tid - 10);
+    }
     // Sort tracks in pipeline order rather than alphabetically.
-    std::fprintf(file_,
-                 ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                 "\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}",
-                 tid, tid);
+    out_.put("\"}},\n{\"ph\":\"M\",\"pid\":1,\"tid\":");
+    out_.dec(tid);
+    out_.put(",\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":");
+    out_.dec(tid);
+    out_.put("}}");
 }
 
 void
 ChromeTraceWriter::write(const ObsEvent &event)
 {
     const int tid = tidFor(event);
-    if (tid == 0) {
-        nameThread(0, "frontend");
-    } else if (tid == 1) {
-        nameThread(1, "commit");
-    } else if (tid == 2) {
-        nameThread(2, "memory");
-    } else {
-        char name[32];
-        std::snprintf(name, sizeof(name), "cluster %d", tid - 10);
-        nameThread(tid, name);
-    }
+    nameThread(tid);
 
-    const char *kind = obsKindName(event.kind);
+    const std::string_view kind = kindName(event.kind);
     if (event.kind == ObsKind::Execute) {
         // Duration slice: one "X" event spanning dispatch..complete.
-        std::fprintf(file_,
-                     ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                     "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
-                     ",\"name\":\"%.*s\",\"cat\":\"%s\"",
-                     tid, event.begin, event.dur ? event.dur : 1,
-                     static_cast<int>(event.label.size()),
-                     event.label.data(), kind);
+        out_.put(",\n{\"ph\":\"X\",\"pid\":1,\"tid\":");
+        out_.dec(tid);
+        out_.put(",\"ts\":");
+        out_.dec(event.begin);
+        out_.put(",\"dur\":");
+        out_.dec(event.dur ? event.dur : 1);
+        out_.put(",\"name\":\"");
+        out_.put(event.label);
     } else {
-        std::fprintf(file_,
-                     ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,"
-                     "\"ts\":%" PRIu64 ",\"s\":\"t\",\"name\":\"%s\","
-                     "\"cat\":\"%s\"",
-                     tid, event.cycle, kind, kind);
+        out_.put(",\n{\"ph\":\"i\",\"pid\":1,\"tid\":");
+        out_.dec(tid);
+        out_.put(",\"ts\":");
+        out_.dec(event.cycle);
+        out_.put(",\"s\":\"t\",\"name\":\"");
+        out_.put(kind);
     }
+    out_.put("\",\"cat\":\"");
+    out_.put(kind);
+    out_.put("\",\"args\":{");
 
-    std::fputs(",\"args\":{", file_);
-    const char *sep = "";
+    // Each present field after the first is preceded by a comma.
+    bool first = true;
+    auto field = [&](std::string_view key) {
+        if (!first)
+            out_.put(',');
+        first = false;
+        out_.put(key);
+    };
     if (event.seq != invalidSeqNum) {
-        std::fprintf(file_, "\"seq\":%" PRIu64, event.seq);
-        sep = ",";
+        field("\"seq\":");
+        out_.dec(event.seq);
     }
     if (event.pc) {
-        std::fprintf(file_, "%s\"pc\":%" PRIu64, sep, event.pc);
-        sep = ",";
+        field("\"pc\":");
+        out_.dec(event.pc);
     }
     if (event.cluster != invalidCluster) {
-        std::fprintf(file_, "%s\"cluster\":%d", sep,
-                     static_cast<int>(event.cluster));
-        sep = ",";
+        field("\"cluster\":");
+        out_.dec(static_cast<int>(event.cluster));
     }
     if (event.opt) {
-        std::fprintf(file_, "%s\"option\":\"%c\"", sep, event.opt);
-        sep = ",";
+        field("\"option\":\"");
+        out_.put(event.opt);
+        out_.put('"');
     }
     if (event.arg0) {
-        std::fprintf(file_, "%s\"arg0\":%" PRId64, sep, event.arg0);
-        sep = ",";
+        field("\"arg0\":");
+        out_.dec(event.arg0);
     }
     if (event.arg1) {
-        std::fprintf(file_, "%s\"arg1\":%" PRId64, sep, event.arg1);
-        sep = ",";
+        field("\"arg1\":");
+        out_.dec(event.arg1);
     }
-    if (!event.label.empty() && event.kind != ObsKind::Execute)
-        std::fprintf(file_, "%s\"op\":\"%.*s\"", sep,
-                     static_cast<int>(event.label.size()),
-                     event.label.data());
-    std::fputs("}}", file_);
+    if (!event.label.empty() && event.kind != ObsKind::Execute) {
+        field("\"op\":\"");
+        out_.put(event.label);
+        out_.put('"');
+    }
+    out_.put("}}");
 }
 
 void
@@ -146,13 +198,11 @@ ChromeTraceWriter::end()
     if (ended_)
         return;
     ended_ = true;
-    std::fputs("\n]}\n", file_);
-    file_ = nullptr;
+    out_.put("\n]}\n");
     out_.commit();
 }
 
-ObsTextWriter::ObsTextWriter(const std::string &path)
-    : out_(path), file_(out_.stream())
+ObsTextWriter::ObsTextWriter(const std::string &path) : out_(path)
 {
 }
 
@@ -166,59 +216,73 @@ ObsTextWriter::~ObsTextWriter()
 }
 
 void
-ObsTextWriter::begin()
-{
-}
-
-void
 ObsTextWriter::write(const ObsEvent &event)
 {
-    std::fprintf(file_, "%" PRIu64 " %s", event.cycle,
-                 obsKindName(event.kind));
-    if (event.seq != invalidSeqNum)
-        std::fprintf(file_, " seq=%" PRIu64, event.seq);
-    if (event.pc)
-        std::fprintf(file_, " pc=0x%" PRIx64, event.pc);
-    if (event.cluster != invalidCluster)
-        std::fprintf(file_, " cl=%d", static_cast<int>(event.cluster));
-    if (event.opt)
-        std::fprintf(file_, " opt=%c", event.opt);
-    if (!event.label.empty())
-        std::fprintf(file_, " op=%.*s",
-                     static_cast<int>(event.label.size()),
-                     event.label.data());
+    out_.dec(event.cycle);
+    out_.put(' ');
+    out_.put(kindName(event.kind));
+    if (event.seq != invalidSeqNum) {
+        out_.put(" seq=");
+        out_.dec(event.seq);
+    }
+    if (event.pc) {
+        out_.put(" pc=0x");
+        out_.hex(event.pc);
+    }
+    if (event.cluster != invalidCluster) {
+        out_.put(" cl=");
+        out_.dec(static_cast<int>(event.cluster));
+    }
+    if (event.opt) {
+        out_.put(" opt=");
+        out_.put(event.opt);
+    }
+    if (!event.label.empty()) {
+        out_.put(" op=");
+        out_.put(event.label);
+    }
     switch (event.kind) {
       case ObsKind::Fetch:
         if (event.arg0)
-            std::fputs(" from=tc", file_);
+            out_.put(" from=tc");
         break;
       case ObsKind::TcHit:
       case ObsKind::TraceBuild:
-        std::fprintf(file_, " insts=%" PRId64, event.arg0);
-        if (event.kind == ObsKind::TraceBuild)
-            std::fprintf(file_, " blocks=%" PRId64, event.arg1);
+        out_.put(" insts=");
+        out_.dec(event.arg0);
+        if (event.kind == ObsKind::TraceBuild) {
+            out_.put(" blocks=");
+            out_.dec(event.arg1);
+        }
         break;
       case ObsKind::Execute:
-        std::fprintf(file_, " begin=%" PRIu64 " dur=%" PRIu64,
-                     event.begin, event.dur);
+        out_.put(" begin=");
+        out_.dec(event.begin);
+        out_.put(" dur=");
+        out_.dec(event.dur);
         break;
       case ObsKind::Forward:
-        std::fprintf(file_, " hops=%" PRId64 " from_cl=%" PRId64,
-                     event.arg0, event.arg1);
+        out_.put(" hops=");
+        out_.dec(event.arg0);
+        out_.put(" from_cl=");
+        out_.dec(event.arg1);
         break;
       case ObsKind::Flush:
-        std::fprintf(file_, " resume=%" PRId64, event.arg0);
+        out_.put(" resume=");
+        out_.dec(event.arg0);
         break;
       case ObsKind::Mem:
-        std::fprintf(file_,
-                     " addr=0x%" PRIx64 " level=%" PRId64 " lat=%" PRIu64,
-                     static_cast<std::uint64_t>(event.arg0), event.arg1,
-                     event.dur);
+        out_.put(" addr=0x");
+        out_.hex(static_cast<std::uint64_t>(event.arg0));
+        out_.put(" level=");
+        out_.dec(event.arg1);
+        out_.put(" lat=");
+        out_.dec(event.dur);
         break;
       default:
         break;
     }
-    std::fputc('\n', file_);
+    out_.put('\n');
 }
 
 void
@@ -227,7 +291,6 @@ ObsTextWriter::end()
     if (ended_)
         return;
     ended_ = true;
-    file_ = nullptr;
     out_.commit();
 }
 

@@ -22,19 +22,93 @@
  * file is renamed over the target only when end() finishes writing
  * the trailer. A process killed mid-run leaves any previous trace at
  * the target path intact instead of a truncated, unloadable one.
+ *
+ * The bytes of both formats are a contract (DESIGN decision 13),
+ * pinned by tests/test_obs.cc against a printf reference.
  */
 
 #ifndef CTCPSIM_OBS_WRITERS_HH
 #define CTCPSIM_OBS_WRITERS_HH
 
-#include <cstdio>
-#include <set>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/atomic_file.hh"
 #include "obs/sink.hh"
 
 namespace ctcp {
+
+/**
+ * Fixed-size byte buffer in front of an AtomicFile. Literals are
+ * copied and integers formatted with std::to_chars straight into it,
+ * and whenever the next piece does not fit, the buffer is handed to
+ * the file and starts over. Memory stays at capacity bytes.
+ */
+class TraceBuffer
+{
+  public:
+    static constexpr std::size_t capacity = 64 * 1024;
+
+    /** @throws std::runtime_error when the staging file cannot be opened */
+    explicit TraceBuffer(const std::string &path);
+
+    void
+    put(std::string_view text)
+    {
+        if (text.size() > room())
+            spill(text);
+        else
+            cur_ = std::copy(text.begin(), text.end(), cur_);
+    }
+
+    void
+    put(char c)
+    {
+        if (room() == 0)
+            drain();
+        *cur_++ = c;
+    }
+
+    /** Decimal, as printf's %d / PRIu64 / PRId64. */
+    template <typename Int>
+    void
+    dec(Int value)
+    {
+        if (room() < maxDigits)
+            drain();
+        cur_ = std::to_chars(cur_, end_, value).ptr;
+    }
+
+    /** Lowercase hex without prefix, as printf's PRIx64. */
+    void
+    hex(std::uint64_t value)
+    {
+        if (room() < maxDigits)
+            drain();
+        cur_ = std::to_chars(cur_, end_, value, 16).ptr;
+    }
+
+    /** Drain the rest and publish the file (see AtomicFile::commit). */
+    void commit();
+
+  private:
+    /** Enough for any 64-bit integer in decimal, sign included. */
+    static constexpr std::size_t maxDigits = 20;
+
+    std::size_t room() const { return static_cast<std::size_t>(end_ - cur_); }
+    void drain();
+    void spill(std::string_view text);
+
+    AtomicFile out_;
+    std::unique_ptr<char[]> buf_;
+    char *cur_;
+    char *end_;
+};
 
 /** Chrome trace_event JSON ("traceEvents" array) writer. */
 class ChromeTraceWriter : public ObsWriter
@@ -48,13 +122,16 @@ class ChromeTraceWriter : public ObsWriter
     void end() override;
 
   private:
-    void nameThread(int tid, const char *name);
+    void nameThread(int tid);
 
-    AtomicFile out_;
-    std::FILE *file_; ///< out_'s staging stream
-    bool first_ = true;
+    TraceBuffer out_;
     bool ended_ = false;
-    std::set<int> namedTids_;
+    /**
+     * Tracks whose metadata is already out. A tid is 0-2 or 10 + an
+     * int8 cluster id: 256 distinct values at most, so its low byte
+     * is a unique index.
+     */
+    std::array<bool, 256> namedTids_{};
 };
 
 /** Compact one-line-per-event text writer. */
@@ -64,13 +141,11 @@ class ObsTextWriter : public ObsWriter
     explicit ObsTextWriter(const std::string &path);
     ~ObsTextWriter() override;
 
-    void begin() override;
     void write(const ObsEvent &event) override;
     void end() override;
 
   private:
-    AtomicFile out_;
-    std::FILE *file_; ///< out_'s staging stream
+    TraceBuffer out_;
     bool ended_ = false;
 };
 

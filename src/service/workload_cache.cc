@@ -12,6 +12,8 @@ WorkloadCache::get(const std::string &benchmark,
 {
     const std::string key =
         benchmark + "@" + std::to_string(instructionLimit);
+    std::promise<Built> building;
+    std::shared_future<Built> pending;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -21,24 +23,51 @@ WorkloadCache::get(const std::string &benchmark,
                 return entries_.front().program;
             }
         }
+        const auto flight = inFlight_.find(key);
+        if (flight != inFlight_.end()) {
+            ++stats_.hits;
+            pending = flight->second;
+        } else {
+            ++stats_.misses;
+            inFlight_.emplace(key, building.get_future().share());
+        }
     }
+    if (pending.valid())
+        return pending.get().program();
+
     // Build outside the lock: a slow builder must not stall every
-    // worker that happens to hit a different benchmark. A racing
-    // build of the same key produces an identical Program
-    // (deterministic builders), so last-insert-wins is harmless.
-    if (!workloads::exists(benchmark))
-        throw std::invalid_argument("unknown benchmark '" + benchmark +
-                                    "'");
-    auto program =
-        std::make_shared<const Program>(workloads::build(benchmark));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.misses;
-    entries_.push_front(Entry{key, program});
-    while (entries_.size() > maxEntries_) {
-        entries_.pop_back();
-        ++stats_.evictions;
+    // worker that happens to hit a different benchmark.
+    Built built;
+    try {
+        if (!workloads::exists(benchmark))
+            throw std::invalid_argument("unknown benchmark '" +
+                                        benchmark + "'");
+        built.ok =
+            std::make_shared<const Program>(workloads::build(benchmark));
+    } catch (const std::exception &e) {
+        built.error = e.what();
     }
-    return program;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        inFlight_.erase(key);
+        if (built.ok) {
+            entries_.push_front(Entry{key, built.ok});
+            while (entries_.size() > maxEntries_) {
+                entries_.pop_back();
+                ++stats_.evictions;
+            }
+        }
+    }
+    building.set_value(built);
+    return built.program();
+}
+
+std::shared_ptr<const Program>
+WorkloadCache::Built::program() const
+{
+    if (!ok)
+        throw std::invalid_argument(error);
+    return ok;
 }
 
 WorkloadCache::Stats

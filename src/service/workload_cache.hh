@@ -15,13 +15,22 @@
  * Bounded LRU: the full workload registry is small (~26 programs),
  * but instructionLimit is part of the key by contract, so unbounded
  * growth across many-budget campaigns is capped.
+ *
+ * Single-flight: concurrent misses on one key share one build. The
+ * first caller builds outside the lock; later callers wait on its
+ * shared future and count as hits. A failed build leaves nothing
+ * cached and reaches every waiting caller as a std::invalid_argument
+ * with the same message. The outcome is shared as a value, not as
+ * one exception object rethrown on several threads.
  */
 
 #ifndef CTCPSIM_SERVICE_WORKLOAD_CACHE_HH
 #define CTCPSIM_SERVICE_WORKLOAD_CACHE_HH
 
 #include <cstdint>
+#include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,15 +70,29 @@ class WorkloadCache
     Stats stats() const;
 
   private:
+    using ProgramPtr = std::shared_ptr<const Program>;
+
     struct Entry
     {
         std::string key;
-        std::shared_ptr<const Program> program;
+        ProgramPtr program;
+    };
+
+    /** One build's outcome: the program, or why there is none. */
+    struct Built
+    {
+        ProgramPtr ok;
+        std::string error;
+
+        /** @throws std::invalid_argument carrying error, when !ok */
+        ProgramPtr program() const;
     };
 
     mutable std::mutex mutex_;
     /** Front = most recently used. */
     std::list<Entry> entries_;
+    /** Builds in progress, by key; erased when the build settles. */
+    std::map<std::string, std::shared_future<Built>> inFlight_;
     std::size_t maxEntries_;
     Stats stats_;
 };

@@ -26,6 +26,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "tmp_dir.hh"
 #include "service/client.hh"
 #include "service/http.hh"
 
@@ -88,18 +89,25 @@ chomp(std::string text)
     return text;
 }
 
+/** The private directory of the Daemon tagged @p tag. */
+inline std::string
+daemonDir(const std::string &tag)
+{
+    return ctcp::test::tmpPath("e2e_" + tag);
+}
+
 /** One daemon instance on a private socket + state dir. */
 class Daemon
 {
   public:
     explicit Daemon(const std::string &tag, unsigned workers = 2,
                     std::vector<std::string> extraArgs = {})
-        : dir_(::testing::TempDir() + "ctcp_e2e_" + tag),
+        : dir_(daemonDir(tag)),
           socket_(dir_ + "/d.sock"), state_(dir_ + "/state"),
           extraArgs_(std::move(extraArgs))
     {
-        // State from a previous suite invocation would resume into
-        // this daemon and trivialize the crash/resume scenarios.
+        // State from an earlier daemon with this tag would resume
+        // into this one and trivialize the crash/resume scenarios.
         std::filesystem::remove_all(dir_);
         ::mkdir(dir_.c_str(), 0755);
         start(workers);

@@ -19,6 +19,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "tmp_dir.hh"
+
 namespace {
 
 int
@@ -50,8 +52,8 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--deadline -3"), 2);
     EXPECT_EQ(runCli("--max-attempts 0"), 2);
     // --journal only makes sense with --campaign.
-    EXPECT_EQ(runCli("--journal /tmp/ctcp_cli_journal.jsonl "
-                     "--bench gzip --instructions 1000"),
+    EXPECT_EQ(runCli("--journal " + ctcp::test::tmpPath("usage.jsonl") +
+                     " --bench gzip --instructions 1000"),
               2);
 }
 
@@ -60,14 +62,14 @@ TEST(CliExitCodes, BadIntervalReturnsTwo)
     // --interval validation mirrors --jobs: reject junk up front with
     // a usage error instead of silently simulating with a bad period.
     const std::string run = "--bench gzip --instructions 1000 "
-                            "--interval-stats /tmp/ctcp_cli_iv.csv ";
+                            "--interval-stats " +
+        ctcp::test::tmpPath("iv.csv") + " ";
     EXPECT_EQ(runCli(run + "--interval 0"), 2);
     EXPECT_EQ(runCli(run + "--interval -100"), 2);
     EXPECT_EQ(runCli(run + "--interval ten"), 2);
     EXPECT_EQ(runCli(run + "--interval 100x"), 2);
     EXPECT_EQ(runCli(run + "--interval 1000000000000000"), 2);
     EXPECT_EQ(runCli(run + "--interval 500"), 0);
-    std::remove("/tmp/ctcp_cli_iv.csv");
 }
 
 TEST(CliExitCodes, BadTraceFilterReturnsTwo)
@@ -112,11 +114,10 @@ TEST(CliJournal, KilledCampaignResumesAndExportsIdenticalReport)
     // binary: run with a journal, "lose" the last record as a kill
     // mid-append would, resume, and compare the exported report with
     // an uninterrupted run's.
-    const std::string dir = ::testing::TempDir();
-    const std::string journal = dir + "ctcp_cli_journal.jsonl";
-    const std::string out1 = dir + "ctcp_cli_out1.json";
-    const std::string out2 = dir + "ctcp_cli_out2.json";
-    std::remove(journal.c_str());
+    const std::string journal = ctcp::test::tmpPath("journal.jsonl");
+    const std::string out1 = ctcp::test::tmpPath("out1.json");
+    const std::string out2 = ctcp::test::tmpPath("out2.json");
+    std::remove(journal.c_str()); // an earlier repeat's complete journal
 
     const std::string matrix =
         "--campaign 'bench=gzip;strategy=base,fdrt;budget=10000' "
@@ -153,9 +154,6 @@ TEST(CliJournal, KilledCampaignResumesAndExportsIdenticalReport)
     const std::string b = slurp(out2);
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, b);
-    std::remove(journal.c_str());
-    std::remove(out1.c_str());
-    std::remove(out2.c_str());
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "common/sim_error.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
+#include "tmp_dir.hh"
 #include "verify/fault.hh"
 
 namespace ctcp {
@@ -47,7 +48,7 @@ tinyProgram()
 std::string
 tempPath(const char *name)
 {
-    const std::string path = std::string(::testing::TempDir()) + name;
+    const std::string path = test::tmpPath(name);
     std::remove(path.c_str());
     return path;
 }
@@ -535,7 +536,7 @@ TEST(CampaignStems, CollidingSanitizedLabelsGetDistinctStems)
 
 TEST(CampaignStems, CollidingLabelsWriteDistinctTraceFiles)
 {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::tmpDir().string();
     const std::vector<campaign::Job> jobs = {
         campaign::makeJob("stem/x", "gzip", quickConfig(5'000)),
         campaign::makeJob("stem_x", "gzip", quickConfig(5'000)),
@@ -547,7 +548,7 @@ TEST(CampaignStems, CollidingLabelsWriteDistinctTraceFiles)
     const campaign::Report report = campaign::runCampaign(jobs, options);
     ASSERT_EQ(report.failed(), 0u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string path = dir +
+        const std::string path = dir + "/" +
             campaign::jobFileStem(jobs[i].label, i) + ".trace.json";
         EXPECT_FALSE(readFile(path).empty()) << path;
         std::remove(path.c_str());

@@ -1,7 +1,8 @@
 /**
  * @file
- * Observability subsystem tests: sink filtering and draining, writer
- * failure modes, and — against a real 100k-instruction gzip/FDRT run —
+ * Observability subsystem tests: sink filtering and delivery, writer
+ * failure modes, writer bytes against a printf reference of the
+ * format, and — against a real 100k-instruction gzip/FDRT run —
  * well-formedness of the Chrome trace_event JSON, presence of every
  * event kind, per-instruction stage ordering, per-kind cycle
  * monotonicity, interval-CSV row count (exactly ceil(cycles / N)),
@@ -11,23 +12,29 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cctype>
+#include <cinttypes>
+#include <cstdarg>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "common/random.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
 #include "obs/sink.hh"
 #include "obs/writers.hh"
+#include "tmp_dir.hh"
 #include "workload/workload.hh"
 
 namespace ctcp {
@@ -202,7 +209,7 @@ class JsonChecker
     std::size_t pos_ = 0;
 };
 
-/** ObsWriter that captures drained events in memory. */
+/** ObsWriter that captures recorded events in memory. */
 class CaptureWriter : public ObsWriter
 {
   public:
@@ -251,15 +258,12 @@ tracedRun()
 {
     static const TraceRun run = [] {
         TraceRun r;
-        // Paths are per-process: ctest runs each gtest case as its own
-        // process, and under -j several of them rebuild this run
-        // concurrently — fixed names would race on the same files.
-        const std::string dir = testing::TempDir();
-        const std::string tag =
-            "ctcp_obs_run." + std::to_string(::getpid());
-        r.jsonPath = dir + tag + ".trace.json";
-        r.textPath = dir + tag + ".trace.txt";
-        r.csvPath = dir + tag + ".intervals.csv";
+        // ctest runs each gtest case as its own process, and under -j
+        // several of them rebuild this run concurrently: the temporary
+        // directory is per-process, so they never share a file.
+        r.jsonPath = test::tmpPath("obs_run.trace.json");
+        r.textPath = test::tmpPath("obs_run.trace.txt");
+        r.csvPath = test::tmpPath("obs_run.intervals.csv");
         SimConfig cfg = tracedConfig();
         cfg.obs.traceEventsPath = r.jsonPath;
         cfg.obs.traceTextPath = r.textPath;
@@ -386,20 +390,28 @@ TEST(ObsSink, RecordRespectsFilterAndCountsPerKind)
     EXPECT_EQ(seen[2].kind, ObsKind::Fetch);
 }
 
-TEST(ObsSink, RingDrainsToWriterWhenFull)
+TEST(ObsSink, RecordReachesEveryWriterBeforeFinish)
 {
-    std::vector<ObsEvent> seen;
-    ObsSink sink(4);
-    sink.addWriter(std::make_unique<CaptureWriter>(seen));
+    std::vector<ObsEvent> first;
+    std::vector<ObsEvent> second;
+    int ends = 0;
+    ObsSink sink;
+    sink.addWriter(std::make_unique<CaptureWriter>(first, &ends));
+    sink.addWriter(std::make_unique<CaptureWriter>(second, &ends));
     ObsEvent ev;
     ev.kind = ObsKind::Fetch;
-    for (std::uint64_t i = 0; i < 4; ++i) {
+    for (std::uint64_t i = 0; i < 100; ++i) {
         ev.cycle = i;
         sink.record(ev);
+        // Nothing is staged: both writers hold the event on return.
+        ASSERT_EQ(first.size(), i + 1);
+        ASSERT_EQ(second.size(), i + 1);
+        EXPECT_EQ(first.back().cycle, i);
+        EXPECT_EQ(second.back().cycle, i);
     }
-    // Capacity reached: the ring drained without an explicit flush.
-    ASSERT_EQ(seen.size(), 4u);
-    EXPECT_EQ(seen[3].cycle, 3u);
+    EXPECT_EQ(ends, 0);
+    sink.finish();
+    EXPECT_EQ(ends, 2);
 }
 
 TEST(ObsSink, FinishIsIdempotent)
@@ -422,6 +434,289 @@ TEST(ObsWriters, UnwritablePathThrows)
     const std::string bad = "/no-such-dir-ctcp/obs.out";
     EXPECT_THROW(ChromeTraceWriter writer(bad), std::runtime_error);
     EXPECT_THROW(ObsTextWriter writer(bad), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------
+// Writer bytes: the trace formats are a contract, so both writers are
+// checked byte for byte against a printf rendering of the format.
+// ---------------------------------------------------------------------
+
+void
+appendf(std::string &out, const char *fmt, ...)
+{
+    char line[512];
+    va_list args;
+    va_start(args, fmt);
+    const int n = std::vsnprintf(line, sizeof(line), fmt, args);
+    va_end(args);
+    ASSERT_GE(n, 0);
+    ASSERT_LT(static_cast<std::size_t>(n), sizeof(line));
+    out.append(line, static_cast<std::size_t>(n));
+}
+
+int
+referenceTid(const ObsEvent &event)
+{
+    switch (event.kind) {
+      case ObsKind::Complete:
+      case ObsKind::Retire:
+        return 1;
+      case ObsKind::Mem:
+        return 2;
+      case ObsKind::Issue:
+      case ObsKind::Execute:
+      case ObsKind::Forward:
+        return event.cluster == invalidCluster
+            ? 0 : 10 + static_cast<int>(event.cluster);
+      default:
+        return 0;
+    }
+}
+
+std::string
+chromeReference(const std::vector<ObsEvent> &events)
+{
+    std::string out =
+        "{\"traceEvents\":[\n"
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
+        "\"args\":{\"name\":\"ctcpsim\"}}";
+    std::set<int> named;
+    for (const ObsEvent &ev : events) {
+        const int tid = referenceTid(ev);
+        if (named.insert(tid).second) {
+            char name[32];
+            if (tid == 0)
+                std::snprintf(name, sizeof(name), "frontend");
+            else if (tid == 1)
+                std::snprintf(name, sizeof(name), "commit");
+            else if (tid == 2)
+                std::snprintf(name, sizeof(name), "memory");
+            else
+                std::snprintf(name, sizeof(name), "cluster %d", tid - 10);
+            appendf(out,
+                    ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
+                    "\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}",
+                    tid, name);
+            appendf(out,
+                    ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
+                    "\"name\":\"thread_sort_index\","
+                    "\"args\":{\"sort_index\":%d}}",
+                    tid, tid);
+        }
+        const char *kind = obsKindName(ev.kind);
+        if (ev.kind == ObsKind::Execute)
+            appendf(out,
+                    ",\n{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
+                    "\"ts\":%" PRIu64 ",\"dur\":%" PRIu64
+                    ",\"name\":\"%.*s\",\"cat\":\"%s\"",
+                    tid, ev.begin, ev.dur ? ev.dur : 1,
+                    static_cast<int>(ev.label.size()), ev.label.data(),
+                    kind);
+        else
+            appendf(out,
+                    ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":%d,"
+                    "\"ts\":%" PRIu64 ",\"s\":\"t\",\"name\":\"%s\","
+                    "\"cat\":\"%s\"",
+                    tid, ev.cycle, kind, kind);
+        out += ",\"args\":{";
+        const char *sep = "";
+        if (ev.seq != invalidSeqNum) {
+            appendf(out, "\"seq\":%" PRIu64, ev.seq);
+            sep = ",";
+        }
+        if (ev.pc) {
+            appendf(out, "%s\"pc\":%" PRIu64, sep, ev.pc);
+            sep = ",";
+        }
+        if (ev.cluster != invalidCluster) {
+            appendf(out, "%s\"cluster\":%d", sep,
+                    static_cast<int>(ev.cluster));
+            sep = ",";
+        }
+        if (ev.opt) {
+            appendf(out, "%s\"option\":\"%c\"", sep, ev.opt);
+            sep = ",";
+        }
+        if (ev.arg0) {
+            appendf(out, "%s\"arg0\":%" PRId64, sep, ev.arg0);
+            sep = ",";
+        }
+        if (ev.arg1) {
+            appendf(out, "%s\"arg1\":%" PRId64, sep, ev.arg1);
+            sep = ",";
+        }
+        if (!ev.label.empty() && ev.kind != ObsKind::Execute)
+            appendf(out, "%s\"op\":\"%.*s\"", sep,
+                    static_cast<int>(ev.label.size()), ev.label.data());
+        out += "}}";
+    }
+    out += "\n]}\n";
+    return out;
+}
+
+std::string
+textReference(const std::vector<ObsEvent> &events)
+{
+    std::string out;
+    for (const ObsEvent &ev : events) {
+        appendf(out, "%" PRIu64 " %s", ev.cycle, obsKindName(ev.kind));
+        if (ev.seq != invalidSeqNum)
+            appendf(out, " seq=%" PRIu64, ev.seq);
+        if (ev.pc)
+            appendf(out, " pc=0x%" PRIx64, ev.pc);
+        if (ev.cluster != invalidCluster)
+            appendf(out, " cl=%d", static_cast<int>(ev.cluster));
+        if (ev.opt)
+            appendf(out, " opt=%c", ev.opt);
+        if (!ev.label.empty())
+            appendf(out, " op=%.*s", static_cast<int>(ev.label.size()),
+                    ev.label.data());
+        switch (ev.kind) {
+          case ObsKind::Fetch:
+            if (ev.arg0)
+                out += " from=tc";
+            break;
+          case ObsKind::TcHit:
+          case ObsKind::TraceBuild:
+            appendf(out, " insts=%" PRId64, ev.arg0);
+            if (ev.kind == ObsKind::TraceBuild)
+                appendf(out, " blocks=%" PRId64, ev.arg1);
+            break;
+          case ObsKind::Execute:
+            appendf(out, " begin=%" PRIu64 " dur=%" PRIu64, ev.begin,
+                    ev.dur);
+            break;
+          case ObsKind::Forward:
+            appendf(out, " hops=%" PRId64 " from_cl=%" PRId64, ev.arg0,
+                    ev.arg1);
+            break;
+          case ObsKind::Flush:
+            appendf(out, " resume=%" PRId64, ev.arg0);
+            break;
+          case ObsKind::Mem:
+            appendf(out, " addr=0x%" PRIx64 " level=%" PRId64
+                         " lat=%" PRIu64,
+                    static_cast<std::uint64_t>(ev.arg0), ev.arg1, ev.dur);
+            break;
+          default:
+            break;
+        }
+        out += '\n';
+    }
+    return out;
+}
+
+/** "" when equal, else the first differing offset with context. */
+std::string
+firstDifference(const std::string &actual, const std::string &expected)
+{
+    if (actual == expected)
+        return "";
+    std::size_t at = 0;
+    while (at < actual.size() && at < expected.size() &&
+           actual[at] == expected[at])
+        ++at;
+    const std::size_t from = at < 40 ? 0 : at - 40;
+    return "sizes " + std::to_string(actual.size()) + " vs " +
+        std::to_string(expected.size()) + ", first difference at byte " +
+        std::to_string(at) + ":\n  actual:   " +
+        actual.substr(from, 100) + "\n  expected: " +
+        expected.substr(from, 100);
+}
+
+/** Seeded events of every kind, with each field's edge values mixed in. */
+std::vector<ObsEvent>
+randomEvents(std::uint64_t seed, std::size_t count)
+{
+    constexpr std::uint64_t u64max = std::numeric_limits<std::uint64_t>::max();
+    constexpr std::int64_t i64min = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t i64max = std::numeric_limits<std::int64_t>::max();
+    static const char *const labels[] = {"", "add", "ld.w", "bne",
+                                         "rob", "cluster-occupancy"};
+    static const char options[] = {0, 'A', 'B', 'C', 'D', 'E', 'S'};
+    Rng rng(seed);
+    auto pickU64 = [&rng] {
+        switch (rng.below(4)) {
+          case 0: return std::uint64_t{0};
+          case 1: return u64max;
+          case 2: return rng.below(100'000);
+          default: return rng.next();
+        }
+    };
+    auto pickI64 = [&rng] {
+        switch (rng.below(6)) {
+          case 0: return std::int64_t{0};
+          case 1: return i64min;
+          case 2: return i64max;
+          case 3: return rng.range(-1'000, -1);
+          case 4: return rng.range(1, 1'000);
+          default: return static_cast<std::int64_t>(rng.next());
+        }
+    };
+
+    std::vector<ObsEvent> events;
+    for (std::size_t i = 0; i < count; ++i) {
+        ObsEvent ev;
+        ev.kind = static_cast<ObsKind>(i % numObsKinds);
+        ev.cycle = pickU64();
+        ev.cluster = rng.chance(1, 3)
+            ? invalidCluster : static_cast<ClusterId>(rng.below(8));
+        ev.opt = options[rng.below(sizeof(options))];
+        ev.seq = rng.chance(1, 3) ? invalidSeqNum : pickU64();
+        ev.pc = pickU64();
+        ev.arg0 = pickI64();
+        ev.arg1 = pickI64();
+        ev.begin = pickU64();
+        ev.dur = pickU64();
+        ev.label = labels[rng.below(std::size(labels))];
+        events.push_back(ev);
+    }
+    return events;
+}
+
+/** Both writers' files for @p events, recorded through one sink. */
+std::pair<std::string, std::string>
+writeBoth(const std::vector<ObsEvent> &events)
+{
+    const std::string json = test::tmpPath("writer_bytes.trace.json");
+    const std::string text = test::tmpPath("writer_bytes.trace.txt");
+    {
+        ObsSink sink;
+        sink.addWriter(std::make_unique<ChromeTraceWriter>(json));
+        sink.addWriter(std::make_unique<ObsTextWriter>(text));
+        for (const ObsEvent &ev : events)
+            sink.record(ev);
+    }
+    EXPECT_FALSE(std::filesystem::exists(json + ".tmp"));
+    EXPECT_FALSE(std::filesystem::exists(text + ".tmp"));
+    return {readFile(json), readFile(text)};
+}
+
+TEST(ObsWriters, BytesMatchPrintfReference)
+{
+    // Enough events that both writers drain their buffers many times.
+    const std::vector<ObsEvent> events = randomEvents(16, 30'000);
+    std::set<int> tids;
+    std::set<ObsKind> kinds;
+    bool zeroDurExecute = false;
+    for (const ObsEvent &ev : events) {
+        tids.insert(referenceTid(ev));
+        kinds.insert(ev.kind);
+        zeroDurExecute |= ev.kind == ObsKind::Execute && ev.dur == 0;
+    }
+    ASSERT_EQ(kinds.size(), numObsKinds);
+    ASSERT_EQ(tids.size(), 11u); // 0-2 and clusters 0-7
+    ASSERT_TRUE(zeroDurExecute);
+
+    const auto [json, text] = writeBoth(events);
+    EXPECT_GT(json.size(), 10 * TraceBuffer::capacity);
+    EXPECT_EQ(firstDifference(json, chromeReference(events)), "");
+    EXPECT_EQ(firstDifference(text, textReference(events)), "");
+
+    // A trace without events is just the header and trailer.
+    const auto [emptyJson, emptyText] = writeBoth({});
+    EXPECT_EQ(emptyJson, chromeReference({}));
+    EXPECT_EQ(emptyText, "");
 }
 
 // ---------------------------------------------------------------------
@@ -530,11 +825,10 @@ TEST(ObsTrace, IntervalCsvHasExactlyCeilRows)
 TEST(ObsTrace, RerunIsByteIdentical)
 {
     const TraceRun &run = tracedRun();
-    const std::string dir = testing::TempDir();
     SimConfig cfg = tracedConfig();
-    cfg.obs.traceEventsPath = dir + "ctcp_obs_rerun.trace.json";
-    cfg.obs.traceTextPath = dir + "ctcp_obs_rerun.trace.txt";
-    cfg.obs.intervalPath = dir + "ctcp_obs_rerun.intervals.csv";
+    cfg.obs.traceEventsPath = test::tmpPath("obs_rerun.trace.json");
+    cfg.obs.traceTextPath = test::tmpPath("obs_rerun.trace.txt");
+    cfg.obs.intervalPath = test::tmpPath("obs_rerun.intervals.csv");
     cfg.obs.intervalCycles = kInterval;
     const Program program = workloads::build("gzip");
     CtcpSimulator sim(cfg, program);
@@ -544,6 +838,12 @@ TEST(ObsTrace, RerunIsByteIdentical)
     EXPECT_EQ(readFile(cfg.obs.traceEventsPath), readFile(run.jsonPath));
     EXPECT_EQ(readFile(cfg.obs.traceTextPath), readFile(run.textPath));
     EXPECT_EQ(readFile(cfg.obs.intervalPath), readFile(run.csvPath));
+    // The rerun's files are as large as the shared run's; free them now
+    // rather than at process exit.
+    for (const std::string *path : {&cfg.obs.traceEventsPath,
+                                     &cfg.obs.traceTextPath,
+                                     &cfg.obs.intervalPath})
+        std::filesystem::remove(*path);
 }
 
 TEST(ObsTrace, TracingDoesNotPerturbTheSimulation)
@@ -606,9 +906,8 @@ TEST(ObsCampaign, TelemetryDeterministicAcrossWorkerCounts)
         }
     }
 
-    const std::string base = testing::TempDir() + "ctcp_obs_campaign";
-    const std::string dir1 = base + "_serial";
-    const std::string dir4 = base + "_parallel";
+    const std::string dir1 = test::tmpPath("obs_campaign_serial");
+    const std::string dir4 = test::tmpPath("obs_campaign_parallel");
     std::filesystem::create_directories(dir1);
     std::filesystem::create_directories(dir4);
 

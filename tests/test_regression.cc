@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "config/presets.hh"
 #include "core/simulator.hh"
 #include "workload/workload.hh"
@@ -48,6 +50,16 @@ constexpr Golden goldens[] = {
     {"adpcm_enc", 2, 82534ull, 50005ull},
     {"adpcm_enc", 3, 89840ull, 50007ull},
 };
+
+// gtest would otherwise print the parameter as raw bytes, including the
+// address of the benchmark name, which differs on every run under ASLR
+// and would give the discovered test names a random suffix.
+void
+PrintTo(const Golden &g, std::ostream *os)
+{
+    *os << g.benchmark << '/'
+        << assignStrategyName(static_cast<AssignStrategy>(g.strategy));
+}
 
 class GoldenRegression : public ::testing::TestWithParam<Golden>
 {};

@@ -22,6 +22,7 @@
 
 #include "obs/compare.hh"
 #include "obs/report.hh"
+#include "tmp_dir.hh"
 
 namespace ctcp {
 namespace {
@@ -55,8 +56,7 @@ runCmd(const std::string &cmd)
 int
 runCmdCapture(const std::string &cmd, std::string &out)
 {
-    const std::string path =
-        ::testing::TempDir() + "ctcp_report_capture.txt";
+    const std::string path = test::tmpPath("report_capture.txt");
     const int rc =
         std::system((cmd + " >" + path + " 2>/dev/null").c_str());
     out = slurp(path);
@@ -267,7 +267,7 @@ TEST(Compare, StructuralFindings)
 
 TEST(ReportTools, CtcpsimReportFlowAndCompareGate)
 {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = test::tmpDir().string() + "/";
     const std::string json_a = dir + "ctcp_rt_a.json";
     const std::string json_b = dir + "ctcp_rt_b.json";
     const std::string html = dir + "ctcp_rt.html";

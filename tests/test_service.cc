@@ -27,6 +27,7 @@
 #include "campaign/journal.hh"
 #include "campaign/persistent_pool.hh"
 #include "config/presets.hh"
+#include "tmp_dir.hh"
 #include "service/http.hh"
 #include "service/registry.hh"
 #include "service/server.hh"
@@ -46,7 +47,7 @@ quickConfig(std::uint64_t budget = 20'000)
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + name;
+    return test::tmpPath(name);
 }
 
 std::string
@@ -251,6 +252,84 @@ TEST(WorkloadCache, UnknownBenchmarkMatchesCampaignError)
     } catch (const std::invalid_argument &e) {
         EXPECT_EQ(std::string(e.what()),
                   "unknown benchmark 'no_such_bench'");
+    }
+}
+
+/** What each racing caller got, and the cache's stats afterwards. */
+struct RaceOutcome
+{
+    std::vector<std::shared_ptr<const Program>> programs; ///< null: threw
+    std::vector<std::string> errors;                      ///< "": no throw
+    service::WorkloadCache::Stats stats;
+};
+
+/** @p threads callers miss @p benchmark in @p cache at once. */
+RaceOutcome
+raceOnColdCache(service::WorkloadCache &cache, const std::string &benchmark,
+                std::size_t threads)
+{
+    RaceOutcome out;
+    out.programs.resize(threads);
+    out.errors.resize(threads);
+    // A spinning barrier: a blocking one wakes its waiters one by one,
+    // often after the first caller's build has already finished.
+    std::atomic<std::size_t> arrived{0};
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < threads)
+                std::this_thread::yield();
+            try {
+                out.programs[t] = cache.get(benchmark, 20'000);
+            } catch (const std::exception &e) {
+                out.errors[t] = e.what();
+            }
+        });
+    }
+    for (std::thread &thread : pool)
+        thread.join();
+    out.stats = cache.stats();
+    return out;
+}
+
+TEST(WorkloadCache, ConcurrentMissesShareOneBuild)
+{
+    // Single-flight: however the callers interleave, one of them
+    // builds and the rest wait for that build.
+    constexpr std::size_t threads = 4;
+    for (int round = 0; round < 100; ++round) {
+        service::WorkloadCache cache(8);
+        const RaceOutcome out = raceOnColdCache(cache, "gzip", threads);
+        for (std::size_t t = 0; t < threads; ++t) {
+            ASSERT_EQ(out.errors[t], "") << "round " << round;
+            ASSERT_EQ(out.programs[t], out.programs[0])
+                << "round " << round;
+        }
+        ASSERT_EQ(out.stats.misses, 1u) << "round " << round;
+        ASSERT_EQ(out.stats.hits, threads - 1) << "round " << round;
+        ASSERT_EQ(out.stats.entries, 1u) << "round " << round;
+    }
+}
+
+TEST(WorkloadCache, FailedBuildReachesEveryCallerAndIsNotCached)
+{
+    constexpr std::size_t threads = 4;
+    for (int round = 0; round < 20; ++round) {
+        service::WorkloadCache cache(8);
+        const RaceOutcome out =
+            raceOnColdCache(cache, "no_such_bench", threads);
+        for (std::size_t t = 0; t < threads; ++t) {
+            EXPECT_EQ(out.programs[t], nullptr);
+            ASSERT_EQ(out.errors[t], "unknown benchmark 'no_such_bench'")
+                << "round " << round;
+        }
+        ASSERT_EQ(out.stats.hits + out.stats.misses, threads);
+        ASSERT_EQ(out.stats.entries, 0u);
+        // Nothing was cached: the next caller builds (and fails) anew.
+        EXPECT_THROW(cache.get("no_such_bench", 20'000),
+                     std::invalid_argument);
+        EXPECT_EQ(cache.stats().misses, out.stats.misses + 1);
     }
 }
 
@@ -459,11 +538,10 @@ class ServerRouting : public ::testing::Test
             ::testing::UnitTest::GetInstance()->current_test_info();
         const std::string tag = info ? info->name() : "unnamed";
         service::ServiceServer::Config config;
-        config.socketPath = tempPath("ctcp_routing.sock");
-        config.registry.stateDir =
-            tempPath("ctcp_routing_state_" + tag);
-        // ...and wipe leftovers from previous suite invocations, which
-        // would otherwise resume into this registry.
+        config.socketPath = tempPath("routing.sock");
+        config.registry.stateDir = tempPath("routing_state_" + tag);
+        // ...and wipe what an earlier repeat in this process left,
+        // which would otherwise resume into this registry.
         std::filesystem::remove_all(config.registry.stateDir);
         config.registry.workers = 2;
         config.maxWaitSeconds = 5.0;

@@ -157,7 +157,7 @@ TEST(ServiceE2E, WorkerValidationIsSharedWithCtcpsim)
 {
     // Both binaries run the same parseWorkerCount: junk exits 2 with
     // the same diagnostic, from the daemon and the batch runner alike.
-    const std::string sock = ::testing::TempDir() + "ctcp_wv.sock";
+    const std::string sock = ctcp::test::tmpPath("wv.sock");
     const CommandResult daemon_junk =
         run(std::string(CTCP_CTCPD_PATH) + " --socket " + sock +
             " --workers junk");

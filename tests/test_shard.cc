@@ -32,6 +32,7 @@
 #include "campaign/journal.hh"
 #include "campaign/matrix.hh"
 #include "common/sim_error.hh"
+#include "tmp_dir.hh"
 #include "service/client.hh"
 #include "service/http.hh"
 #include "service/server.hh"
@@ -48,7 +49,7 @@ const char *const kSpec =
 std::string
 tempDir(const std::string &tag)
 {
-    const std::string dir = ::testing::TempDir() + "ctcp_shard_" + tag;
+    const std::string dir = test::tmpPath("shard_" + tag);
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     return dir;

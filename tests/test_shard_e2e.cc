@@ -101,10 +101,8 @@ TEST(ShardE2E, TraceIdIsGreppableAcrossBothDaemonLogs)
 {
     // Daemon dirs are predictable from the tag, so the log paths can
     // be chosen before the daemons exist.
-    const std::string log_a =
-        ::testing::TempDir() + "ctcp_e2e_trace_a/d.log";
-    const std::string log_b =
-        ::testing::TempDir() + "ctcp_e2e_trace_b/d.log";
+    const std::string log_a = daemonDir("trace_a") + "/d.log";
+    const std::string log_b = daemonDir("trace_b") + "/d.log";
     Daemon a("trace_a", 2, {"--log-file", log_a, "--log-level", "info"});
     Daemon b("trace_b", 2, {"--log-file", log_b, "--log-level", "info"});
     const std::string dir = a.dir();

@@ -11,6 +11,7 @@
 #include "config/presets.hh"
 #include "core/simulator.hh"
 #include "prog/builder.hh"
+#include "tmp_dir.hh"
 
 namespace ctcp {
 namespace {
@@ -380,11 +381,11 @@ TEST(Simulator, PipelineTraceRecordsStages)
 {
     Program p = loopProgram(500);
     SimConfig cfg = quickConfig();
-    cfg.debug.pipelineTracePath = "pipeline_trace_test.txt";
+    cfg.debug.pipelineTracePath = test::tmpPath("pipeline_trace.txt");
     cfg.debug.traceCycles = 2000;   // enough for trace-cache fetches
     CtcpSimulator(cfg, p).run();
 
-    std::FILE *f = std::fopen("pipeline_trace_test.txt", "r");
+    std::FILE *f = std::fopen(cfg.debug.pipelineTracePath.c_str(), "r");
     ASSERT_NE(f, nullptr);
     std::string contents;
     char buf[4096];
@@ -392,7 +393,6 @@ TEST(Simulator, PipelineTraceRecordsStages)
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         contents.append(buf, n);
     std::fclose(f);
-    std::remove("pipeline_trace_test.txt");
 
     for (const char *stage : {"fetch-ic", "fetch-tc", "rename", "issue",
                               "dispatch", "complete", "retire"})

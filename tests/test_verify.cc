@@ -16,6 +16,7 @@
 #include "common/sim_error.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
+#include "tmp_dir.hh"
 #include "tracecache/trace_line.hh"
 #include "verify/fault.hh"
 #include "verify/invariant_checker.hh"
@@ -173,8 +174,7 @@ TEST(InvariantChecker, RejectsDuplicatePhysicalSlotDirectly)
 
 TEST(Watchdog, StalledRetirementAbortsWithHang)
 {
-    const std::string trace =
-        std::string(::testing::TempDir()) + "ctcp_watchdog_trace.txt";
+    const std::string trace = test::tmpPath("watchdog_trace.txt");
     std::remove(trace.c_str());
 
     Program prog = workloads::build("gzip");
@@ -225,8 +225,7 @@ TEST(Deadline, OverrunningRunTimesOut)
 
 TEST(AtomicFile, CommitPublishesContent)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "ctcp_atomic_commit.txt";
+    const std::string path = test::tmpPath("atomic_commit.txt");
     std::remove(path.c_str());
     {
         AtomicFile f(path);
@@ -241,8 +240,7 @@ TEST(AtomicFile, CommitPublishesContent)
 
 TEST(AtomicFile, AbandonedWriterPreservesPreviousContent)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "ctcp_atomic_keep.txt";
+    const std::string path = test::tmpPath("atomic_keep.txt");
     atomicWriteFile(path, "old version");
     {
         AtomicFile f(path);
@@ -256,8 +254,7 @@ TEST(AtomicFile, AbandonedWriterPreservesPreviousContent)
 
 TEST(AtomicFile, OneShotHelperRoundTrips)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "ctcp_atomic_oneshot.txt";
+    const std::string path = test::tmpPath("atomic_oneshot.txt");
     atomicWriteFile(path, "first");
     atomicWriteFile(path, "second");
     EXPECT_EQ(readFile(path), "second");

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     };
     const std::vector<Net> nets = {
         {"linear p2p", baseConfig},
-        {"mesh p2p", meshConfig},
+        {"mesh p2p", ringConfig},
         {"shared bus", busConfig},
     };
 

@@ -31,7 +31,7 @@ main(int argc, char **argv)
         SimConfig (*make)();
     };
     const std::vector<Variant> variants = {
-        {"Mesh Network", meshConfig},
+        {"Mesh Network", ringConfig},
         {"One Cycle Forward Lat", oneCycleForwardConfig},
         {"Eight-wide, Two-cluster", twoClusterConfig},
     };

@@ -48,7 +48,8 @@ main(int argc, char **argv)
     for (bool mesh : {false, true}) {
         for (unsigned hop : {1u, 2u, 3u}) {
             SimConfig base = baseConfig();
-            base.cluster.mesh = mesh;
+            base.cluster.topology =
+                mesh ? Topology::Ring : Topology::LinearChain;
             base.cluster.hopLatency = hop;
 
             const double base_cycles = cycles(base);

@@ -359,7 +359,8 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
 
     // Shard support: journal records carry the campaign-wide slot
     // index (slotIndexMap[i]), not the local one, so journals written
-    // by different shards of one campaign merge by index.
+    // by different hosts' slots= subsets of one campaign merge by
+    // index.
     const std::vector<std::size_t> &slot_map = options.slotIndexMap;
     if (!slot_map.empty() && slot_map.size() != jobs.size())
         throw std::invalid_argument(
@@ -386,10 +387,10 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
 
     // Checkpoint/resume: replay outcomes an earlier (killed) run of
     // the same campaign already journalled, then append new ones.
-    // First-complete-wins: after a failover re-execution two shards
-    // may both have journalled one slot; the first record is kept and
-    // later duplicates are ignored (deterministic simulation makes
-    // them byte-identical anyway).
+    // First-complete-wins: when overlapping subsets both journalled
+    // one slot, the first record is kept and later duplicates are
+    // ignored (deterministic simulation makes them byte-identical
+    // anyway).
     std::vector<char> replayed(jobs.size(), 0);
     std::unique_ptr<JournalWriter> journal;
     if (!options.journalPath.empty()) {

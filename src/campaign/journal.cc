@@ -543,6 +543,63 @@ readJournalTail(const std::string &path, std::uint64_t offset,
     return bytes;
 }
 
+MergeResult
+mergeJournalFiles(const std::vector<std::string> &inputs,
+                  const std::vector<Job> &jobs,
+                  const std::string &outPath)
+{
+    MergeResult result;
+    std::vector<char> merged(jobs.size(), 0);
+    std::FILE *out = std::fopen(outPath.c_str(), "wb");
+    if (!out)
+        throw SimError(ErrorCategory::Config,
+                       "cannot write merged journal " + outPath);
+    for (const std::string &input : inputs) {
+        for (const JournalRecord &rec : loadJournal(input)) {
+            if (rec.index >= jobs.size() ||
+                rec.outcome.label != jobs[rec.index].label) {
+                ++result.mismatched;
+                continue;
+            }
+            if (merged[rec.index]) {
+                ++result.duplicates;
+                continue;
+            }
+            merged[rec.index] = 1;
+            // Re-encoding is exact: the %.17g round-trip contract
+            // makes decode(encode(decode(x))) == decode(x).
+            const std::string line =
+                encodeJournalRecord(rec.index, rec.outcome);
+            std::fwrite(line.data(), 1, line.size(), out);
+            ++result.merged;
+        }
+    }
+    std::fclose(out);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (!merged[i])
+            result.missingSlots.push_back(i);
+    return result;
+}
+
+std::string
+formatSlotRanges(const std::vector<std::size_t> &slots)
+{
+    std::string out;
+    std::size_t i = 0;
+    while (i < slots.size()) {
+        std::size_t j = i;
+        while (j + 1 < slots.size() && slots[j + 1] == slots[j] + 1)
+            ++j;
+        if (!out.empty())
+            out += ',';
+        out += std::to_string(slots[i]);
+        if (j > i)
+            out += '-' + std::to_string(slots[j]);
+        i = j + 1;
+    }
+    return out;
+}
+
 JournalWriter::JournalWriter(std::string path)
     : path_(std::move(path))
 {

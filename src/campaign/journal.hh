@@ -74,6 +74,32 @@ std::vector<JournalRecord> loadJournal(const std::string &path);
 std::string readJournalTail(const std::string &path, std::uint64_t offset,
                             std::uint64_t &next);
 
+/** What mergeJournalFiles() did with its inputs. */
+struct MergeResult
+{
+    std::size_t merged = 0;     ///< records written to the output
+    std::size_t duplicates = 0; ///< dropped, slot already merged
+    std::size_t mismatched = 0; ///< dropped, index/label not in campaign
+    std::vector<std::size_t> missingSlots; ///< jobs with no record
+};
+
+/**
+ * Merge the journals of one campaign's `slots=` subsets (the
+ * ctcp_merge core). Every record of @p inputs that belongs to @p jobs
+ * — the full, unsliced expansion, indexed by campaign-wide slot — is
+ * written to a fresh journal at @p outPath, first complete record per
+ * slot winning in file order. Replaying that journal through
+ * runCampaign() yields the merged report; missingSlots lists what such
+ * a replay would re-run.
+ * @throws SimError (Config) when @p outPath cannot be written
+ */
+MergeResult mergeJournalFiles(const std::vector<std::string> &inputs,
+                              const std::vector<Job> &jobs,
+                              const std::string &outPath);
+
+/** Compress sorted slot indices into a slots= value ("0-3,7,9-10"). */
+std::string formatSlotRanges(const std::vector<std::size_t> &slots);
+
 /** Appends records to the journal file; safe from worker threads. */
 class JournalWriter
 {

@@ -141,31 +141,16 @@ parseClusterCount(const std::string &value)
 struct PresetSpec
 {
     std::string label;
-    SimConfig (*make)();
+    PresetFactory make;
 };
 
 PresetSpec
 parsePreset(const std::string &value)
 {
-    if (value == "base")
-        return {value, baseConfig};
-    if (value == "mesh")
-        return {value, meshConfig};
-    if (value == "onecycle")
-        return {value, oneCycleForwardConfig};
-    if (value == "twocluster")
-        return {value, twoClusterConfig};
-    if (value == "bus")
-        return {value, busConfig};
-    if (value == "eightcluster")
-        return {value, eightClusterConfig};
-    if (value == "ring")
-        return {value, ringConfig};
-    if (value == "crossbar")
-        return {value, crossbarConfig};
-    if (value == "hier")
-        return {value, hierConfig};
-    bad("unknown preset '" + value + "'");
+    const PresetFactory make = presetFactory(value);
+    if (!make)
+        bad("unknown preset '" + value + "'");
+    return {value, make};
 }
 
 std::uint64_t
@@ -181,29 +166,42 @@ parseBudget(const std::string &value)
     return budget;
 }
 
+/**
+ * One slot index, checked against @p jobCount before anything is
+ * expanded: a range bound is only ever a valid index, so expanding a
+ * range costs at most one entry per job.
+ */
 std::size_t
-parseSlotIndex(const std::string &value)
+parseSlotIndex(const std::string &value, std::size_t jobCount)
 {
     if (value.empty() ||
         value.find_first_not_of("0123456789") != std::string::npos)
         bad("bad slot index '" + value + "'");
-    return static_cast<std::size_t>(
-        std::strtoull(value.c_str(), nullptr, 10));
+    std::size_t slot = 0;
+    for (const char c : value) {
+        slot = slot * 10 + static_cast<std::size_t>(c - '0');
+        if (slot >= jobCount)
+            bad("slot " + value + " out of range (campaign expands to " +
+                std::to_string(jobCount) + " jobs)");
+    }
+    return slot;
 }
 
 /** Expand "0,2,5-7" into a sorted, deduplicated index list. */
 std::vector<std::size_t>
-expandSlotValues(const std::vector<std::string> &values)
+expandSlotValues(const std::vector<std::string> &values,
+                 std::size_t jobCount)
 {
     std::vector<std::size_t> out;
     for (const std::string &v : values) {
         const std::size_t dash = v.find('-');
         if (dash == std::string::npos) {
-            out.push_back(parseSlotIndex(v));
+            out.push_back(parseSlotIndex(v, jobCount));
             continue;
         }
-        const std::size_t lo = parseSlotIndex(v.substr(0, dash));
-        const std::size_t hi = parseSlotIndex(v.substr(dash + 1));
+        const std::size_t lo = parseSlotIndex(v.substr(0, dash), jobCount);
+        const std::size_t hi =
+            parseSlotIndex(v.substr(dash + 1), jobCount);
         if (hi < lo)
             bad("bad slot range '" + v + "'");
         for (std::size_t i = lo; i <= hi; ++i)
@@ -307,11 +305,8 @@ parseMatrix(const std::string &spec,
                             if (strategy.latencySet)
                                 cfg.assign.issueTimeLatency =
                                     strategy.latency;
-                            if (topo.set) {
-                                cfg.cluster.mesh = false;
-                                cfg.cluster.bus = false;
+                            if (topo.set)
                                 cfg.cluster.topology = topo.topology;
-                            }
                             if (clusters != 0)
                                 applyMachineScale(
                                     cfg, clusters,
@@ -344,12 +339,7 @@ parseMatrix(const std::string &spec,
             slotIndices.push_back(i);
         return jobs;
     }
-    slotIndices = expandSlotValues(slot_values);
-    for (const std::size_t slot : slotIndices)
-        if (slot >= jobs.size())
-            bad("slot " + std::to_string(slot) +
-                " out of range (campaign expands to " +
-                std::to_string(jobs.size()) + " jobs)");
+    slotIndices = expandSlotValues(slot_values, jobs.size());
     std::vector<Job> selected;
     selected.reserve(slotIndices.size());
     for (const std::size_t slot : slotIndices)
@@ -376,7 +366,8 @@ matrixSyntaxHelp()
         "  budget=...    instructions per run (default 300000)\n"
         "  slots=...     global job indices or a-b ranges into the\n"
         "                expanded cross product; yields only those\n"
-        "                jobs, labels unchanged (sharding subsets)\n"
+        "                jobs, labels unchanged (sharding subsets;\n"
+        "                merge their journals with ctcp_merge)\n"
         "example: --campaign \"bench=gzip,twolf;strategy=base,fdrt\"";
 }
 

@@ -24,10 +24,10 @@
  *   budget    instruction budgets per run (default: 300000)
  *   slots     global job indices (single values or a-b ranges) into
  *             the expanded cross product; the spec then yields only
- *             those jobs, with labels and configs unchanged.  Used by
- *             the shard coordinator to hand each daemon a subset of
- *             one campaign while journal records keep their global
- *             slot index (absent = all jobs)
+ *             those jobs, with labels and configs unchanged.  Used to
+ *             shard one campaign across hosts: each runs a subset,
+ *             its journal records keep their global slot index, and
+ *             ctcp_merge merges the journals (absent = all jobs)
  *
  * Example: "bench=gzip,twolf;strategy=base,fdrt,issue-time:0;budget=200000"
  * expands to 6 jobs labelled "<bench>/<preset>/<strategy>"; listed
@@ -49,7 +49,8 @@ namespace ctcp::campaign {
 /**
  * Expand @p spec into the cross product of its dimensions.
  * @throws std::invalid_argument on syntax errors, unknown keys,
- *         benchmarks, strategies or presets.
+ *         benchmarks, strategies or presets, and slot indices at or
+ *         past the job count (checked before any range is expanded).
  */
 std::vector<Job> parseMatrix(const std::string &spec);
 

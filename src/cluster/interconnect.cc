@@ -32,7 +32,7 @@ hopCount(Topology topo, int n, int from, int to, unsigned group_size)
 
 Interconnect::Interconnect(const ClusterConfig &cfg)
     : numClusters_(static_cast<int>(cfg.numClusters)),
-      hopLatency_(cfg.hopLatency), topo_(cfg.effectiveTopology()),
+      hopLatency_(cfg.hopLatency), topo_(cfg.topology),
       busLatency_(cfg.busLatency)
 {
     ctcp_assert(numClusters_ > 0, "interconnect needs clusters");

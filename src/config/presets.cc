@@ -11,15 +11,6 @@ baseConfig()
 }
 
 SimConfig
-meshConfig()
-{
-    SimConfig cfg = baseConfig();
-    cfg.cluster.mesh = true;
-    cfg.validate();
-    return cfg;
-}
-
-SimConfig
 oneCycleForwardConfig()
 {
     SimConfig cfg = baseConfig();
@@ -32,7 +23,7 @@ SimConfig
 busConfig()
 {
     SimConfig cfg = baseConfig();
-    cfg.cluster.bus = true;
+    cfg.cluster.topology = Topology::Bus;
     cfg.validate();
     return cfg;
 }
@@ -82,6 +73,30 @@ hierConfig()
     cfg.cluster.hierGroupSize = 2;
     cfg.validate();
     return cfg;
+}
+
+PresetFactory
+presetFactory(const std::string &name)
+{
+    static const struct
+    {
+        const char *name;
+        PresetFactory make;
+    } table[] = {
+        {"base", baseConfig},
+        {"mesh", ringConfig},
+        {"onecycle", oneCycleForwardConfig},
+        {"twocluster", twoClusterConfig},
+        {"bus", busConfig},
+        {"eightcluster", eightClusterConfig},
+        {"ring", ringConfig},
+        {"crossbar", crossbarConfig},
+        {"hier", hierConfig},
+    };
+    for (const auto &entry : table)
+        if (name == entry.name)
+            return entry.make;
+    return nullptr;
 }
 
 void

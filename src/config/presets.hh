@@ -2,13 +2,15 @@
  * @file
  * Named machine configurations used throughout the evaluation.
  *
- * baseConfig() is Table 7; the other three are the Figure 8 variants
- * (mesh interconnect, one-cycle forwarding, and the eight-wide
- * two-cluster machine).
+ * baseConfig() is Table 7; the Figure 8 variants are the mesh
+ * interconnect (ringConfig(), the "mesh" preset), one-cycle forwarding
+ * and the eight-wide two-cluster machine.
  */
 
 #ifndef CTCPSIM_CONFIG_PRESETS_HH
 #define CTCPSIM_CONFIG_PRESETS_HH
+
+#include <string>
 
 #include "config/sim_config.hh"
 
@@ -16,9 +18,6 @@ namespace ctcp {
 
 /** The paper's baseline: 16-wide, 4 clusters, 2-cycle hops, linear. */
 SimConfig baseConfig();
-
-/** Figure 8, group 1: mesh interconnect (end clusters adjacent). */
-SimConfig meshConfig();
 
 /** Figure 8, group 2: one-cycle inter-cluster forwarding per hop. */
 SimConfig oneCycleForwardConfig();
@@ -44,7 +43,10 @@ SimConfig busConfig();
  */
 SimConfig eightClusterConfig();
 
-/** Baseline machine on a ring interconnect (topology = Ring). */
+/**
+ * Baseline machine on a ring interconnect (topology = Ring): Figure 8,
+ * group 1, the paper's "mesh" (end clusters adjacent).
+ */
 SimConfig ringConfig();
 
 /** Baseline machine on a full crossbar (every remote cluster 1 hop). */
@@ -55,6 +57,17 @@ SimConfig crossbarConfig();
  * one hop inside a group, two hops across groups.
  */
 SimConfig hierConfig();
+
+/** A factory for one named preset. */
+using PresetFactory = SimConfig (*)();
+
+/**
+ * The factory of the preset named @p name (base | mesh | onecycle |
+ * twocluster | bus | eightcluster | ring | crossbar | hier), or
+ * nullptr for an unknown name. The one name table behind the CLI
+ * --preset flag and the campaign matrix's preset= clause.
+ */
+PresetFactory presetFactory(const std::string &name);
 
 /**
  * Rescale @p cfg to @p num_clusters clusters of @p cluster_width slots:

@@ -66,17 +66,9 @@ SimConfig::validate() const
         config_error("clusterWidth must be positive");
     if (cluster.rsEntries == 0 || cluster.rsWritePorts == 0)
         config_error("reservation stations need entries and write ports");
-    if (cluster.effectiveTopology() == Topology::Bus &&
-        cluster.busBandwidth == 0)
+    if (cluster.topology == Topology::Bus && cluster.busBandwidth == 0)
         config_error("bus interconnect needs bandwidth of at least one");
-    if (cluster.bus && cluster.mesh)
-        config_error("bus and mesh interconnects are mutually exclusive");
-    if ((cluster.bus || cluster.mesh) &&
-        cluster.topology != Topology::LinearChain)
-        config_error("legacy mesh/bus flags cannot be combined with "
-                     "topology '%s'; set cluster.topology instead",
-                     topologyName(cluster.topology));
-    if (cluster.effectiveTopology() == Topology::Hierarchical &&
+    if (cluster.topology == Topology::Hierarchical &&
         cluster.hierGroupSize == 0)
         config_error("hierarchical topology needs hierGroupSize >= 1");
     if (assign.strategy == AssignStrategy::Adaptive) {

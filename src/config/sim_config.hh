@@ -85,37 +85,10 @@ struct ClusterConfig
     unsigned hierGroupSize = 2;
     /** Hierarchical: extra cycles on top of two hops across groups. */
     unsigned hierGroupLatency = 0;
-    /**
-     * Legacy alias for topology = Ring, kept so existing presets and
-     * flags keep meaning exactly what they meant. Must not be combined
-     * with a non-linear `topology`.
-     */
-    bool mesh = false;
-    /**
-     * Legacy alias for topology = Bus: inter-cluster results broadcast
-     * over a shared bus with uniform latency and limited bandwidth,
-     * instead of the point-to-point network (the alternative Parcerisa
-     * et al. argue against, modelled here for the ablation benches).
-     */
-    bool bus = false;
     /** Bus transfer latency (producer to any other cluster). */
     unsigned busLatency = 3;
     /** Broadcasts the bus can start per cycle. */
     unsigned busBandwidth = 1;
-
-    /**
-     * The topology after resolving the legacy mesh/bus aliases; the
-     * single source of truth the Interconnect is built from.
-     */
-    Topology
-    effectiveTopology() const
-    {
-        if (bus)
-            return Topology::Bus;
-        if (mesh)
-            return Topology::Ring;
-        return topology;
-    }
 };
 
 /** Trace cache geometry (2-way, 1K-entry, 3-cycle access in the paper). */
@@ -256,17 +229,9 @@ struct AblationConfig
     bool zeroRegisterFileLatency = false;
 };
 
-/** Debug/observability switches. */
+/** Debug switches. */
 struct DebugConfig
 {
-    /**
-     * When non-empty, write a per-event pipeline trace (fetch, rename,
-     * issue, dispatch, complete, retire) for the first `traceCycles`
-     * cycles to this file path.
-     */
-    std::string pipelineTracePath;
-    /** Cycles of pipeline trace to record. */
-    std::uint64_t traceCycles = 1000;
     /**
      * Ignore the memoized per-trace-line dispatch plans and re-derive
      * slot→cluster / FU→station routing per fetched instruction, as if

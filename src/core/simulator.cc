@@ -137,15 +137,6 @@ CtcpSimulator::CtcpSimulator(const SimConfig &cfg, const Program &program,
     fetch_ = std::make_unique<FetchEngine>(cfg_, *tc_, imem_, *bpred_,
                                            exec_, pool_);
 
-    if (!cfg_.debug.pipelineTracePath.empty()) {
-        traceFile_ = std::fopen(cfg_.debug.pipelineTracePath.c_str(), "w");
-        if (traceFile_ == nullptr)
-            ctcp_fatal("cannot open pipeline trace file '%s'",
-                       cfg_.debug.pipelineTracePath.c_str());
-        std::fprintf(traceFile_,
-                     "# cycle stage seq pc cluster slot detail\n");
-    }
-
     if (cfg_.checkLevel > 0) {
         checker_ = std::make_unique<verify::InvariantChecker>(
             cfg_.checkLevel, cfg_.cluster.numClusters,
@@ -237,24 +228,7 @@ CtcpSimulator::setupObservability()
     }
 }
 
-CtcpSimulator::~CtcpSimulator()
-{
-    if (traceFile_ != nullptr)
-        std::fclose(traceFile_);
-}
-
-void
-CtcpSimulator::traceEvent(const char *stage, const TimedInst &inst)
-{
-    std::fprintf(traceFile_,
-                 "%llu %-8s %llu pc=%llu cluster=%d slot=%d %s%s\n",
-                 static_cast<unsigned long long>(cycle_), stage,
-                 static_cast<unsigned long long>(inst.dyn.seq),
-                 static_cast<unsigned long long>(inst.dyn.pc),
-                 static_cast<int>(inst.cluster), inst.slotIndex,
-                 std::string(inst.dyn.info().mnemonic).c_str(),
-                 inst.mispredicted ? " MISPRED" : "");
-}
+CtcpSimulator::~CtcpSimulator() = default;
 
 ClusterId
 CtcpSimulator::slotCluster(const TimedInst &inst) const
@@ -488,8 +462,6 @@ CtcpSimulator::doCompletions()
         TimedInst *inst = completions_.top().inst;
         completions_.pop();
         inst->completed = true;
-        if (tracing())
-            traceEvent("complete", *inst);
         if (obs_ && obs_->enabled(ObsKind::Complete))
             recordInstEvent(*obs_, ObsKind::Complete, cycle_, *inst);
         if (interconnect_.isBus() && inst->dyn.hasDst()) {
@@ -550,9 +522,6 @@ CtcpSimulator::doRetire()
             bpred_->update(head->dyn.pc, head->dyn.isCondBranch(),
                            head->dyn.taken, head->dyn.targetPc);
 
-        if (tracing())
-            traceEvent("retire", *head);
-
         if (obs_ && obs_->enabled(ObsKind::Retire))
             recordInstEvent(*obs_, ObsKind::Retire, cycle_, *head);
 
@@ -582,11 +551,8 @@ CtcpSimulator::doDispatch()
     for (Cluster &cluster : clusters_) {
         dispatchScratch_.clear();
         cluster.dispatch(cycle_, client, dispatchScratch_);
-        for (TimedInst *inst : dispatchScratch_) {
-            if (tracing())
-                traceEvent("dispatch", *inst);
+        for (TimedInst *inst : dispatchScratch_)
             completions_.push({inst->completeAt, inst});
-        }
     }
 }
 
@@ -653,8 +619,6 @@ CtcpSimulator::doIssue()
             ctcp_assert(ok, "steering picked a cluster that rejected");
             inst->issued = true;
             inst->issueAt = cycle_;
-            if (tracing())
-                traceEvent("issue", *inst);
             if (obs_ && obs_->enabled(ObsKind::Issue))
                 recordInstEvent(*obs_, ObsKind::Issue, cycle_, *inst);
             issueQueue_[pos] = nullptr;
@@ -696,8 +660,6 @@ CtcpSimulator::doIssue()
             }
             inst->issued = true;
             inst->issueAt = cycle_;
-            if (tracing())
-                traceEvent("issue", *inst);
             if (obs_ && obs_->enabled(ObsKind::Issue))
                 recordInstEvent(*obs_, ObsKind::Issue, cycle_, *inst);
             queue.pop_front();
@@ -763,8 +725,6 @@ CtcpSimulator::doRename()
         if (inst->dyn.hasDst())
             renameTable_[inst->dyn.dst] = inst;
         inst->renameAt = cycle_;
-        if (tracing())
-            traceEvent("rename", *inst);
         if (obs_ && obs_->enabled(ObsKind::Rename))
             recordInstEvent(*obs_, ObsKind::Rename, cycle_, *inst);
 
@@ -798,14 +758,8 @@ CtcpSimulator::doFetch()
 {
     if (fetchQueue_.size() >= fetchQueueCap)
         return;
-    if (auto group = fetch_->fetchCycle(cycle_)) {
-        if (tracing()) {
-            for (const auto &inst : group->insts)
-                traceEvent(group->fromTraceCache ? "fetch-tc" : "fetch-ic",
-                           *inst);
-        }
+    if (auto group = fetch_->fetchCycle(cycle_))
         fetchQueue_.push_back(std::move(*group));
-    }
 }
 
 void

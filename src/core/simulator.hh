@@ -293,15 +293,6 @@ class CtcpSimulator
      */
     void dumpPipelineSnapshot(const char *reason);
 
-    // Pipeline tracing (DebugConfig): one line per pipeline event for
-    // the first debug.traceCycles cycles.
-    FILE *traceFile_ = nullptr;
-    bool tracing() const
-    {
-        return traceFile_ != nullptr && cycle_ < cfg_.debug.traceCycles;
-    }
-    void traceEvent(const char *stage, const TimedInst &inst);
-
     // Counters.
     Counter condResolved_;
     Counter condMispredicted_;

@@ -2,7 +2,7 @@
  * @file
  * Minimal client for the ctcpd unix-socket API: one connection per
  * exchange (the server closes after each response), shared by
- * ctcpctl, the shard coordinator and the service end-to-end tests.
+ * ctcpctl and the service end-to-end tests.
  *
  * Every exchange is bounded by connect/write/read deadlines
  * (ClientOptions) so a wedged daemon fails the call with a transport

@@ -169,8 +169,8 @@ HttpResponse
 ServiceServer::handle(const HttpRequest &req)
 {
     HttpResponse resp = route(req);
-    // Echo the correlation id so a client (or the shard coordinator)
-    // can stitch this exchange into the fleet-wide trace.
+    // Echo the correlation id so a client can stitch this exchange
+    // into the fleet-wide trace.
     const std::string trace = req.header("x-ctcp-trace-id");
     if (!trace.empty())
         resp.headers.emplace_back(traceIdHeader, trace);

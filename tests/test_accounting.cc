@@ -243,15 +243,6 @@ TEST(Accounting, BusWaitsBinAsSingleHop)
     EXPECT_GT(acct(r, "slots.wait_fwd1"), 0.0);
     EXPECT_EQ(acct(r, "slots.wait_fwd2"), 0.0);
     EXPECT_EQ(acct(r, "slots.wait_fwd3"), 0.0);
-
-    // The legacy flag spells the same machine; its run must be
-    // byte-identical, accounting included.
-    SimConfig legacy = baseConfig();
-    legacy.cluster.bus = true;
-    legacy.instructionLimit = 40'000;
-    legacy.obs.accounting = true;
-    const SimResult alias = CtcpSimulator(legacy, prog).run();
-    EXPECT_EQ(r.toJson(false, true), alias.toJson(false, true));
 }
 
 TEST(Accounting, AdaptiveFeedbackDoesNotLeakIntoExports)

@@ -312,9 +312,8 @@ TEST(CampaignMatrix, TopologyAndClusterDimensions)
     EXPECT_EQ(jobs[2].label, "gzip/base/adaptive/crossbar/c2");
     EXPECT_EQ(jobs[3].label, "gzip/base/adaptive/crossbar/c8");
     EXPECT_EQ(jobs[0].config.assign.strategy, AssignStrategy::Adaptive);
-    EXPECT_EQ(jobs[0].config.cluster.effectiveTopology(), Topology::Ring);
-    EXPECT_EQ(jobs[2].config.cluster.effectiveTopology(),
-              Topology::Crossbar);
+    EXPECT_EQ(jobs[0].config.cluster.topology, Topology::Ring);
+    EXPECT_EQ(jobs[2].config.cluster.topology, Topology::Crossbar);
     EXPECT_EQ(jobs[0].config.cluster.numClusters, 2u);
     EXPECT_EQ(jobs[1].config.cluster.numClusters, 8u);
     // Machine width scales with the cluster count.
@@ -324,14 +323,13 @@ TEST(CampaignMatrix, TopologyAndClusterDimensions)
 
 TEST(CampaignMatrix, TopologyOverridesPresetInterconnectFlags)
 {
-    // topology=... clears the legacy mesh/bus preset flags so the
-    // override wins; the preset's other knobs are kept.
+    // topology=... replaces the preset's interconnect (the mesh
+    // preset's ring here); the preset's other knobs are kept.
     const std::vector<campaign::Job> jobs = campaign::parseMatrix(
         "bench=gzip;preset=mesh;topology=bus;budget=1000");
     ASSERT_EQ(jobs.size(), 1u);
     EXPECT_EQ(jobs[0].label, "gzip/mesh/base/bus");
-    EXPECT_FALSE(jobs[0].config.cluster.mesh);
-    EXPECT_EQ(jobs[0].config.cluster.effectiveTopology(), Topology::Bus);
+    EXPECT_EQ(jobs[0].config.cluster.topology, Topology::Bus);
 }
 
 TEST(CampaignMatrix, AbsentTopologyAndClustersArePassThrough)
@@ -346,8 +344,7 @@ TEST(CampaignMatrix, AbsentTopologyAndClustersArePassThrough)
     const SimConfig base = baseConfig();
     EXPECT_EQ(jobs[0].config.cluster.numClusters,
               base.cluster.numClusters);
-    EXPECT_EQ(jobs[0].config.cluster.effectiveTopology(),
-              base.cluster.effectiveTopology());
+    EXPECT_EQ(jobs[0].config.cluster.topology, base.cluster.topology);
 }
 
 TEST(CampaignMatrix, RejectsBadTopologyAndClusterValues)
@@ -402,7 +399,7 @@ TEST(CampaignMatrix, PresetDimension)
     const std::vector<campaign::Job> jobs = campaign::parseMatrix(
         "bench=gzip;preset=base,mesh,twocluster");
     ASSERT_EQ(jobs.size(), 3u);
-    EXPECT_TRUE(jobs[1].config.cluster.mesh);
+    EXPECT_EQ(jobs[1].config.cluster.topology, Topology::Ring);
     EXPECT_EQ(jobs[2].config.cluster.numClusters, 2u);
 }
 

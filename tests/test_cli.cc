@@ -55,6 +55,13 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--journal " + ctcp::test::tmpPath("usage.jsonl") +
                      " --bench gzip --instructions 1000"),
               2);
+    // slots= bounds are checked before a range is expanded: a huge
+    // range is a config error, not an allocation abort, and a range
+    // ending at SIZE_MAX cannot wrap into an endless loop.
+    EXPECT_EQ(runCli("--campaign 'bench=gzip;slots=0-400000000'"), 2);
+    EXPECT_EQ(runCli("--campaign 'bench=gzip;slots="
+                     "18446744073709551614-18446744073709551615'"),
+              2);
 }
 
 TEST(CliExitCodes, BadIntervalReturnsTwo)

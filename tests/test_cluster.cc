@@ -65,7 +65,7 @@ TEST(Interconnect, LinearDistances)
 TEST(Interconnect, MeshClosesTheRing)
 {
     ClusterConfig cfg;
-    cfg.mesh = true;
+    cfg.topology = Topology::Ring;
     Interconnect ic(cfg);
     EXPECT_EQ(ic.distance(0, 3), 1u);   // end clusters adjacent
     EXPECT_EQ(ic.distance(0, 2), 2u);
@@ -91,7 +91,7 @@ TEST(Interconnect, CentralityPrefersMiddle)
 TEST(Interconnect, BusUniformLatency)
 {
     ClusterConfig cfg;
-    cfg.bus = true;
+    cfg.topology = Topology::Bus;
     cfg.busLatency = 3;
     Interconnect ic(cfg);
     EXPECT_EQ(ic.latency(0, 0), 0u);

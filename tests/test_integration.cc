@@ -124,7 +124,7 @@ TEST(Integration, MeshHelpsOrMatchesDistance)
     Program p = workloads::build("gzip");
     SimConfig lin = baseConfig();
     lin.instructionLimit = budget;
-    SimConfig mesh = meshConfig();
+    SimConfig mesh = ringConfig();
     mesh.instructionLimit = budget;
     const SimResult rl = CtcpSimulator(lin, p).run();
     const SimResult rm = CtcpSimulator(mesh, p).run();

@@ -2,19 +2,25 @@
  * @file
  * Campaign hardening tests: journal record round-trips, crash/resume
  * byte-identity of the aggregated report, partial-record tolerance,
- * the bounded-retry policy with its category gate, and distinct
- * per-job file stems for colliding labels.
+ * the bounded-retry policy with its category gate, distinct per-job
+ * file stems for colliding labels, and sharding: the slots= matrix
+ * clause, slotIndexMap journaling, and the offline journal merge
+ * behind ctcp_merge.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/campaign.hh"
 #include "campaign/journal.hh"
+#include "campaign/matrix.hh"
 #include "common/sim_error.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
@@ -609,6 +615,218 @@ TEST(CampaignJournal, MixedJobsUnderContention)
     EXPECT_EQ(expected.toJson(), report.toJson());
     EXPECT_EQ(campaign::loadJournal(path).size(), makeJobs().size());
     std::remove(path.c_str());
+}
+
+// ---- Sharding: slots= subsets, slotIndexMap, journal merge -------------
+
+// Four fast jobs: 2 benchmarks x 2 strategies at a small budget.
+const char *const kSpec =
+    "bench=gzip,adpcm_enc;strategy=base,fdrt;budget=20000";
+
+std::string
+tempDir(const std::string &tag)
+{
+    const std::string dir = test::tmpPath("shard_" + tag);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** The single-host reference every merged report compares against. */
+std::string
+referenceJson(const std::string &spec)
+{
+    campaign::Options options;
+    options.jobs = 2;
+    return campaign::runCampaign(campaign::parseMatrix(spec), options)
+        .toJson();
+}
+
+TEST(MatrixSlots, SelectsSubsetAndMapsGlobalIndices)
+{
+    const std::vector<campaign::Job> all = campaign::parseMatrix(kSpec);
+    ASSERT_EQ(all.size(), 4u);
+
+    std::vector<std::size_t> slots;
+    const std::vector<campaign::Job> subset =
+        campaign::parseMatrix(std::string(kSpec) + ";slots=1,3", slots);
+    ASSERT_EQ(subset.size(), 2u);
+    EXPECT_EQ(slots, (std::vector<std::size_t>{1, 3}));
+    // Labels and configs are those of the full expansion: a shard job
+    // is the same job it would be in the unsharded campaign.
+    EXPECT_EQ(subset[0].label, all[1].label);
+    EXPECT_EQ(subset[1].label, all[3].label);
+}
+
+TEST(MatrixSlots, ExpandsRangesSortedAndDeduped)
+{
+    std::vector<std::size_t> slots;
+    const std::vector<campaign::Job> subset = campaign::parseMatrix(
+        std::string(kSpec) + ";slots=2,0-1,2", slots);
+    EXPECT_EQ(subset.size(), 3u);
+    EXPECT_EQ(slots, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(MatrixSlots, AbsentClauseYieldsIdentityMap)
+{
+    std::vector<std::size_t> slots;
+    const std::vector<campaign::Job> all =
+        campaign::parseMatrix(kSpec, slots);
+    ASSERT_EQ(slots.size(), all.size());
+    for (std::size_t i = 0; i < slots.size(); ++i)
+        EXPECT_EQ(slots[i], i);
+}
+
+TEST(MatrixSlots, RejectsOutOfRangeAndBadRanges)
+{
+    for (const char *slots :
+         {"4", "3-1", "x",
+          // Bounds are checked before a range is expanded: the first
+          // would otherwise allocate 400M indices, the second wrap
+          // past SIZE_MAX and never end.
+          "0-400000000", "18446744073709551614-18446744073709551615",
+          "99999999999999999999999"})
+        EXPECT_THROW(campaign::parseMatrix(std::string(kSpec) +
+                                           ";slots=" + slots),
+                     std::invalid_argument)
+            << slots;
+}
+
+TEST(SlotIndexMap, ShardJournalsMergeIntoOneResumableFile)
+{
+    const std::string dir = tempDir("slotmap");
+    const std::string journal = dir + "/merged.jsonl";
+    const std::vector<campaign::Job> all = campaign::parseMatrix(kSpec);
+
+    // Run the campaign as two shard subsets journaling global indices
+    // into the same file — exactly what two hosts' journals contain.
+    for (const std::string slots : {"1,3", "0,2"}) {
+        std::vector<std::size_t> map;
+        const std::vector<campaign::Job> subset = campaign::parseMatrix(
+            std::string(kSpec) + ";slots=" + slots, map);
+        campaign::Options options;
+        options.jobs = 2;
+        options.journalPath = journal;
+        options.slotIndexMap = map;
+        campaign::runCampaign(subset, options);
+    }
+
+    // Replaying the merged journal over the full campaign reproduces
+    // the single-host report byte for byte without running anything.
+    campaign::Options replay;
+    replay.journalPath = journal;
+    const std::string merged_json =
+        campaign::runCampaign(all, replay).toJson();
+    EXPECT_EQ(merged_json, referenceJson(kSpec));
+}
+
+TEST(SlotIndexMap, ReplayIsFirstCompleteWins)
+{
+    const std::string dir = tempDir("firstwins");
+    const std::vector<campaign::Job> all = campaign::parseMatrix(kSpec);
+
+    // A clean journal for the full campaign...
+    const std::string clean = dir + "/clean.jsonl";
+    campaign::Options options;
+    options.jobs = 2;
+    options.journalPath = clean;
+    const std::string expected =
+        campaign::runCampaign(all, options).toJson();
+
+    // ...plus a conflicting record for slot 0, as a second host that
+    // also ran slot 0 would produce.
+    campaign::JobOutcome fake;
+    fake.label = all[0].label;
+    fake.benchmark = all[0].benchmark;
+    fake.status = campaign::JobStatus::Failed;
+    fake.error = "injected duplicate";
+    const std::string fake_line = campaign::encodeJournalRecord(0, fake);
+
+    // Duplicate after the real record: ignored.
+    const std::string dup_after = dir + "/dup_after.jsonl";
+    {
+        std::ofstream out(dup_after, std::ios::binary);
+        out << readFile(clean) << fake_line;
+    }
+    campaign::Options replay;
+    replay.journalPath = dup_after;
+    EXPECT_EQ(campaign::runCampaign(all, replay).toJson(), expected);
+
+    // Duplicate before the real record: the first record wins, so the
+    // injected failure is what the report shows.
+    const std::string dup_before = dir + "/dup_before.jsonl";
+    {
+        std::ofstream out(dup_before, std::ios::binary);
+        out << fake_line << readFile(clean);
+    }
+    replay.journalPath = dup_before;
+    const campaign::Report report = campaign::runCampaign(all, replay);
+    EXPECT_FALSE(report.at(all[0].label).ok());
+    EXPECT_EQ(report.at(all[0].label).error, "injected duplicate");
+}
+
+TEST(SlotIndexMap, SizeMismatchIsRejected)
+{
+    const std::vector<campaign::Job> all = campaign::parseMatrix(kSpec);
+    campaign::Options options;
+    options.slotIndexMap = {0, 1};
+    EXPECT_THROW(campaign::runCampaign(all, options),
+                 std::invalid_argument);
+}
+
+TEST(SlotRanges, CompressConsecutiveRuns)
+{
+    EXPECT_EQ(campaign::formatSlotRanges({}), "");
+    EXPECT_EQ(campaign::formatSlotRanges({5}), "5");
+    EXPECT_EQ(campaign::formatSlotRanges({0, 1, 2, 3, 7, 9, 10}),
+              "0-3,7,9-10");
+}
+
+TEST(MergeJournals, DedupesValidatesAndFindsMissing)
+{
+    const std::string dir = tempDir("merge");
+    const std::vector<campaign::Job> all = campaign::parseMatrix(kSpec);
+
+    // Produce real per-host journals (global indices) for slots
+    // {0,2} and {1} — slot 3 is missing, and host B also re-ran
+    // slot 0 (a duplicate).
+    const std::string a = dir + "/a.jsonl", b = dir + "/b.jsonl";
+    for (const auto &[path, slots] :
+         {std::pair<std::string, std::string>{a, "0,2"}, {b, "1"}}) {
+        std::vector<std::size_t> map;
+        const std::vector<campaign::Job> subset = campaign::parseMatrix(
+            std::string(kSpec) + ";slots=" + slots, map);
+        campaign::Options options;
+        options.jobs = 2;
+        options.journalPath = path;
+        options.slotIndexMap = map;
+        campaign::runCampaign(subset, options);
+    }
+    {
+        // Duplicate + alien record appended to host B's journal.
+        const std::string first_line =
+            readFile(a).substr(0, readFile(a).find('\n') + 1);
+        campaign::JobOutcome alien;
+        alien.label = "not/a/job";
+        std::ofstream out(b, std::ios::binary | std::ios::app);
+        out << first_line << campaign::encodeJournalRecord(9, alien);
+    }
+
+    const std::string merged = dir + "/merged.jsonl";
+    campaign::MergeResult result = campaign::mergeJournalFiles(
+        {b, a}, all, merged); // order must not matter for the content
+    EXPECT_EQ(result.merged, 3u);
+    EXPECT_EQ(result.duplicates, 1u);
+    EXPECT_EQ(result.mismatched, 1u);
+    EXPECT_EQ(result.missingSlots, (std::vector<std::size_t>{3}));
+
+    // Replaying the merged journal runs exactly the missing slot and
+    // reproduces the single-host report.
+    campaign::Options replay;
+    replay.journalPath = merged;
+    replay.jobs = 2;
+    EXPECT_EQ(campaign::runCampaign(all, replay).toJson(),
+              referenceJson(kSpec));
 }
 
 } // namespace

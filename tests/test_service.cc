@@ -618,6 +618,17 @@ TEST_F(ServerRouting, MalformedSpecIs400)
     const service::HttpResponse resp = post("/v1/runs", "what=ever");
     EXPECT_EQ(resp.status, 400);
     EXPECT_NE(resp.body.find("error"), std::string::npos);
+
+    // A slots= range from the socket is bounded by the job count
+    // before it is expanded, never allocated or looped over.
+    for (const char *slots :
+         {"0-400000000", "18446744073709551614-18446744073709551615"}) {
+        const service::HttpResponse hostile =
+            post("/v1/runs", std::string("bench=gzip;slots=") + slots);
+        EXPECT_EQ(hostile.status, 400) << slots;
+        EXPECT_NE(hostile.body.find("out of range"), std::string::npos)
+            << hostile.body;
+    }
 }
 
 TEST_F(ServerRouting, SubmitRunReportLifecycle)

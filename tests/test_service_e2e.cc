@@ -9,12 +9,15 @@
  *  - SIGKILL the daemon mid-campaign, corrupt the journal tail the way
  *    a kill mid-append would, restart, and verify the resumed run
  *    still produces the byte-identical report;
- *  - SIGTERM performs a graceful shutdown with exit status 0;
+ *  - SIGTERM performs a graceful shutdown with exit status 0, and a
+ *    client that stalls mid-request cannot wedge it once
+ *    --io-deadline bounds per-connection reads;
  *  - --workers shares ctcpsim's --jobs validation (exit 2 + message).
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -132,6 +135,30 @@ TEST(ServiceE2E, SigtermIsAGracefulExitZero)
     Daemon daemon("term");
     EXPECT_EQ(daemon.ctl("ping").status, 0);
     EXPECT_EQ(daemon.terminate(), 0);
+}
+
+TEST(ShardE2E, StalledClientCannotWedgeGracefulShutdown)
+{
+    Daemon daemon("stall", 2, {"--io-deadline", "1"});
+
+    // Open a connection, send half a request line, and go silent.
+    std::string error;
+    const int fd =
+        ctcp::service::connectUnix(daemon.socketPath(), error);
+    ASSERT_GE(fd, 0) << error;
+    ASSERT_TRUE(ctcp::service::writeAll(fd, "GET /v1/pi"));
+
+    // Graceful shutdown waits for active connections; the per-
+    // connection read deadline must cut the stalled one loose long
+    // before the shutdown watchdog would.
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(daemon.terminate(), 0);
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count();
+    EXPECT_LT(elapsed, 10.0);
+    ::close(fd);
 }
 
 TEST(ServiceE2E, CancelEndsARunWithoutKillingTheDaemon)

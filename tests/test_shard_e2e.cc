@@ -1,25 +1,30 @@
 /**
  * @file
- * End-to-end sharded campaigns through the real binaries:
+ * End-to-end sharded campaigns through the real binaries. A campaign
+ * is sharded by giving each host the same spec plus a contiguous
+ * `slots=` half; every journal record carries its campaign-wide slot
+ * index, and ctcp_merge merges the hosts' journals by slot and replays
+ * them. Each case holds the merged report to `ctcpsim --campaign` over
+ * the unsliced spec, byte for byte:
  *
- *  - `ctcpctl submit --shard` across two live daemons produces a
- *    report byte-identical to `ctcpsim --campaign`;
- *  - SIGKILL one daemon mid-campaign: the coordinator circuit-breaks
- *    it, reassigns its slots, and still exits 0 with identical bytes;
- *  - ctcp_merge rebuilds the same report offline from the daemons'
- *    own journals, in either file order — the post-mortem recovery
- *    path when the coordinator itself dies;
- *  - a client that stalls mid-request cannot wedge graceful shutdown
- *    once --io-deadline bounds per-connection reads.
+ *  - two `ctcpsim --campaign ... --journal` halves, merged (and one
+ *    half cut short and rerun on its journal, which resumes it);
+ *  - two daemons' halves submitted with ctcpctl, merged in either
+ *    order — and one trace id shared by both submits greps out of
+ *    both daemons' logs;
+ *  - one daemon SIGKILLed mid-run, merged with --run-missing;
+ *  - that daemon restarted on its state dir, which resumes the run
+ *    from its journal, then merged without --run-missing.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
-#include <thread>
+#include <vector>
+
+#include <unistd.h>
 
 #include "e2e_util.hh"
 
@@ -27,22 +32,122 @@ namespace {
 
 using namespace e2e;
 
+// Four jobs, split into two contiguous halves of two slots each.
 const char *const kMatrix =
     "bench=gzip,adpcm_enc;strategy=base,fdrt;budget=60000";
+const char *const kHalves[2] = {"0-1", "2-3"};
+
+// Budgets big enough that a half is still running when the SIGKILL
+// lands: the killed daemon runs its two jobs one after the other.
+const char *const kSlowMatrix =
+    "bench=gzip,adpcm_enc;strategy=base,fdrt;budget=400000";
 
 std::string
-shardSubmit(const std::string &dir, const Daemon &a, const Daemon &b,
-            const std::string &spec, const std::string &extra,
-            int &status)
+half(const std::string &matrix, int which)
 {
-    const std::string spec_path = writeSpec(dir, spec);
-    const std::string out = dir + "/sharded.json";
-    const CommandResult result =
-        run(std::string(CTCP_CTCPCTL_PATH) + " submit " + spec_path +
-            " --shard " + a.socketPath() + "," + b.socketPath() +
-            " --out " + out + " " + extra);
-    status = result.status;
-    return out;
+    return matrix + ";slots=" + kHalves[which];
+}
+
+/** ctcp_merge @p journals over @p matrix; the report is on stdout. */
+CommandResult
+merge(const std::string &dir, const std::string &matrix,
+      const std::vector<std::string> &journals,
+      const std::string &extra = std::string())
+{
+    std::string cmd = std::string(CTCP_MERGE_PATH) + " --campaign '" +
+        matrix + "' --merged " + dir + "/merged.jsonl " + extra;
+    for (const std::string &journal : journals)
+        cmd += " " + journal;
+    return run(cmd);
+}
+
+/** Submit @p spec to @p daemon; @return the daemon's journal of it. */
+std::string
+submit(const Daemon &daemon, const std::string &spec,
+       const std::string &extra = std::string())
+{
+    const CommandResult submitted = daemon.ctl(
+        "submit " + writeSpec(daemon.dir(), spec) + " " + extra);
+    EXPECT_EQ(submitted.status, 0) << submitted.output;
+    return daemon.statePath() + "/" + chomp(submitted.output) +
+        ".journal.jsonl";
+}
+
+/** Block until @p daemon's first run is done. */
+void
+waitDone(const Daemon &daemon)
+{
+    const CommandResult waited = daemon.ctl("wait r0001 --timeout 120");
+    EXPECT_EQ(waited.status, 0) << waited.output;
+}
+
+std::size_t
+lineCount(const std::string &path)
+{
+    const std::string text = slurp(path);
+    std::size_t lines = 0;
+    for (const char c : text)
+        lines += c == '\n';
+    return lines;
+}
+
+/**
+ * Run kSlowMatrix's halves on @p a and @p b, and SIGKILL @p b (one
+ * worker, so its jobs run in turn) as soon as its first record lands.
+ * @return the two journals, @p a's complete and @p b's cut short.
+ */
+std::vector<std::string>
+runAndKillOne(Daemon &a, Daemon &b)
+{
+    const std::string ja = submit(a, half(kSlowMatrix, 0));
+    const std::string jb = submit(b, half(kSlowMatrix, 1));
+    for (int i = 0; i < 12000 && lineCount(jb) == 0; ++i)
+        ::usleep(10 * 1000);
+    b.kill();
+    waitDone(a);
+    EXPECT_EQ(lineCount(jb), 1u) << "the SIGKILL missed the run";
+    return {ja, jb};
+}
+
+TEST(ShardE2E, CtcpsimHalvesMergeByteForByte)
+{
+    const std::string dir = daemonDir("sim_halves");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string batch = batchReport(dir, kMatrix);
+
+    std::vector<std::string> journals;
+    const auto runHalf = [&](int which) {
+        const CommandResult result = run(
+            std::string(CTCP_CTCPSIM_PATH) + " --campaign '" +
+            half(kMatrix, which) + "' --jobs 2 --journal " +
+            journals[which]);
+        EXPECT_EQ(result.status, 0);
+    };
+    for (int which = 0; which < 2; ++which) {
+        journals.push_back(dir + "/half" + std::to_string(which) +
+                           ".jsonl");
+        runHalf(which);
+    }
+
+    const CommandResult merged = merge(dir, kMatrix, journals);
+    EXPECT_EQ(merged.status, 0);
+    EXPECT_EQ(merged.output, batch);
+
+    // A host killed mid-run keeps the records it finished; rerunning
+    // its half on the same journal runs only the rest.
+    const std::string first = slurp(journals[1]);
+    {
+        std::ofstream cut(journals[1],
+                          std::ios::binary | std::ios::trunc);
+        cut << first.substr(0, first.find('\n') + 1);
+    }
+    ASSERT_EQ(lineCount(journals[1]), 1u);
+    runHalf(1);
+    EXPECT_EQ(lineCount(journals[1]), 2u);
+    const CommandResult resumed = merge(dir, kMatrix, journals);
+    EXPECT_EQ(resumed.status, 0);
+    EXPECT_EQ(resumed.output, batch);
 }
 
 TEST(ShardE2E, ShardedSubmitMatchesBatchByteForByte)
@@ -50,51 +155,19 @@ TEST(ShardE2E, ShardedSubmitMatchesBatchByteForByte)
     Daemon a("shard_a"), b("shard_b");
     const std::string dir = a.dir();
 
-    int status = -1;
-    const std::string out = shardSubmit(
-        dir, a, b, kMatrix, "--journal " + dir + "/merged.jsonl",
-        status);
-    ASSERT_EQ(status, 0);
-    EXPECT_EQ(slurp(out), batchReport(dir, kMatrix));
+    const std::string ja = submit(a, half(kMatrix, 0));
+    const std::string jb = submit(b, half(kMatrix, 1));
+    waitDone(a);
+    waitDone(b);
 
-    // Offline recovery: the daemons' own journals merge (in either
-    // order) into the identical report via ctcp_merge.
-    const std::string ja = a.statePath() + "/r0001.journal.jsonl";
-    const std::string jb = b.statePath() + "/r0001.journal.jsonl";
-    ASSERT_TRUE(std::filesystem::exists(ja));
-    ASSERT_TRUE(std::filesystem::exists(jb));
-    for (const std::string &inputs : {ja + " " + jb, jb + " " + ja}) {
-        const std::string merged_out = dir + "/merge_report.json";
-        const CommandResult merged = run(
-            std::string(CTCP_MERGE_PATH) + " --campaign '" + kMatrix +
-            "' --merged " + dir + "/offline.jsonl --out " +
-            merged_out + " " + inputs);
+    // Merging is by slot index, so the file order does not matter.
+    const std::string batch = batchReport(dir, kMatrix);
+    for (const std::vector<std::string> &inputs :
+         {std::vector<std::string>{ja, jb}, {jb, ja}}) {
+        const CommandResult merged = merge(dir, kMatrix, inputs);
         EXPECT_EQ(merged.status, 0);
-        EXPECT_EQ(slurp(merged_out), batchReport(dir, kMatrix));
+        EXPECT_EQ(merged.output, batch);
     }
-}
-
-TEST(ShardE2E, KilledShardFailsOverWithIdenticalBytes)
-{
-    Daemon a("chaos_a"), b("chaos_b");
-    const std::string dir = a.dir();
-    // Budgets big enough that the campaign is still streaming when
-    // the SIGKILL lands.
-    const std::string matrix =
-        "bench=gzip,adpcm_enc;strategy=base,fdrt;budget=400000";
-
-    int status = -1;
-    std::string out;
-    std::thread submit([&] {
-        out = shardSubmit(dir, a, b, matrix, "", status);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(800));
-    b.kill(); // crash one shard mid-stream
-    submit.join();
-
-    // Failover is invisible in the output: exit 0, identical bytes.
-    EXPECT_EQ(status, 0);
-    EXPECT_EQ(slurp(out), batchReport(dir, matrix));
 }
 
 TEST(ShardE2E, TraceIdIsGreppableAcrossBothDaemonLogs)
@@ -107,17 +180,21 @@ TEST(ShardE2E, TraceIdIsGreppableAcrossBothDaemonLogs)
     Daemon b("trace_b", 2, {"--log-file", log_b, "--log-level", "info"});
     const std::string dir = a.dir();
 
+    // One campaign, one id: each host's submit carries it.
     const std::string trace = "feedfacecafe0042";
-    int status = -1;
-    const std::string out =
-        shardSubmit(dir, a, b, kMatrix, "--trace-id " + trace, status);
-    ASSERT_EQ(status, 0);
+    const std::string ja =
+        submit(a, half(kMatrix, 0), "--trace-id " + trace);
+    const std::string jb =
+        submit(b, half(kMatrix, 1), "--trace-id " + trace);
+    waitDone(a);
+    waitDone(b);
 
     // Logging is a side channel: the report stays byte-identical.
-    EXPECT_EQ(slurp(out), batchReport(dir, kMatrix));
+    const CommandResult merged = merge(dir, kMatrix, {ja, jb});
+    EXPECT_EQ(merged.status, 0);
+    EXPECT_EQ(merged.output, batchReport(dir, kMatrix));
 
-    // One grep-able correlation id ties the whole fleet together: the
-    // coordinator stamped every exchange, so both daemons logged it.
+    // One grep over both daemons' logs finds the campaign.
     for (const std::string &log : {log_a, log_b}) {
         const std::string text = slurp(log);
         ASSERT_FALSE(text.empty()) << log;
@@ -128,28 +205,35 @@ TEST(ShardE2E, TraceIdIsGreppableAcrossBothDaemonLogs)
     }
 }
 
-TEST(ShardE2E, StalledClientCannotWedgeGracefulShutdown)
+TEST(ShardE2E, KilledShardFailsOverWithIdenticalBytes)
 {
-    Daemon daemon("stall", 2, {"--io-deadline", "1"});
+    Daemon a("chaos_a"), b("chaos_b", 1);
+    const std::string dir = a.dir();
+    const std::vector<std::string> journals = runAndKillOne(a, b);
 
-    // Open a connection, send half a request line, and go silent.
-    std::string error;
-    const int fd =
-        ctcp::service::connectUnix(daemon.socketPath(), error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(ctcp::service::writeAll(fd, "GET /v1/pi"));
+    // The lost slot is reported missing (exit 1)...
+    EXPECT_EQ(merge(dir, kSlowMatrix, journals).status, 1);
+    // ...and --run-missing runs it here, with identical bytes.
+    const CommandResult merged =
+        merge(dir, kSlowMatrix, journals, "--run-missing --jobs 2");
+    EXPECT_EQ(merged.status, 0);
+    EXPECT_EQ(merged.output, batchReport(dir, kSlowMatrix));
+}
 
-    // Graceful shutdown waits for active connections; the per-
-    // connection read deadline must cut the stalled one loose long
-    // before the shutdown watchdog would.
-    const auto start = std::chrono::steady_clock::now();
-    EXPECT_EQ(daemon.terminate(), 0);
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    EXPECT_LT(elapsed, 10.0);
-    ::close(fd);
+TEST(ShardE2E, RestartedShardResumesThenMergesPlainly)
+{
+    Daemon a("resume_a"), b("resume_b", 1);
+    const std::string dir = a.dir();
+    const std::vector<std::string> journals = runAndKillOne(a, b);
+
+    // Restarted on its state dir, the daemon resumes the run from its
+    // journal; the plain merge then has every slot.
+    b.start(1);
+    waitDone(b);
+    EXPECT_EQ(lineCount(journals[1]), 2u);
+    const CommandResult merged = merge(dir, kSlowMatrix, journals);
+    EXPECT_EQ(merged.status, 0);
+    EXPECT_EQ(merged.output, batchReport(dir, kSlowMatrix));
 }
 
 } // namespace

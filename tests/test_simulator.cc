@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+
 #include "common/sim_error.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
@@ -379,26 +384,32 @@ TEST(Simulator, JsonOutputWellFormedAndComplete)
 
 TEST(Simulator, PipelineTraceRecordsStages)
 {
+    // The obs text writer is the pipeline trace: one "<cycle> <kind>
+    // ..." line per event, with trace-cache fetches marked from=tc.
     Program p = loopProgram(500);
     SimConfig cfg = quickConfig();
-    cfg.debug.pipelineTracePath = test::tmpPath("pipeline_trace.txt");
-    cfg.debug.traceCycles = 2000;   // enough for trace-cache fetches
+    cfg.obs.traceTextPath = test::tmpPath("pipeline_trace.txt");
     CtcpSimulator(cfg, p).run();
 
-    std::FILE *f = std::fopen(cfg.debug.pipelineTracePath.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    std::string contents;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        contents.append(buf, n);
-    std::fclose(f);
-
-    for (const char *stage : {"fetch-ic", "fetch-tc", "rename", "issue",
-                              "dispatch", "complete", "retire"})
-        EXPECT_NE(contents.find(stage), std::string::npos) << stage;
-    // Tracing stops after the configured cycle budget.
-    EXPECT_EQ(contents.find("\n4000 "), std::string::npos);
+    std::ifstream in(cfg.obs.traceTextPath);
+    ASSERT_TRUE(in);
+    std::set<std::string> kinds;
+    std::size_t tc_fetches = 0, ic_fetches = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        std::istringstream fields(line);
+        std::string cycle, kind;
+        fields >> cycle >> kind;
+        kinds.insert(kind);
+        if (kind == "fetch")
+            ++(line.find(" from=tc") != std::string::npos ? tc_fetches
+                                                          : ic_fetches);
+    }
+    EXPECT_GT(ic_fetches, 0u);   // cold start: the I-cache delivers
+    EXPECT_GT(tc_fetches, 0u);   // steady state: the trace cache does
+    for (const char *stage :
+         {"fetch", "rename", "issue", "execute", "complete", "retire"})
+        EXPECT_EQ(kinds.count(stage), 1u) << stage;
 }
 
 TEST(Simulator, FillLatencyToleratedAtScale)
@@ -436,24 +447,22 @@ TEST(ConfigValidation, RejectsInconsistentGeometry)
 TEST(ConfigValidation, PresetsAreValid)
 {
     baseConfig().validate();
-    meshConfig().validate();
+    ringConfig().validate();
     oneCycleForwardConfig().validate();
     twoClusterConfig().validate();
     busConfig().validate();
     eightClusterConfig().validate();
     EXPECT_EQ(twoClusterConfig().cluster.numClusters, 2u);
     EXPECT_EQ(twoClusterConfig().frontEnd.fetchWidth, 8u);
-    EXPECT_TRUE(meshConfig().cluster.mesh);
+    EXPECT_EQ(ringConfig().cluster.topology, Topology::Ring);
     EXPECT_EQ(oneCycleForwardConfig().cluster.hopLatency, 1u);
-    EXPECT_TRUE(busConfig().cluster.bus);
+    EXPECT_EQ(busConfig().cluster.topology, Topology::Bus);
     EXPECT_EQ(eightClusterConfig().frontEnd.fetchWidth, 32u);
-}
-
-TEST(ConfigValidation, BusAndMeshAreExclusive)
-{
-    SimConfig cfg = busConfig();
-    cfg.cluster.mesh = true;
-    EXPECT_THROW(cfg.validate(), SimError);
+    // The one name table behind --preset and preset=: the Figure 8
+    // "mesh" is the ring, and unknown names have no factory.
+    EXPECT_EQ(presetFactory("mesh"), &ringConfig);
+    EXPECT_EQ(presetFactory("bus"), &busConfig);
+    EXPECT_EQ(presetFactory("torus"), nullptr);
 }
 
 TEST(Simulator, BusSerializesBroadcasts)
@@ -465,7 +474,7 @@ TEST(Simulator, BusSerializesBroadcasts)
     Program p = loopProgram(20000);
     SimConfig p2p = quickConfig();
     SimConfig bus = quickConfig();
-    bus.cluster.bus = true;
+    bus.cluster.topology = Topology::Bus;
     const SimResult rp = CtcpSimulator(p2p, p).run();
     const SimResult rb = CtcpSimulator(bus, p).run();
     EXPECT_GE(rb.cycles, rp.cycles);
@@ -477,7 +486,7 @@ TEST(Simulator, BusZeroForwardAblationRestoresSpeed)
 {
     Program p = loopProgram(20000);
     SimConfig bus = quickConfig();
-    bus.cluster.bus = true;
+    bus.cluster.topology = Topology::Bus;
     SimConfig bus_free = bus;
     bus_free.ablation.zeroAllForwardLatency = true;
     const SimResult rb = CtcpSimulator(bus, p).run();
@@ -515,7 +524,7 @@ TEST(Simulator, MeshNeverWorseOnForwardingDistance)
     Program p = loopProgram(20000);
     SimConfig lin = quickConfig();
     SimConfig mesh = quickConfig();
-    mesh.cluster.mesh = true;
+    mesh.cluster.topology = Topology::Ring;
     const SimResult rl = CtcpSimulator(lin, p).run();
     const SimResult rm = CtcpSimulator(mesh, p).run();
     EXPECT_LE(rm.meanFwdDistance, rl.meanFwdDistance + 1e-9);

@@ -107,25 +107,6 @@ TEST(TopologyMatrix, BusIsUniformSingleHop)
     EXPECT_EQ(icn.maxDistance(), 1u);
 }
 
-TEST(TopologyMatrix, LegacyFlagsAliasIntoTopologies)
-{
-    ClusterConfig mesh = baseConfig().cluster;
-    mesh.mesh = true;
-    EXPECT_EQ(mesh.effectiveTopology(), Topology::Ring);
-    const Interconnect mesh_icn(mesh);
-    const Interconnect ring_icn(clusterConfig(Topology::Ring));
-    for (int f = 0; f < 4; ++f)
-        for (int t = 0; t < 4; ++t) {
-            EXPECT_EQ(mesh_icn.distance(f, t), ring_icn.distance(f, t));
-            EXPECT_EQ(mesh_icn.latency(f, t), ring_icn.latency(f, t));
-        }
-
-    ClusterConfig bus = baseConfig().cluster;
-    bus.bus = true;
-    EXPECT_EQ(bus.effectiveTopology(), Topology::Bus);
-    EXPECT_TRUE(Interconnect(bus).isBus());
-}
-
 TEST(TopologyMatrix, NamesRoundTripAndMeshParsesAsRing)
 {
     for (const Topology t :

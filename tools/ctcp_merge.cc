@@ -1,17 +1,20 @@
 /**
  * @file
- * ctcp_merge — offline shard-journal merger.
+ * ctcp_merge — merge the journals of a sharded campaign.
  *
- * Takes the campaign spec plus any number of journal files (per-shard
- * daemon journals, a coordinator's merged journal, or a mix), merges
- * them by slot index (first-complete-wins, file order decides ties)
- * through the same service::mergeJournalFiles code path the live shard
- * coordinator uses, and replays the merged journal into the aggregated
- * report — byte-identical to `ctcpsim --campaign` over the same spec.
+ * A campaign is sharded by giving each host the same spec plus a
+ * `slots=` clause naming its share of the campaign-wide job indices
+ * (`ctcpsim --campaign ... --journal`, or `ctcpctl submit` to that
+ * host's ctcpd). Every journal record carries its campaign-wide slot
+ * index, so this tool takes the unsliced spec plus any number of such
+ * journals, merges them by slot index (first complete record wins,
+ * file order decides ties) through campaign::mergeJournalFiles, and
+ * replays the merged journal into the aggregated report —
+ * byte-identical to `ctcpsim --campaign` over the same spec.
  *
- * This is the post-hoc recovery tool for a coordinator that died
- * mid-campaign: the per-shard journals on each daemon's state dir are
- * the source of truth, and merging them is order-independent.
+ * Slots no journal covers (a lost host) are reported missing, or run
+ * locally with --run-missing. A host that was killed can instead be
+ * rerun with its own journal, which resumes where it stopped.
  *
  * Exit status: 0 report complete and every job ok, 1 jobs failed or
  * slots missing (unless --run-missing), 2 usage/config errors.
@@ -24,9 +27,9 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "campaign/journal.hh"
 #include "campaign/matrix.hh"
 #include "common/sim_error.hh"
-#include "service/shard_coordinator.hh"
 
 namespace {
 
@@ -37,8 +40,8 @@ usage(const char *prog)
         "usage: %s --campaign SPEC --merged FILE [options] "
         "JOURNAL...\n"
         "\n"
-        "Merge shard campaign journals into one resumable journal at\n"
-        "FILE and print the aggregated report.\n"
+        "Merge the journals of slots= subsets of one campaign into one\n"
+        "resumable journal at FILE and print the aggregated report.\n"
         "\n"
         "options:\n"
         "  --campaign SPEC   campaign matrix spec (required)\n"
@@ -105,12 +108,11 @@ main(int argc, char **argv)
         die("at least one journal file is required");
 
     try {
-        std::vector<std::size_t> slot_check;
         const std::vector<ctcp::campaign::Job> all =
-            ctcp::campaign::parseMatrix(spec, slot_check);
+            ctcp::campaign::parseMatrix(spec);
 
-        const ctcp::service::MergeResult merge =
-            ctcp::service::mergeJournalFiles(inputs, all, merged_path);
+        const ctcp::campaign::MergeResult merge =
+            ctcp::campaign::mergeJournalFiles(inputs, all, merged_path);
         std::fprintf(stderr,
                      "ctcp_merge: %zu merged, %zu duplicate(s), %zu "
                      "mismatched record(s)\n",
@@ -118,14 +120,13 @@ main(int argc, char **argv)
         if (!merge.missingSlots.empty())
             std::fprintf(
                 stderr, "ctcp_merge: missing slot(s): %s%s\n",
-                ctcp::service::formatSlotRanges(merge.missingSlots)
+                ctcp::campaign::formatSlotRanges(merge.missingSlots)
                     .c_str(),
                 run_missing ? " (running locally)" : "");
         if (!merge.missingSlots.empty() && !run_missing)
             return 1;
 
-        // Same merge-then-replay path as the live coordinator: a
-        // complete journal replays without executing anything.
+        // A complete journal replays without executing anything.
         ctcp::campaign::Options options;
         options.journalPath = merged_path;
         options.jobs = jobs;

@@ -26,11 +26,9 @@
 #include <unistd.h>
 
 #include "common/json.hh"
-#include "common/sim_error.hh"
 #include "common/version.hh"
 #include "service/client.hh"
 #include "service/http.hh"
-#include "service/shard_coordinator.hh"
 
 namespace {
 
@@ -55,24 +53,10 @@ usage(const char *prog)
         "  submit SPECFILE            submit a campaign matrix spec\n"
         "                             (- reads stdin); prints the run\n"
         "                             id. Options: --accounting,\n"
-        "                             --max-attempts N, --deadline S\n"
-        "  submit SPECFILE --shard A,B[,...]\n"
-        "                             fan the campaign out across\n"
-        "                             several daemons (socket paths),\n"
-        "                             stream + merge their journals,\n"
-        "                             and print the aggregated report\n"
-        "                             (byte-identical to the batch\n"
-        "                             path; --socket is not needed).\n"
-        "                             Failed shards are retried with\n"
-        "                             backoff, circuit-broken, and\n"
-        "                             their slots reassigned. Extra\n"
-        "                             options: --out FILE, --csv,\n"
-        "                             --journal FILE (merged journal,\n"
-        "                             resumable), --local-jobs N,\n"
-        "                             --no-local-fallback,\n"
-        "                             --trace-id ID (correlation id\n"
-        "                             sent to every shard; generated\n"
-        "                             and printed when omitted)\n"
+        "                             --max-attempts N, --deadline S,\n"
+        "                             --trace-id ID (sent as the\n"
+        "                             X-Ctcp-Trace-Id correlation id;\n"
+        "                             the daemon mints one otherwise)\n"
         "  list                       status of every run\n"
         "  status ID                  status of one run\n"
         "  events ID [--follow]       print journal records from the\n"
@@ -100,12 +84,13 @@ die(const std::string &msg)
 /** One exchange; transport failures exit 2 with a diagnostic. */
 HttpResponse
 request(const std::string &method, const std::string &target,
-        const std::string &body = std::string())
+        const std::string &body = std::string(),
+        const ctcp::service::ClientOptions &options = {})
 {
     HttpResponse resp;
     std::string error;
     if (!ctcp::service::httpRequest(g_socket, method, target, body,
-                                    resp, error))
+                                    options, resp, error))
         die(error);
     return resp;
 }
@@ -286,114 +271,27 @@ cmdStatsTable(const std::string &body)
     return 0;
 }
 
-/** Synchronous sharded submission: coordinator, not daemon query. */
-int
-cmdSubmitSharded(const std::string &spec, const std::string &shards,
-                 const std::string &journal, const std::string &out,
-                 bool csv, bool accounting, unsigned maxAttempts,
-                 double deadlineSeconds, unsigned localJobs,
-                 bool localFallback, const std::string &traceId)
-{
-    ctcp::service::ShardOptions options;
-    options.spec = spec;
-    std::size_t start = 0;
-    while (start <= shards.size()) {
-        const std::size_t comma = shards.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? shards.size() : comma;
-        if (end > start)
-            options.sockets.push_back(
-                shards.substr(start, end - start));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    if (options.sockets.empty())
-        die("--shard needs a comma-separated socket list");
-    options.submit.accounting = accounting;
-    options.submit.maxAttempts = maxAttempts;
-    options.submit.jobDeadlineSeconds = deadlineSeconds;
-    options.policy.localFallback = localFallback;
-    options.policy.localWorkers = localJobs;
-    options.journalPath = journal;
-    options.traceId =
-        traceId.empty() ? ctcp::service::makeTraceId() : traceId;
-    std::fprintf(stderr, "ctcpctl: trace id %s\n",
-                 options.traceId.c_str());
-    options.progress = [](const std::string &line) {
-        std::fprintf(stderr, "ctcpctl: %s\n", line.c_str());
-    };
-
-    try {
-        const ctcp::service::ShardedReport sharded =
-            ctcp::service::runShardedCampaign(options);
-        for (const ctcp::service::ShardStats &s : sharded.shards)
-            std::fprintf(stderr,
-                         "ctcpctl: shard %s: %zu/%zu slots, "
-                         "probes=%zu failures=%zu backoffs=%zu "
-                         "circuit_breaks=%zu%s\n",
-                         s.socket.c_str(), s.completedSlots,
-                         s.assignedSlots, s.healthProbes,
-                         s.transportFailures, s.backoffSleeps,
-                         s.circuitBreaks,
-                         s.circuitOpen ? ", circuit OPEN" : "");
-        if (sharded.reassignedSlots || sharded.locallyRunSlots)
-            std::fprintf(stderr,
-                         "ctcpctl: %zu slot(s) reassigned, %zu run "
-                         "locally\n",
-                         sharded.reassignedSlots,
-                         sharded.locallyRunSlots);
-        const std::string body = csv
-            ? sharded.report.toCsv(accounting)
-            : sharded.report.toJson(false, accounting);
-        if (!writeOut(out, body))
-            return 2;
-        return sharded.report.failed() == 0 ? 0 : 1;
-    } catch (const ctcp::SimError &e) {
-        std::fprintf(stderr, "ctcpctl: %s\n", e.what());
-        return 2;
-    }
-}
-
 int
 cmdSubmit(const std::vector<std::string> &args)
 {
     std::string spec_path;
     std::string query;
-    std::string shards, journal, out = "-", trace_id;
-    bool csv = false, accounting = false, local_fallback = true;
-    unsigned max_attempts = 1, local_jobs = 0;
-    double deadline_seconds = 0.0;
+    ctcp::service::ClientOptions client;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--accounting") {
             query += query.empty() ? "?" : "&";
             query += "accounting=1";
-            accounting = true;
         } else if (args[i] == "--max-attempts" && i + 1 < args.size()) {
+            parseUnsigned(args[i + 1], "--max-attempts value");
             query += query.empty() ? "?" : "&";
-            query += "max_attempts=" + args[i + 1];
-            max_attempts =
-                parseUnsigned(args[++i], "--max-attempts value");
+            query += "max_attempts=" + args[++i];
         } else if (args[i] == "--deadline" && i + 1 < args.size()) {
+            parseSeconds(args[i + 1], "--deadline value");
             query += query.empty() ? "?" : "&";
-            query += "deadline=" + args[i + 1];
-            deadline_seconds =
-                parseSeconds(args[++i], "--deadline value");
-        } else if (args[i] == "--shard" && i + 1 < args.size()) {
-            shards = args[++i];
-        } else if (args[i] == "--journal" && i + 1 < args.size()) {
-            journal = args[++i];
+            query += "deadline=" + args[++i];
         } else if (args[i] == "--trace-id" && i + 1 < args.size()) {
-            trace_id = args[++i];
-        } else if (args[i] == "--out" && i + 1 < args.size()) {
-            out = args[++i];
-        } else if (args[i] == "--csv") {
-            csv = true;
-        } else if (args[i] == "--local-jobs" && i + 1 < args.size()) {
-            local_jobs =
-                parseUnsigned(args[++i], "--local-jobs value");
-        } else if (args[i] == "--no-local-fallback") {
-            local_fallback = false;
+            client.headers.emplace_back(ctcp::service::traceIdHeader,
+                                        args[++i]);
         } else if (!args[i].empty() && args[i][0] == '-' &&
                    args[i] != "-") {
             die("unknown submit option '" + args[i] + "'");
@@ -405,11 +303,6 @@ cmdSubmit(const std::vector<std::string> &args)
     }
     if (spec_path.empty())
         die("submit needs a spec file (or - for stdin)");
-    if (shards.empty() &&
-        (!journal.empty() || csv || out != "-" || local_jobs ||
-         !local_fallback || !trace_id.empty()))
-        die("--journal/--out/--csv/--local-jobs/--no-local-fallback/"
-            "--trace-id only apply with --shard");
 
     std::string spec;
     if (spec_path == "-") {
@@ -432,13 +325,8 @@ cmdSubmit(const std::vector<std::string> &args)
         if (c == '\n' || c == '\r')
             c = ';';
 
-    if (!shards.empty())
-        return cmdSubmitSharded(spec, shards, journal, out, csv,
-                                accounting, max_attempts,
-                                deadline_seconds, local_jobs,
-                                local_fallback, trace_id);
-
-    const HttpResponse resp = request("POST", "/v1/runs" + query, spec);
+    const HttpResponse resp =
+        request("POST", "/v1/runs" + query, spec, client);
     if (resp.status != 201)
         return failFrom(resp);
     try {
@@ -553,9 +441,7 @@ main(int argc, char **argv)
         usage(argv[0]);
         return 2;
     }
-    const bool sharded_submit = command == "submit" &&
-        std::find(args.begin(), args.end(), "--shard") != args.end();
-    if (g_socket.empty() && !sharded_submit)
+    if (g_socket.empty())
         die("--socket is required");
 
     auto flag = [&](const std::string &name) {

@@ -61,8 +61,6 @@ usage(const char *prog)
         "  --hop-latency N       cycles per cluster hop (default 2)\n"
         "  --topology T          linear | ring | crossbar | hier | bus\n"
         "                        (default linear)\n"
-        "  --mesh                alias for --topology ring\n"
-        "  --bus                 alias for --topology bus\n"
         "  --preset P            base | mesh | onecycle | twocluster |\n"
         "                        bus | eightcluster | ring | crossbar |\n"
         "                        hier\n"
@@ -72,8 +70,6 @@ usage(const char *prog)
         "  --host-timing         include host wall-clock metrics\n"
         "                        (host.*) in JSON output; off by\n"
         "                        default because they vary run to run\n"
-        "  --trace FILE          write a pipeline trace of the first\n"
-        "  --trace-cycles N      N cycles (default 1000) to FILE\n"
         "\n"
         "observability (src/obs):\n"
         "  --trace-events FILE   write Chrome trace_event JSON (open in\n"
@@ -207,7 +203,7 @@ runCampaignMode(const std::string &matrix, ctcp::campaign::Options options,
 
     std::vector<campaign::Job> queue;
     try {
-        queue = campaign::parseMatrix(matrix);
+        queue = campaign::parseMatrix(matrix, options.slotIndexMap);
     } catch (const std::invalid_argument &e) {
         die(e.what());
     }
@@ -304,7 +300,6 @@ main(int argc, char **argv)
     using namespace ctcp;
 
     std::string bench = "gzip";
-    std::string preset = "base";
     SimConfig cfg = baseConfig();
     std::uint64_t instructions = 2'000'000;
     bool clusters_set = false;
@@ -393,37 +388,15 @@ main(int argc, char **argv)
                 std::strtoul(next_arg(i), nullptr, 10));
         } else if (arg == "--topology") {
             const std::string t = next_arg(i);
-            cfg.cluster.mesh = false;
-            cfg.cluster.bus = false;
             if (!parseTopology(t, cfg.cluster.topology))
                 die("unknown topology '" + t + "'");
-        } else if (arg == "--mesh") {
-            cfg.cluster.mesh = true;
-        } else if (arg == "--bus") {
-            cfg.cluster.bus = true;
         } else if (arg == "--preset") {
-            preset = next_arg(i);
-            AssignConfig keep = cfg.assign;
-            if (preset == "base")
-                cfg = baseConfig();
-            else if (preset == "mesh")
-                cfg = meshConfig();
-            else if (preset == "onecycle")
-                cfg = oneCycleForwardConfig();
-            else if (preset == "twocluster")
-                cfg = twoClusterConfig();
-            else if (preset == "bus")
-                cfg = busConfig();
-            else if (preset == "eightcluster")
-                cfg = eightClusterConfig();
-            else if (preset == "ring")
-                cfg = ringConfig();
-            else if (preset == "crossbar")
-                cfg = crossbarConfig();
-            else if (preset == "hier")
-                cfg = hierConfig();
-            else
+            const std::string preset = next_arg(i);
+            const PresetFactory make = presetFactory(preset);
+            if (!make)
                 die("unknown preset '" + preset + "'");
+            AssignConfig keep = cfg.assign;
+            cfg = make();
             cfg.assign.strategy = keep.strategy;
             cfg.assign.fdrtPinning = keep.fdrtPinning;
             cfg.assign.fdrtChains = keep.fdrtChains;
@@ -442,11 +415,6 @@ main(int argc, char **argv)
             json = true;
         } else if (arg == "--host-timing") {
             host_timing = true;
-        } else if (arg == "--trace") {
-            cfg.debug.pipelineTracePath = next_arg(i);
-        } else if (arg == "--trace-cycles") {
-            cfg.debug.traceCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
         } else if (arg == "--trace-events") {
             trace_events = next_arg(i);
         } else if (arg == "--trace-text") {

@@ -1,5 +1,7 @@
 #include "assign/fdrt_assignment.hh"
 
+#include <algorithm>
+
 #include "assign/friendly_assignment.hh"
 #include "common/logging.hh"
 #include "obs/sink.hh"
@@ -7,10 +9,43 @@
 
 namespace ctcp {
 
+namespace {
+
+/** The cluster @p table holds for @p pc (invalidCluster when absent). */
+ClusterId
+lookup(const std::vector<ClusterId> &table, Addr pc)
+{
+    return pc < table.size() ? table[static_cast<std::size_t>(pc)]
+                             : invalidCluster;
+}
+
+/** @p table's entry for @p pc, growing the table to hold it. */
+ClusterId &
+entry(std::vector<ClusterId> &table, Addr pc)
+{
+    if (pc >= table.size())
+        table.resize(static_cast<std::size_t>(pc) + 1, invalidCluster);
+    return table[static_cast<std::size_t>(pc)];
+}
+
+} // namespace
+
 FdrtAssignment::FdrtAssignment(const Interconnect &interconnect, bool pinning,
                                bool chains)
     : interconnect_(interconnect), pinning_(pinning), chains_(chains)
-{}
+{
+    const int clusters = interconnect.numClusters();
+    ctcp_assert(clusters <= static_cast<int>(maxClusters),
+                "%d clusters exceed the limit of %u", clusters, maxClusters);
+    for (int c = 0; c < clusters; ++c) {
+        const auto from = static_cast<ClusterId>(c);
+        for (ClusterId n : interconnect.byCentrality())
+            if (n != from && interconnect.distance(from, n) == 1)
+                neighbours_[static_cast<std::size_t>(c)]
+                           [numNeighbours_[static_cast<std::size_t>(c)]++] =
+                    n;
+    }
+}
 
 void
 FdrtAssignment::noteCriticalForward(const TimedInst &consumer, TraceCache &tc)
@@ -32,13 +67,14 @@ FdrtAssignment::noteCriticalForward(const TimedInst &consumer, TraceCache &tc)
     // (the moving-target behaviour of Section 4.4).
     ClusterId suggested;
     if (pinning_) {
-        auto it = pins_.find(producer_pc);
-        if (it == pins_.end()) {
-            it = pins_.emplace(producer_pc, nextSuggestion_).first;
+        ClusterId &pin = entry(pins_, producer_pc);
+        if (pin == invalidCluster) {
+            pin = nextSuggestion_;
+            ++pinCount_;
             nextSuggestion_ = static_cast<ClusterId>(
                 (nextSuggestion_ + 1) % interconnect_.numClusters());
         }
-        suggested = it->second;
+        suggested = pin;
     } else {
         suggested = cold.criticalProducerCluster;
     }
@@ -53,9 +89,16 @@ FdrtAssignment::noteCriticalForward(const TimedInst &consumer, TraceCache &tc)
                          prof);
     }
 
-    if (pendingPromotions_.size() >= maxPending)
-        pendingPromotions_.clear();   // bounded hardware buffer overflows
-    pendingPromotions_[producer_pc] = suggested;
+    if (pendingCount_ >= maxPending) {
+        // The bounded hardware buffer overflows.
+        std::fill(pendingPromotions_.begin(), pendingPromotions_.end(),
+                  invalidCluster);
+        pendingCount_ = 0;
+    }
+    ClusterId &pending = entry(pendingPromotions_, producer_pc);
+    if (pending == invalidCluster)
+        ++pendingCount_;
+    pending = suggested;
     ++promotions_;
 }
 
@@ -86,67 +129,67 @@ FdrtAssignment::updateChainState(const DraftInst &inst)
 
     // Leader: some consumer reported receiving our result across a
     // trace boundary as its last-arriving input (promotion feedback).
-    auto it = pendingPromotions_.find(inst.pc);
-    if (it != pendingPromotions_.end()) {
+    const ClusterId pending = lookup(pendingPromotions_, inst.pc);
+    if (pending != invalidCluster) {
         prof.role = ChainRole::Leader;
-        prof.chainCluster = it->second;
-        pendingPromotions_.erase(it);
+        prof.chainCluster = pending;
+        pendingPromotions_[static_cast<std::size_t>(inst.pc)] =
+            invalidCluster;
+        --pendingCount_;
         if (pinning_) {
-            auto pin = pins_.find(inst.pc);
-            if (pin != pins_.end())
-                prof.chainCluster = pin->second;   // leaders never move
+            const ClusterId pin = lookup(pins_, inst.pc);
+            if (pin != invalidCluster)
+                prof.chainCluster = pin;   // leaders never move
         }
     }
     return prof;
 }
 
 bool
-FdrtAssignment::tryPlace(TraceDraft &draft, DraftInst &inst,
-                         ClusterId cluster, std::vector<unsigned> &used,
-                         std::vector<int> &next_slot)
+FdrtAssignment::tryPlace(const TraceDraft &draft, DraftInst &inst,
+                         ClusterId cluster, Occupancy &used)
 {
-    if (cluster == invalidCluster)
-        return false;
+    // invalidCluster converts to a huge index and fails the bound.
     const auto c = static_cast<std::size_t>(cluster);
-    if (c >= used.size() || used[c] >= draft.slotsPerCluster)
+    if (c >= draft.numClusters || used[c] >= draft.slotsPerCluster)
         return false;
-    inst.physSlot = next_slot[c]++;
+    inst.physSlot = static_cast<int>(c * draft.slotsPerCluster + used[c]);
     ++used[c];
     return true;
 }
 
 bool
-FdrtAssignment::tryNeighbors(TraceDraft &draft, DraftInst &inst,
-                             ClusterId cluster, std::vector<unsigned> &used,
-                             std::vector<int> &next_slot)
+FdrtAssignment::tryNeighbors(const TraceDraft &draft, DraftInst &inst,
+                             ClusterId cluster, Occupancy &used) const
 {
-    if (cluster == invalidCluster)
+    const auto c = static_cast<std::size_t>(cluster);
+    if (c >= draft.numClusters)
         return false;
     // Adjacent clusters, emptier first so parallel chains spread
     // instead of caravanning, bending toward the middle on ties.
     ClusterId best = invalidCluster;
     unsigned best_used = ~0u;
-    for (ClusterId n : interconnect_.byCentrality()) {
-        if (n == cluster || interconnect_.distance(cluster, n) != 1)
-            continue;
+    for (std::size_t k = 0; k < numNeighbours_[c]; ++k) {
+        const ClusterId n = neighbours_[c][k];
         const unsigned u = used[static_cast<std::size_t>(n)];
         if (u < draft.slotsPerCluster && u < best_used) {
             best_used = u;
             best = n;
         }
     }
-    return best != invalidCluster &&
-           tryPlace(draft, inst, best, used, next_slot);
+    return best != invalidCluster && tryPlace(draft, inst, best, used);
 }
 
 void
 FdrtAssignment::assign(TraceDraft &draft)
 {
-    const unsigned clusters = draft.numClusters;
-    std::vector<unsigned> used(clusters, 0);
-    std::vector<int> next_slot(clusters);
-    for (unsigned c = 0; c < clusters; ++c)
-        next_slot[c] = static_cast<int>(c * draft.slotsPerCluster);
+    ctcp_assert(static_cast<int>(draft.numClusters) ==
+                        interconnect_.numClusters() &&
+                    draft.totalSlots() <= maxMachineWidth,
+                "draft shape %ux%u does not fit the %d-cluster machine",
+                draft.numClusters, draft.slotsPerCluster,
+                interconnect_.numClusters());
+    Occupancy used{};
 
     for (DraftInst &d : draft.insts) {
         d.physSlot = -1;
@@ -169,8 +212,8 @@ FdrtAssignment::assign(TraceDraft &draft)
             ++options_.optionA;
             d.fdrtOption = 'A';
             const ClusterId prod = placed_cluster(d.intraProducer);
-            if (!tryPlace(draft, d, prod, used, next_slot) &&
-                !tryNeighbors(draft, d, prod, used, next_slot)) {
+            if (!tryPlace(draft, d, prod, used) &&
+                !tryNeighbors(draft, d, prod, used)) {
                 --options_.optionA;
                 ++options_.skipped;
                 d.fdrtOption = 'S';
@@ -180,8 +223,8 @@ FdrtAssignment::assign(TraceDraft &draft)
             ++options_.optionB;
             d.fdrtOption = 'B';
             const ClusterId chain = d.newProfile.chainCluster;
-            if (!tryPlace(draft, d, chain, used, next_slot) &&
-                !tryNeighbors(draft, d, chain, used, next_slot)) {
+            if (!tryPlace(draft, d, chain, used) &&
+                !tryNeighbors(draft, d, chain, used)) {
                 --options_.optionB;
                 ++options_.skipped;
                 d.fdrtOption = 'S';
@@ -192,9 +235,9 @@ FdrtAssignment::assign(TraceDraft &draft)
             d.fdrtOption = 'C';
             const ClusterId chain = d.newProfile.chainCluster;
             const ClusterId prod = placed_cluster(d.intraProducer);
-            if (!tryPlace(draft, d, chain, used, next_slot) &&
-                !tryPlace(draft, d, prod, used, next_slot) &&
-                !tryNeighbors(draft, d, chain, used, next_slot)) {
+            if (!tryPlace(draft, d, chain, used) &&
+                !tryPlace(draft, d, prod, used) &&
+                !tryNeighbors(draft, d, chain, used)) {
                 --options_.optionC;
                 ++options_.skipped;
                 d.fdrtOption = 'S';
@@ -215,7 +258,7 @@ FdrtAssignment::assign(TraceDraft &draft)
                 }
             }
             if (best == invalidCluster ||
-                !tryPlace(draft, d, best, used, next_slot)) {
+                !tryPlace(draft, d, best, used)) {
                 --options_.optionD;
                 ++options_.skipped;
                 d.fdrtOption = 'S';
@@ -229,13 +272,13 @@ FdrtAssignment::assign(TraceDraft &draft)
 
     // Second pass: place the remainder with Friendly's slot-centric
     // method over the slots that are still free.
-    std::vector<int> free_slots;
-    for (unsigned c = 0; c < clusters; ++c)
+    std::array<int, maxMachineWidth> free_slots;
+    std::size_t num_free = 0;
+    for (unsigned c = 0; c < draft.numClusters; ++c)
         for (unsigned s = used[c]; s < draft.slotsPerCluster; ++s)
-            free_slots.push_back(
-                static_cast<int>(c * draft.slotsPerCluster + s));
-    FriendlyAssignment::fillSlots(draft, free_slots);
-
+            free_slots[num_free++] =
+                static_cast<int>(c * draft.slotsPerCluster + s);
+    FriendlyAssignment::fillSlots(draft, free_slots.data(), num_free);
 
     for ([[maybe_unused]] const DraftInst &d : draft.insts)
         ctcp_assert(d.physSlot >= 0, "FDRT left an instruction unplaced");

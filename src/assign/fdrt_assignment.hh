@@ -29,8 +29,9 @@
 #ifndef CTCPSIM_ASSIGN_FDRT_ASSIGNMENT_HH
 #define CTCPSIM_ASSIGN_FDRT_ASSIGNMENT_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "cluster/interconnect.hh"
 #include "stats/stats.hh"
@@ -78,36 +79,46 @@ class FdrtAssignment : public RetireAssignmentPolicy
 
     const FdrtOptionStats &optionStats() const { return options_; }
 
-    /** Leader pins currently recorded (pinning mode only). */
-    std::size_t pinCount() const { return pins_.size(); }
+    /** Distinct leaders pinned so far (pinning mode only). */
+    std::size_t pinCount() const { return pinCount_; }
     std::uint64_t promotions() const { return promotions_.value(); }
 
   private:
+    /** Slots taken so far in each cluster of the draft being placed. */
+    using Occupancy = std::array<unsigned, maxClusters>;
+
     /** Chain-membership update for one instruction (Table 4). */
     ChainProfile updateChainState(const DraftInst &inst);
 
     /** Try to place on @p cluster; true on success. */
-    bool tryPlace(TraceDraft &draft, DraftInst &inst, ClusterId cluster,
-                  std::vector<unsigned> &used,
-                  std::vector<int> &next_slot);
+    static bool tryPlace(const TraceDraft &draft, DraftInst &inst,
+                         ClusterId cluster, Occupancy &used);
 
-    /** Try the neighbors of @p cluster, most central first. */
-    bool tryNeighbors(TraceDraft &draft, DraftInst &inst, ClusterId cluster,
-                      std::vector<unsigned> &used,
-                      std::vector<int> &next_slot);
+    /** Try the neighbors of @p cluster, emptiest then most central. */
+    bool tryNeighbors(const TraceDraft &draft, DraftInst &inst,
+                      ClusterId cluster, Occupancy &used) const;
 
     const Interconnect &interconnect_;
     bool pinning_;
     bool chains_;
+    /** Each cluster's one-hop neighbours, most central first. */
+    std::array<std::array<ClusterId, maxClusters>, maxClusters> neighbours_{};
+    std::array<std::uint8_t, maxClusters> numNeighbours_{};
 
-    /** Permanent leader-cluster pins (pinning mode). */
-    std::unordered_map<Addr, ClusterId> pins_;
+    // Program PCs are dense small integers (instruction indices), so
+    // the PC-keyed tables below are vectors indexed by PC, grown on
+    // write; invalidCluster marks an absent PC.
+
+    /** Permanent leader-cluster pins by PC (pinning mode). */
+    std::vector<ClusterId> pins_;
+    std::size_t pinCount_ = 0;
     /**
-     * Pending leader promotions awaiting the producer's next trace
-     * reconstruction (covers replaced lines and I-cache fetches).
-     * Bounded; models a small fill-unit-side buffer.
+     * Pending leader promotions by PC, awaiting the producer's next
+     * trace reconstruction (covers replaced lines and I-cache
+     * fetches). Bounded; models a small fill-unit-side buffer.
      */
-    std::unordered_map<Addr, ClusterId> pendingPromotions_;
+    std::vector<ClusterId> pendingPromotions_;
+    std::size_t pendingCount_ = 0;
     static constexpr std::size_t maxPending = 4096;
 
     FdrtOptionStats options_;

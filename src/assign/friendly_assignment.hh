@@ -13,6 +13,9 @@
 #ifndef CTCPSIM_ASSIGN_FRIENDLY_ASSIGNMENT_HH
 #define CTCPSIM_ASSIGN_FRIENDLY_ASSIGNMENT_HH
 
+#include <array>
+#include <cstddef>
+
 #include "cluster/interconnect.hh"
 #include "tracecache/assignment.hh"
 
@@ -38,17 +41,25 @@ class FriendlyAssignment : public RetireAssignmentPolicy
     }
 
     /**
-     * Shared slot-filling pass: fill every slot in @p slot_order with
-     * the best unplaced instruction (placed-producer match first, then
-     * dependency-free, then oldest). Used by FriendlyAssignment and as
-     * the FDRT second pass.
+     * Shared slot-filling pass: fill the @p count slots at @p slots, in
+     * order, each with the oldest unplaced instruction whose
+     * intra-trace producer already sits on the slot's cluster, else the
+     * oldest unplaced one. Instructions already placed keep their
+     * slots. Runs over 64-bit masks (unplaced, each instruction's
+     * consumers, each cluster's producer-placed consumers) and picks
+     * with count-trailing-zeros. Used by FriendlyAssignment and as the
+     * FDRT second pass.
      */
-    static void fillSlots(TraceDraft &draft,
-                          const std::vector<int> &slot_order);
+    static void fillSlots(TraceDraft &draft, const int *slots,
+                          std::size_t count);
 
   private:
     const Interconnect &interconnect_;
     bool middleBias_;
+    /** Slot visiting order for the draft shape below, built once. */
+    std::array<int, maxMachineWidth> order_{};
+    unsigned orderClusters_ = 0;
+    unsigned orderSlotsPerCluster_ = 0;
 };
 
 } // namespace ctcp

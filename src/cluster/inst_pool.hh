@@ -53,15 +53,13 @@ class TimedInstPool
             carveBlock();
         TimedInst *inst = free_;
         free_ = inst->schedNext;
-        // Reinitialise in place, keeping the slot's cold pointer and
-        // the waiters vector's grown capacity across reuse.
-        auto saved_waiters = std::move(inst->waiters);
-        TimedInstCold *cold = inst->coldSlot;
-        *inst = TimedInst{};
-        saved_waiters.clear();
-        inst->waiters = std::move(saved_waiters);
-        inst->coldSlot = cold;
-        *cold = TimedInstCold{};
+        // Reinitialise in place: one store over the trivially copyable
+        // state, while the slot's cold pointer and the waiters vector's
+        // grown capacity survive reuse.
+        static constexpr TimedInstState fresh{};
+        static_cast<TimedInstState &>(*inst) = fresh;
+        inst->waiters.clear();
+        *inst->coldSlot = TimedInstCold{};
         return inst;
     }
 

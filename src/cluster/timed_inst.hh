@@ -28,6 +28,7 @@
 #define CTCPSIM_CLUSTER_TIMED_INST_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "common/small_vec.hh"
@@ -37,6 +38,7 @@
 namespace ctcp {
 
 class ReservationStation;
+struct TimedInst;
 
 /** FDRT leader/follower states stored in trace-cache profile fields. */
 enum class ChainRole : std::uint8_t
@@ -127,8 +129,12 @@ struct TimedInstCold
     std::uint64_t criticalProducerTraceKey = 0;
 };
 
-/** One in-flight dynamic instruction (hot record). */
-struct TimedInst
+/**
+ * Every field of the hot record except the two that survive pool reuse
+ * (the waiters' spill buffer and the cold pointer). Trivially copyable,
+ * so TimedInstPool::acquire() resets all of it with one assignment.
+ */
+struct TimedInstState
 {
     // ---- Event-driven scheduler state (hottest; keep first) ------------
     /**
@@ -205,6 +211,14 @@ struct TimedInst
 
     // ---- Operand provenance -------------------------------------------
     OperandState ops[2];
+};
+
+static_assert(std::is_trivially_copyable_v<TimedInstState>,
+              "TimedInstPool resets TimedInstState with one assignment");
+
+/** One in-flight dynamic instruction (hot record). */
+struct TimedInst : TimedInstState
+{
     /** Consumers waiting for our completion push. */
     SmallVec<TimedInst *, 4> waiters;
 

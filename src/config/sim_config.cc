@@ -59,11 +59,19 @@ parseTopology(const std::string &name, Topology &out)
 void
 SimConfig::validate() const
 {
-    if (cluster.numClusters == 0 || cluster.numClusters > 8)
-        config_error("numClusters must be in 1..8 (got %u)",
+    if (cluster.numClusters == 0 || cluster.numClusters > maxClusters)
+        config_error("numClusters must be in 1..%u (got %u)", maxClusters,
                      cluster.numClusters);
     if (cluster.clusterWidth == 0)
         config_error("clusterWidth must be positive");
+    // In 64 bits: the unsigned product machineWidth() can wrap.
+    const std::uint64_t width =
+        std::uint64_t{cluster.numClusters} * cluster.clusterWidth;
+    if (width > maxMachineWidth)
+        config_error("numClusters*clusterWidth (%llu) exceeds the "
+                     "%u-slot machine width limit",
+                     static_cast<unsigned long long>(width),
+                     maxMachineWidth);
     if (cluster.rsEntries == 0 || cluster.rsWritePorts == 0)
         config_error("reservation stations need entries and write ports");
     if (cluster.topology == Topology::Bus && cluster.busBandwidth == 0)

@@ -67,6 +67,15 @@ const char *topologyName(Topology t);
 /** Parse a topology name; returns false on an unknown name. */
 bool parseTopology(const std::string &name, Topology &out);
 
+/** Most execution clusters a machine may have. */
+inline constexpr unsigned maxClusters = 8;
+/**
+ * Most issue slots per cycle (numClusters * clusterWidth). A trace line
+ * holds one instruction per issue slot, and retire-time placement keeps
+ * a trace's instructions in 64-bit masks.
+ */
+inline constexpr unsigned maxMachineWidth = 64;
+
 /** Execution-cluster geometry and interconnect. */
 struct ClusterConfig
 {

@@ -1,5 +1,8 @@
 #include "core/fetch.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "cluster/station.hh"
 #include "common/logging.hh"
 #include "obs/sink.hh"
@@ -30,7 +33,15 @@ FetchEngine::FetchEngine(const SimConfig &cfg, TraceCache &tc,
                          Executor &exec, TimedInstPool &pool)
     : cfg_(cfg), tc_(tc), imem_(imem), bpred_(bpred), exec_(exec),
       pool_(pool), plansOn_(!cfg.debug.disableDispatchPlans)
-{}
+{
+    // peekSlow(k) buffers through index k + peekAhead, and fetch peeks
+    // below the widest of a fetch, a trace line and an I-cache fetch.
+    const std::size_t widest =
+        std::max({cfg.frontEnd.fetchWidth, cfg.frontEnd.icacheFetchWidth,
+                  cfg.frontEnd.traceCache.maxInsts});
+    ring_.resize(std::bit_ceil(widest + peekAhead));
+    ringMask_ = ring_.size() - 1;
+}
 
 const DynInst *
 FetchEngine::peekSlow(std::size_t k)
@@ -41,22 +52,26 @@ FetchEngine::peekSlow(std::size_t k)
     // path. Read-ahead is invisible to timing — the buffer only holds
     // committed-stream instructions until fetch consumes them.
     const std::size_t want = k + peekAhead;
-    while (buffer_.size() <= want && !execDone_) {
-        DynInst d;
-        const bool more = exec_.step(d);
-        buffer_.push_back(d);   // the Halt itself is part of the stream
+    ctcp_assert(want < ring_.size(),
+                "peek %zu beyond the %zu-entry stream ring", k,
+                ring_.size());
+    while (buffered_ <= want && !execDone_) {
+        // step() resets the slot before filling it; the Halt itself is
+        // part of the stream.
+        const bool more = exec_.step(ring_[(head_ + buffered_) & ringMask_]);
+        ++buffered_;
         if (!more)
             execDone_ = true;
     }
-    return k < buffer_.size() ? &buffer_[k] : nullptr;
+    return k < buffered_ ? &ring_[(head_ + k) & ringMask_] : nullptr;
 }
 
 void
 FetchEngine::consume(std::size_t n)
 {
-    ctcp_assert(n <= buffer_.size(), "consuming past the stream buffer");
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(n));
+    ctcp_assert(n <= buffered_, "consuming past the stream buffer");
+    head_ = (head_ + n) & ringMask_;
+    buffered_ -= n;
 }
 
 void

@@ -20,8 +20,9 @@
 #ifndef CTCPSIM_CORE_FETCH_HH
 #define CTCPSIM_CORE_FETCH_HH
 
-#include <deque>
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "bpred/predictor.hh"
 #include "cluster/inst_pool.hh"
@@ -87,7 +88,7 @@ class FetchEngine
      * streamEnded() condition): nothing remains to fetch, so empty
      * front-end cycles are drain, not starvation.
      */
-    bool streamDrained() const { return execDone_ && buffer_.empty(); }
+    bool streamDrained() const { return execDone_ && buffered_ == 0; }
 
     /** Resolve the gating branch; fetch resumes at @p resume_at. */
     void resolveGate(InstSeqNum seq, Cycle resume_at);
@@ -121,8 +122,8 @@ class FetchEngine
     const DynInst *
     peek(std::size_t k)
     {
-        if (k < buffer_.size())
-            return &buffer_[k];
+        if (k < buffered_)
+            return &ring_[(head_ + k) & ringMask_];
         return peekSlow(k);
     }
     /** Functional-simulator read-ahead beyond the requested index. */
@@ -152,7 +153,16 @@ class FetchEngine
     /** Stamp memoized dispatch plans (off under disableDispatchPlans). */
     bool plansOn_ = true;
 
-    std::deque<DynInst> buffer_;
+    /**
+     * Committed-stream read-ahead: a power-of-two ring sized at
+     * construction for the widest fetch plus peekAhead. buffered_
+     * instructions start at head_; Executor::step() writes the next
+     * one straight into the tail slot, and consume() advances head_.
+     */
+    std::vector<DynInst> ring_;
+    std::size_t ringMask_ = 0;
+    std::size_t head_ = 0;
+    std::size_t buffered_ = 0;
     bool execDone_ = false;
 
     InstSeqNum gatingSeq_ = invalidSeqNum;

@@ -1,5 +1,8 @@
 #include "tracecache/fill_unit.hh"
 
+#include <array>
+#include <cstdint>
+
 #include "cluster/station.hh"
 #include "common/logging.hh"
 #include "obs/sink.hh"
@@ -14,22 +17,25 @@ FillUnit::FillUnit(const TraceCacheConfig &cfg, unsigned num_clusters,
 {
     ctcp_assert(num_clusters * slots_per_cluster == cfg.maxInsts,
                 "trace line size must equal total issue slots");
+    ctcp_assert(cfg.maxInsts <= maxMachineWidth,
+                "trace line size %u exceeds the %u-slot limit", cfg.maxInsts,
+                maxMachineWidth);
+    draftScratch_.numClusters = num_clusters;
+    draftScratch_.slotsPerCluster = slots_per_cluster;
+    draftScratch_.insts.reserve(cfg.maxInsts);
+    pending_.reserve(cfg.maxInsts);
 }
 
 void
 FillUnit::retire(const TimedInst &inst, Cycle now)
 {
-    PendingInst p;
-    p.op = inst.dyn.op;
-    p.taken = inst.dyn.taken;
-    p.nextPc = inst.dyn.nextPc;
-
-    DraftInst &d = p.draft;
-    d.pc = inst.dyn.pc;
-    d.dst = inst.dyn.dst;
-    d.src1 = inst.dyn.src1;
-    d.src2 = inst.dyn.src2;
-    d.writesDst = inst.dyn.hasDst();
+    const DynInst &dyn = inst.dyn;
+    DraftInst &d = draftScratch_.insts.emplace_back();
+    d.pc = dyn.pc;
+    d.dst = dyn.dst;
+    d.src1 = dyn.src1;
+    d.src2 = dyn.src2;
+    d.writesDst = dyn.hasDst();
     const TimedInstCold &cold = inst.cold();
     d.criticalSrc = cold.criticalSrc;
     d.criticalForwarded = cold.criticalForwarded;
@@ -39,22 +45,23 @@ FillUnit::retire(const TimedInst &inst, Cycle now)
     d.carriedProfile = inst.profile;
     d.newProfile = inst.profile;   // policies may refine
 
-    pending_.push_back(p);
+    pending_.push_back({dyn.op, dyn.taken});
+    successorPc_ = dyn.nextPc;
 
     bool done = false;
-    if (isBranch(p.op)) {
+    if (isBranch(dyn.op)) {
         ++blocks_;
-        if (isIndirect(p.op) || blocks_ >= cfg_.maxBlocks)
+        if (isIndirect(dyn.op) || blocks_ >= cfg_.maxBlocks)
             done = true;
         // A backward taken branch (loop-closing edge) also ends the
         // trace. This aligns trace boundaries to loop bodies so that a
         // loop reconstructs the same trace identities every iteration,
         // which is what lets the FDRT profile fields accumulate
         // meaningful history instead of phase-shifted noise.
-        if (inst.dyn.taken && inst.dyn.targetPc <= inst.dyn.pc)
+        if (dyn.taken && dyn.targetPc <= dyn.pc)
             done = true;
     }
-    if (pending_.size() >= cfg_.maxInsts || p.op == Opcode::Halt)
+    if (pending_.size() >= cfg_.maxInsts || dyn.op == Opcode::Halt)
         done = true;
     if (done)
         finalize(now);
@@ -68,42 +75,42 @@ FillUnit::flush()
 }
 
 void
-FillUnit::analyzeIntraTrace(TraceDraft &draft) const
+FillUnit::analyzeIntraTrace(TraceDraft &draft)
 {
     const std::size_t n = draft.insts.size();
-    // Critical intra-trace producer: last earlier writer of the
-    // dynamically critical source register.
+    ctcp_assert(n <= maxMachineWidth, "draft of %zu instructions", n);
+    // RegId is a byte, so one entry per possible value (invalidReg
+    // included) needs no range checks.
+    constexpr std::size_t regIds = std::size_t{1} << (8 * sizeof(RegId));
+
+    // Forward: the critical intra-trace producer is the last earlier
+    // writer of the dynamically critical source register.
+    std::array<std::int8_t, regIds> last_writer;
+    last_writer.fill(-1);
     for (std::size_t i = 0; i < n; ++i) {
         DraftInst &d = draft.insts[i];
         d.intraProducer = -1;
-        if (d.criticalSrc == 0)
-            continue;
-        const RegId reg = d.criticalSrc == 1 ? d.src1 : d.src2;
-        if (reg == invalidReg || reg == zeroReg)
-            continue;
-        for (std::size_t j = i; j-- > 0;) {
-            if (draft.insts[j].writesDst && draft.insts[j].dst == reg) {
-                d.intraProducer = static_cast<int>(j);
-                break;
-            }
+        if (d.criticalSrc != 0) {
+            const RegId reg = d.criticalSrc == 1 ? d.src1 : d.src2;
+            if (reg != invalidReg && reg != zeroReg)
+                d.intraProducer = last_writer[reg];
         }
+        if (d.writesDst)
+            last_writer[d.dst] = static_cast<std::int8_t>(i);
     }
-    // Intra-trace consumer: someone later reads our destination before
-    // it is redefined.
-    for (std::size_t i = 0; i < n; ++i) {
+
+    // Backward: an instruction has an intra-trace consumer when the
+    // next event on its destination is a read, not a redefinition.
+    enum : std::uint8_t { noEvent, readNext, writtenNext };
+    std::array<std::uint8_t, regIds> next;
+    next.fill(noEvent);
+    for (std::size_t i = n; i-- > 0;) {
         DraftInst &d = draft.insts[i];
-        d.hasIntraConsumer = false;
-        if (!d.writesDst)
-            continue;
-        for (std::size_t j = i + 1; j < n; ++j) {
-            const DraftInst &c = draft.insts[j];
-            if ((c.src1 == d.dst) || (c.src2 == d.dst)) {
-                d.hasIntraConsumer = true;
-                break;
-            }
-            if (c.writesDst && c.dst == d.dst)
-                break;   // redefined before any use
-        }
+        d.hasIntraConsumer = d.writesDst && next[d.dst] == readNext;
+        if (d.writesDst)
+            next[d.dst] = writtenNext;
+        next[d.src1] = readNext;   // after the write: reads win
+        next[d.src2] = readNext;
     }
 }
 
@@ -113,21 +120,16 @@ FillUnit::finalize(Cycle now)
     ctcp_assert(!pending_.empty(), "finalize with no pending instructions");
 
     TraceDraft &draft = draftScratch_;
-    draft.numClusters = numClusters_;
-    draft.slotsPerCluster = slotsPerCluster_;
-    draft.insts.clear();
-    draft.insts.reserve(pending_.size());
-    for (const PendingInst &p : pending_)
-        draft.insts.push_back(p.draft);
-
     analyzeIntraTrace(draft);
     policy_.setObsCycle(now);
     policy_.assign(draft);
 
+    const std::size_t n = draft.insts.size();
     TraceLine line;
-    line.key.startPc = pending_.front().draft.pc;
+    line.key.startPc = draft.insts.front().pc;
     unsigned blocks = 0;
-    for (const PendingInst &p : pending_) {
+    for (std::size_t i = 0; i < n; ++i) {
+        const PendingInst &p = pending_[i];
         if (isBranch(p.op)) {
             ++blocks;
             if (isConditionalBranch(p.op)) {
@@ -136,7 +138,7 @@ FillUnit::finalize(Cycle now)
                 if (p.taken)
                     line.key.condDirs |=
                         1u << line.key.numCondBranches;
-                line.condBranchPcs.push_back(p.draft.pc);
+                line.condBranchPcs.push_back(draft.insts[i].pc);
                 ++line.key.numCondBranches;
             }
             if (isIndirect(p.op))
@@ -144,10 +146,10 @@ FillUnit::finalize(Cycle now)
         }
     }
     line.numBlocks = static_cast<std::uint8_t>(blocks);
-    line.successorPc = pending_.back().nextPc;
+    line.successorPc = successorPc_;
 
-    line.insts.reserve(draft.insts.size());
-    for (std::size_t i = 0; i < draft.insts.size(); ++i) {
+    line.insts.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
         const DraftInst &d = draft.insts[i];
         ctcp_assert(d.physSlot >= 0 &&
                     d.physSlot < static_cast<int>(draft.totalSlots()),
@@ -174,15 +176,16 @@ FillUnit::finalize(Cycle now)
         ev.cycle = now;
         ev.kind = ObsKind::TraceBuild;
         ev.pc = line.key.startPc;
-        ev.arg0 = static_cast<std::int64_t>(draft.insts.size());
+        ev.arg0 = static_cast<std::int64_t>(n);
         ev.arg1 = line.numBlocks;
         obs_->record(ev);
     }
 
     ++traces_;
-    instsInTraces_ += pending_.size();
+    instsInTraces_ += n;
     tc_.insert(std::move(line), now + cfg_.fillLatency);
 
+    draft.insts.clear();
     pending_.clear();
     blocks_ = 0;
 }

@@ -72,17 +72,25 @@ class FillUnit
 
     void dumpStats(StatDump &out) const;
 
+    /**
+     * Intra-trace dependency analysis of @p draft, in O(n): a forward
+     * pass over a last-writer table per register gives each
+     * instruction's critical intra-trace producer (intraProducer), and
+     * a backward pass over each register's next event gives
+     * hasIntraConsumer (a later read before any redefinition; a read
+     * by an instruction beats its own redefinition).
+     */
+    static void analyzeIntraTrace(TraceDraft &draft);
+
   private:
+    /** What finalize() needs of a retired instruction besides its draft. */
     struct PendingInst
     {
-        DraftInst draft;
         Opcode op = Opcode::Nop;
         bool taken = false;
-        Addr nextPc = 0;
     };
 
     void finalize(Cycle now);
-    void analyzeIntraTrace(TraceDraft &draft) const;
 
     TraceCacheConfig cfg_;
     unsigned numClusters_;
@@ -92,14 +100,17 @@ class FillUnit
     FillUnitObserver *observer_ = nullptr;
     ObsSink *obs_ = nullptr;
 
-    std::vector<PendingInst> pending_;
-    unsigned blocks_ = 0;
     /**
-     * Draft scratch reused across finalize() calls so the per-trace
-     * analysis buffer stops paying an allocation per constructed trace
-     * (one trace completes every few retired instructions).
+     * The trace under construction. retire() builds each DraftInst in
+     * place here, and finalize() analyses, places and clears it; both
+     * vectors keep their capacity, so no trace allocates a draft.
      */
     TraceDraft draftScratch_;
+    /** Parallel to draftScratch_.insts. */
+    std::vector<PendingInst> pending_;
+    /** Next PC after the latest retired instruction (line successor). */
+    Addr successorPc_ = 0;
+    unsigned blocks_ = 0;
 
     Counter traces_;
     Counter instsInTraces_;

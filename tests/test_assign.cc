@@ -12,6 +12,7 @@
 #include "assign/fdrt_assignment.hh"
 #include "assign/friendly_assignment.hh"
 #include "assign/issue_time_steering.hh"
+#include "placement_reference.hh"
 #include "tracecache/trace_cache.hh"
 
 namespace ctcp {
@@ -280,6 +281,100 @@ TEST(FdrtNoPinning, SuggestionTracksProducerCluster)
     EXPECT_EQ(fdrt.pinCount(), 0u);
 }
 
+/** A consumer whose critical input came inter-trace from @p producer_pc. */
+OwnedTimedInst
+forwardedFrom(Addr producer_pc, ClusterId producer_cluster)
+{
+    OwnedTimedInst consumer;
+    consumer.cold().criticalForwarded = true;
+    consumer.cold().criticalInterTrace = true;
+    consumer.cold().criticalProducerPc = producer_pc;
+    consumer.cold().criticalProducerCluster = producer_cluster;
+    // Already a member: no resident-line refresh, only the buffer.
+    consumer.cold().criticalProducerProfile.role = ChainRole::Leader;
+    consumer.cold().criticalProducerProfile.chainCluster = producer_cluster;
+    return consumer;
+}
+
+/** Role FDRT gives a lone instruction at @p pc on its next build. */
+ChainRole
+roleOnRebuild(FdrtAssignment &fdrt, Addr pc)
+{
+    TraceDraft d = makeDraft(1);
+    d.insts[0].pc = pc;
+    fdrt.assign(d);
+    return d.insts[0].newProfile.role;
+}
+
+TEST_F(FdrtTest, PendingBufferClearsWhenFull)
+{
+    // The pending-promotion buffer holds 4096 producers; the promotion
+    // after the 4096th distinct one clears every earlier entry before
+    // recording itself.
+    TraceCacheConfig tcc;
+    TraceCache tc(tcc);
+    {
+        FdrtAssignment fdrt(ic_, true);
+        for (Addr pc = 1000; pc < 1000 + 4096; ++pc)
+            fdrt.noteCriticalForward(forwardedFrom(pc, 1), tc);
+        fdrt.noteCriticalForward(forwardedFrom(9000, 1), tc);
+        EXPECT_EQ(roleOnRebuild(fdrt, 1000), ChainRole::None);
+        EXPECT_EQ(roleOnRebuild(fdrt, 1000 + 4095), ChainRole::None);
+        EXPECT_EQ(roleOnRebuild(fdrt, 9000), ChainRole::Leader);
+    }
+    {
+        // Promoting a PC that is already pending takes no second entry.
+        FdrtAssignment fdrt(ic_, true);
+        for (Addr pc = 1000; pc < 1000 + 4095; ++pc) {
+            fdrt.noteCriticalForward(forwardedFrom(pc, 1), tc);
+            fdrt.noteCriticalForward(forwardedFrom(pc, 2), tc);
+        }
+        fdrt.noteCriticalForward(forwardedFrom(9000, 1), tc);   // 4096th
+        EXPECT_EQ(roleOnRebuild(fdrt, 1000), ChainRole::Leader);
+        EXPECT_EQ(roleOnRebuild(fdrt, 9000), ChainRole::Leader);
+    }
+
+    for (Addr pc = 1000; pc < 1000 + 4096; ++pc)
+        fdrt_.noteCriticalForward(forwardedFrom(pc, 1), tc);
+    // A rebuild consumes its entry, so 4095 remain and the next
+    // promotion fits without clearing anything.
+    EXPECT_EQ(roleOnRebuild(fdrt_, 1000), ChainRole::Leader);
+    fdrt_.noteCriticalForward(forwardedFrom(9000, 1), tc);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 1001), ChainRole::Leader);
+    fdrt_.noteCriticalForward(forwardedFrom(9001, 1), tc);
+    // Full again: the next promotion, even of a PC already pending,
+    // clears the buffer first.
+    fdrt_.noteCriticalForward(forwardedFrom(1002, 1), tc);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 1003), ChainRole::None);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 9000), ChainRole::None);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 9001), ChainRole::None);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 1002), ChainRole::Leader);
+    // A consumed entry does not come back.
+    EXPECT_EQ(roleOnRebuild(fdrt_, 1002), ChainRole::None);
+    EXPECT_EQ(fdrt_.promotions(), 4096u + 3u);
+}
+
+TEST_F(FdrtTest, PinCountCountsDistinctLeaders)
+{
+    TraceCacheConfig tcc;
+    TraceCache tc(tcc);
+    fdrt_.noteCriticalForward(forwardedFrom(500, 2), tc);
+    fdrt_.noteCriticalForward(forwardedFrom(500, 0), tc);
+    fdrt_.noteCriticalForward(forwardedFrom(600, 3), tc);
+    EXPECT_EQ(fdrt_.pinCount(), 2u);
+    // Consuming the pending promotions leaves the pins in place.
+    EXPECT_EQ(roleOnRebuild(fdrt_, 500), ChainRole::Leader);
+    EXPECT_EQ(roleOnRebuild(fdrt_, 600), ChainRole::Leader);
+    EXPECT_EQ(fdrt_.pinCount(), 2u);
+    // Pins survive a pending-buffer overflow, and each new PC is one
+    // more pin.
+    for (Addr pc = 1000; pc < 1000 + 4097; ++pc)
+        fdrt_.noteCriticalForward(forwardedFrom(pc, 1), tc);
+    EXPECT_EQ(fdrt_.pinCount(), 2u + 4097u);
+    fdrt_.noteCriticalForward(forwardedFrom(500, 1), tc);
+    EXPECT_EQ(fdrt_.pinCount(), 2u + 4097u);
+}
+
 TEST_F(FdrtTest, NonCriticalForwardsDoNotPromote)
 {
     TraceCacheConfig tcc;
@@ -359,6 +454,112 @@ TEST_P(FriendlyPermutationSweep, AlwaysValidPermutation)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FriendlyPermutationSweep,
                          ::testing::Range(0, 8));
+
+// ---------------------------------------------------------------------
+// Bitmask placement against the quadratic reference
+// ---------------------------------------------------------------------
+
+/** The machine shapes the oracles sweep (clusters x slots per cluster). */
+constexpr unsigned oracleShapes[][2] = {
+    {1, 4}, {2, 4}, {4, 4}, {8, 4}, {8, 8}};
+
+void
+expectSamePlacement(const TraceDraft &fast, const TraceDraft &slow,
+                    const char *what, int round)
+{
+    for (std::size_t i = 0; i < fast.insts.size(); ++i)
+        ASSERT_EQ(fast.insts[i].physSlot, slow.insts[i].physSlot)
+            << what << " " << fast.numClusters << "x"
+            << fast.slotsPerCluster << " round " << round << " inst " << i;
+}
+
+TEST(FillSlotsOracle, MatchesQuadraticReference)
+{
+    // 10k seeded drafts per shape. Half are partly placed already, as
+    // in FDRT's second pass, and visit the free slots per cluster in
+    // order (FDRT's list) or shuffled, sometimes truncated.
+    for (const auto &shape : oracleShapes) {
+        Rng rng(0xf111u + shape[0] * 16 + shape[1]);
+        const unsigned total = shape[0] * shape[1];
+        for (int round = 0; round < 10000; ++round) {
+            TraceDraft slow = test::randomDraft(rng, shape[0], shape[1]);
+            test::referenceAnalyzeIntraTrace(slow);
+            for (DraftInst &d : slow.insts)
+                d.physSlot = -1;
+
+            std::vector<bool> taken(total, false);
+            if (rng.chance(1, 2)) {
+                for (DraftInst &d : slow.insts) {
+                    if (!rng.chance(1, 3))
+                        continue;
+                    const auto s = static_cast<std::size_t>(rng.below(total));
+                    if (!taken[s]) {
+                        taken[s] = true;
+                        d.physSlot = static_cast<int>(s);
+                    }
+                }
+            }
+            std::vector<int> order;
+            for (unsigned s = 0; s < total; ++s)
+                if (!taken[s])
+                    order.push_back(static_cast<int>(s));
+            if (rng.chance(1, 2))
+                for (std::size_t k = order.size(); k > 1; --k)
+                    std::swap(order[k - 1], order[rng.below(k)]);
+            if (rng.chance(1, 8))
+                order.resize(rng.below(order.size() + 1));
+
+            TraceDraft fast = slow;
+            test::referenceFillSlots(slow, order);
+            FriendlyAssignment::fillSlots(fast, order.data(), order.size());
+            expectSamePlacement(fast, slow, "fillSlots", round);
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(FillSlotsOracle, FriendlyMatchesReferenceInBothSlotOrders)
+{
+    for (const auto &shape : oracleShapes) {
+        ClusterConfig cc;
+        cc.numClusters = shape[0];
+        cc.clusterWidth = shape[1];
+        const Interconnect ic(cc);
+        for (bool middle_bias : {false, true}) {
+            FriendlyAssignment friendly(ic, middle_bias);
+            // The reference slot order, built as the policy used to.
+            std::vector<int> order;
+            if (middle_bias) {
+                for (ClusterId c : ic.byCentrality())
+                    for (unsigned s = 0; s < shape[1]; ++s)
+                        order.push_back(static_cast<int>(
+                            static_cast<unsigned>(c) * shape[1] + s));
+            } else {
+                for (unsigned s = 0; s < shape[0] * shape[1]; ++s)
+                    order.push_back(static_cast<int>(s));
+            }
+
+            Rng rng(0xfe11u + shape[0] * 16 + shape[1] + middle_bias);
+            for (int round = 0; round < 10000; ++round) {
+                TraceDraft slow = test::randomDraft(rng, shape[0], shape[1]);
+                test::referenceAnalyzeIntraTrace(slow);
+                TraceDraft fast = slow;
+                for (DraftInst &d : slow.insts)
+                    d.physSlot = -1;
+                test::referenceFillSlots(slow, order);
+                friendly.assign(fast);
+                expectSamePlacement(fast, slow,
+                                    middle_bias ? "friendly-mid"
+                                                : "friendly",
+                                    round);
+                expectValidPermutation(fast);
+                if (HasFatalFailure())
+                    return;
+            }
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // Issue-time steering

@@ -51,6 +51,14 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--strategy warp-speed"), 2);
     EXPECT_EQ(runCli("--deadline -3"), 2);
     EXPECT_EQ(runCli("--max-attempts 0"), 2);
+    // Wider than 64 issue slots, including a width whose unsigned
+    // product with the cluster count wraps to zero.
+    EXPECT_EQ(runCli("--clusters 8 --cluster-width 536870912 "
+                     "--instructions 1000"),
+              2);
+    EXPECT_EQ(runCli("--clusters 8 --cluster-width 100000 "
+                     "--instructions 1000"),
+              2);
     // --journal only makes sense with --campaign.
     EXPECT_EQ(runCli("--journal " + ctcp::test::tmpPath("usage.jsonl") +
                      " --bench gzip --instructions 1000"),

@@ -35,6 +35,9 @@
 #ifndef CTCP_GOLDEN_ADAPTIVE_PATH
 #error "CTCP_GOLDEN_ADAPTIVE_PATH must point at tests/golden/golden_adaptive.json"
 #endif
+#ifndef CTCP_GOLDEN_SHAPES_PATH
+#error "CTCP_GOLDEN_SHAPES_PATH must point at tests/golden/golden_shapes.json"
+#endif
 
 namespace ctcp {
 namespace {
@@ -61,6 +64,15 @@ constexpr const char *goldenTopologyMatrix =
  */
 constexpr const char *goldenAdaptiveMatrix =
     "bench=gzip,twolf;strategy=adaptive;budget=50000";
+
+/**
+ * The other three goldens all run the 4-cluster, 16-wide machine. The
+ * retire-time placement masks and FDRT's per-cluster tables also
+ * serve 8- and 32-wide machines, so the two reordering policies get a
+ * golden on the 2- and 8-cluster shapes.
+ */
+constexpr const char *goldenShapesMatrix =
+    "bench=gzip,twolf;strategy=friendly,fdrt;clusters=2,8;budget=50000";
 
 std::string
 generateGolden(const char *matrix)
@@ -158,6 +170,11 @@ TEST(GoldenStats, TopologyMetricsMatchGoldenFile)
 TEST(GoldenStats, AdaptiveMetricsMatchGoldenFile)
 {
     checkAgainstGolden(CTCP_GOLDEN_ADAPTIVE_PATH, goldenAdaptiveMatrix);
+}
+
+TEST(GoldenStats, ShapesMetricsMatchGoldenFile)
+{
+    checkAgainstGolden(CTCP_GOLDEN_SHAPES_PATH, goldenShapesMatrix);
 }
 
 TEST(GoldenStats, GoldenFileCoversTheFullMatrix)

@@ -444,6 +444,28 @@ TEST(ConfigValidation, RejectsInconsistentGeometry)
     EXPECT_THROW(cfg2.validate(), SimError);
 }
 
+TEST(ConfigValidation, RejectsMachinesWiderThanSixtyFourSlots)
+{
+    // Retire-time placement keeps a trace in 64-bit masks. The width
+    // is checked in 64 bits: 8 x 2^29 wraps the unsigned product to 0.
+    for (unsigned width : {536870912u, 100000u, 9u}) {
+        SimConfig cfg = baseConfig();
+        applyMachineScale(cfg, 8, width);
+        try {
+            cfg.validate();
+            ADD_FAILURE() << "8 x " << width << " validated";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Config);
+            EXPECT_NE(std::string(e.what()).find("64-slot"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    SimConfig widest = baseConfig();
+    applyMachineScale(widest, 8, 8);
+    widest.validate();   // 8 x 8 = 64 is the widest machine
+}
+
 TEST(ConfigValidation, PresetsAreValid)
 {
     baseConfig().validate();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "assign/base_assignment.hh"
+#include "placement_reference.hh"
 #include "tracecache/fill_unit.hh"
 #include "tracecache/trace_cache.hh"
 
@@ -295,6 +296,75 @@ TEST_F(FillUnitTest, ObserverSeesDraftAndLine)
     fill_.retire(inst(0, Opcode::Add));
     fill_.retire(inst(1, Opcode::JumpReg, true, 0));
     EXPECT_EQ(obs.calls, 1u);
+}
+
+TEST_F(FillUnitTest, DraftsAreBuiltAfreshForEveryTrace)
+{
+    // Drafts are built in place and reused across traces: each one the
+    // observer sees holds exactly its own trace, analysed as the
+    // quadratic reference analyses it.
+    struct Obs : FillUnitObserver
+    {
+        std::vector<std::size_t> sizes;
+        void
+        onTraceConstructed(const TraceDraft &draft,
+                           const TraceLine &line) override
+        {
+            sizes.push_back(draft.insts.size());
+            ASSERT_EQ(draft.insts.size(), line.insts.size());
+            TraceDraft expect = draft;
+            test::referenceAnalyzeIntraTrace(expect);
+            for (std::size_t i = 0; i < draft.insts.size(); ++i) {
+                EXPECT_EQ(draft.insts[i].pc, line.insts[i].pc);
+                EXPECT_EQ(draft.insts[i].intraProducer,
+                          expect.insts[i].intraProducer);
+                EXPECT_EQ(draft.insts[i].hasIntraConsumer,
+                          expect.insts[i].hasIntraConsumer);
+            }
+        }
+    } obs;
+    fill_.setObserver(&obs);
+    for (int round = 0; round < 3; ++round) {
+        for (Addr pc = 0; pc < 5; ++pc) {
+            OwnedTimedInst t = inst(pc, Opcode::Add);
+            t.cold().criticalSrc = 1;   // r1 <- r1 + r2: a chain on r1
+            fill_.retire(t);
+        }
+        fill_.retire(inst(5, Opcode::Bne, true, 0));
+    }
+    fill_.retire(inst(0, Opcode::Add));
+    fill_.flush();
+    EXPECT_EQ(obs.sizes, (std::vector<std::size_t>{6, 6, 6, 1}));
+}
+
+/**
+ * The O(n) analysis must agree with the quadratic reference on every
+ * draft: 10k seeded drafts per machine shape, with redefinitions,
+ * instructions that read and write one register, and zeroReg /
+ * invalidReg operands.
+ */
+TEST(FillUnitOracle, AnalysisMatchesQuadraticReference)
+{
+    const unsigned shapes[][2] = {{1, 4}, {2, 4}, {4, 4}, {8, 4}, {8, 8}};
+    for (const auto &shape : shapes) {
+        Rng rng(0x5eed0000u + shape[0] * 16 + shape[1]);
+        for (int round = 0; round < 10000; ++round) {
+            TraceDraft fast = test::randomDraft(rng, shape[0], shape[1]);
+            TraceDraft slow = fast;
+            FillUnit::analyzeIntraTrace(fast);
+            test::referenceAnalyzeIntraTrace(slow);
+            for (std::size_t i = 0; i < fast.insts.size(); ++i) {
+                ASSERT_EQ(fast.insts[i].intraProducer,
+                          slow.insts[i].intraProducer)
+                    << shape[0] << "x" << shape[1] << " round " << round
+                    << " inst " << i;
+                ASSERT_EQ(fast.insts[i].hasIntraConsumer,
+                          slow.insts[i].hasIntraConsumer)
+                    << shape[0] << "x" << shape[1] << " round " << round
+                    << " inst " << i;
+            }
+        }
+    }
 }
 
 TEST(TraceCache, FillLatencyDelaysAvailability)

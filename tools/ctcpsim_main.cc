@@ -54,10 +54,11 @@ usage(const char *prog)
         "  --middle-bias         Friendly: bias toward middle clusters\n"
         "\n"
         "machine:\n"
-        "  --clusters N          number of clusters (default 4); the\n"
-        "                        machine width rescales to match\n"
+        "  --clusters N          number of clusters (1-8, default 4);\n"
+        "                        the machine width rescales to match\n"
         "  --cluster-width N     issue slots per cluster (default 4);\n"
         "                        the machine width rescales to match\n"
+        "                        (clusters x width at most 64)\n"
         "  --hop-latency N       cycles per cluster hop (default 2)\n"
         "  --topology T          linear | ring | crossbar | hier | bus\n"
         "                        (default linear)\n"

@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -41,13 +42,47 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_util.hh"
+#include "campaign/campaign.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
+#include "config/presets.hh"
+#include "workload/workload.hh"
 
 namespace {
 
 using namespace ctcp;
-using namespace ctcp::bench;
+
+/** Instruction budget from argv (default 300k per run). */
+std::uint64_t
+budgetFromArgs(int argc, char **argv, std::uint64_t fallback = 300'000)
+{
+    if (argc > 1) {
+        const std::uint64_t v = std::strtoull(argv[1], nullptr, 10);
+        if (v > 0)
+            return v;
+    }
+    return fallback;
+}
+
+/** Base config with a strategy applied. */
+SimConfig
+withStrategy(SimConfig cfg, AssignStrategy s, unsigned issue_latency = 4)
+{
+    cfg.assign.strategy = s;
+    cfg.assign.issueTimeLatency = issue_latency;
+    return cfg;
+}
+
+/** Standard header line for a harness. */
+void
+banner(const char *experiment, const char *paper_summary,
+       std::uint64_t budget)
+{
+    std::printf("== %s ==\n", experiment);
+    std::printf("paper reference: %s\n", paper_summary);
+    std::printf("instructions per run: %llu\n\n",
+                static_cast<unsigned long long>(budget));
+}
 
 std::vector<campaign::Job>
 fig6Jobs(std::uint64_t budget)
@@ -66,7 +101,7 @@ fig6Jobs(std::uint64_t budget)
         {"friendly", AssignStrategy::Friendly, 0},
     };
     std::vector<campaign::Job> jobs;
-    for (const std::string &bench : selectedSix()) {
+    for (const std::string &bench : workloads::selectedSix()) {
         for (const Mode &m : modes) {
             SimConfig cfg = withStrategy(baseConfig(), m.strategy,
                                          m.issueLatency);

@@ -12,6 +12,7 @@
 #include "campaign/persistent_pool.hh"
 #include "campaign/work_queue.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "core/simulator.hh"
 #include "obs/accounting.hh"
 #include "workload/workload.hh"
@@ -92,25 +93,8 @@ csvDouble(double v)
 unsigned
 parseWorkerCount(const std::string &text)
 {
-    std::size_t pos = 0;
-    long long value = 0;
-    try {
-        value = std::stoll(text, &pos);
-    } catch (const std::exception &) {
-        throw std::invalid_argument("invalid worker count '" + text +
-                                    "' (expected a non-negative integer)");
-    }
-    if (pos != text.size())
-        throw std::invalid_argument("invalid worker count '" + text +
-                                    "' (expected a non-negative integer)");
-    if (value < 0)
-        throw std::invalid_argument(
-            "worker count must be >= 0 (0 = one per hardware thread), "
-            "got " + text);
-    if (value > 4096)
-        throw std::invalid_argument("worker count " + text +
-                                    " is unreasonably large (max 4096)");
-    return static_cast<unsigned>(value);
+    return static_cast<unsigned>(
+        parseUnsigned(text, "worker count", 0, 4096));
 }
 
 std::string

@@ -233,6 +233,10 @@ CtcpSimulator::~CtcpSimulator() = default;
 ClusterId
 CtcpSimulator::slotCluster(const TimedInst &inst) const
 {
+    // Replay the memoized plan byte when one was stamped at fetch;
+    // derive from the slot index otherwise.
+    if (inst.plannedCluster != 0xff)
+        return static_cast<ClusterId>(inst.plannedCluster);
     const int c = inst.slotIndex /
         static_cast<int>(cfg_.cluster.clusterWidth);
     ctcp_assert(c >= 0 && c < static_cast<int>(cfg_.cluster.numClusters),
@@ -634,10 +638,10 @@ CtcpSimulator::doIssue()
     }
 
     // Slot-based modes: each cluster drains its own issue-buffer slice
-    // independently, up to clusterWidth per cycle. Under the adaptive
-    // strategy both structures can briefly hold instructions around a
-    // mode switch, so this loop runs unconditionally (it is a no-op
-    // for pure issue-time steering, whose cluster queues stay empty).
+    // independently, up to clusterWidth per cycle. Only the active
+    // mode's structure ever holds instructions (an adaptive mode switch
+    // moves them across), so in issue-time mode the cluster queues are
+    // empty and this loop is a no-op.
     for (unsigned c = 0; c < cfg_.cluster.numClusters; ++c) {
         auto &queue = clusterQueues_[c];
         Cluster &cluster = clusters_[c];
@@ -733,16 +737,11 @@ CtcpSimulator::doRename()
         // longer claims the instruction (the invariant checker relies
         // on this to tell renamed-out entries apart).
         group.insts[frontGroupPos_] = nullptr;
-        if (routeToIssueQueue_) {
+        if (routeToIssueQueue_)
             issueQueue_.push_back(inst);
-        } else {
-            // Slot routing: replay the memoized plan byte when one was
-            // stamped at fetch; derive from the slot index otherwise.
-            const std::size_t c = inst->plannedCluster != 0xff
-                ? inst->plannedCluster
-                : static_cast<std::size_t>(slotCluster(*inst));
-            clusterQueues_[c].push_back(inst);
-        }
+        else
+            clusterQueues_[static_cast<std::size_t>(slotCluster(*inst))]
+                .push_back(inst);
         if (inst->dyn.isStoreOp())
             storeWindow_.insert(inst);
 
@@ -768,6 +767,30 @@ CtcpSimulator::applyAdaptiveMode()
     const bool steer = adaptive_->mode() == AssignStrategy::IssueTime;
     routeToIssueQueue_ = steer;
     issueExtraStages_ = steer ? cfg_.assign.issueTimeLatency : 0;
+
+    // Move the renamed, unissued instructions into the new mode's
+    // structure, so only one ever holds instructions. Left behind,
+    // they wait while the other structure, served first by doIssue,
+    // fills reservation stations with younger instructions that
+    // depend on them: a deadlock.
+    if (steer) {
+        // Each cluster queue is in program order; the issue queue must
+        // be in program order across all of them.
+        for (auto &queue : clusterQueues_) {
+            issueQueue_.insert(issueQueue_.end(), queue.begin(),
+                               queue.end());
+            queue.clear();
+        }
+        std::sort(issueQueue_.begin(), issueQueue_.end(),
+                  [](const TimedInst *a, const TimedInst *b) {
+                      return a->dyn.seq < b->dyn.seq;
+                  });
+    } else {
+        for (TimedInst *inst : issueQueue_)
+            clusterQueues_[static_cast<std::size_t>(slotCluster(*inst))]
+                .push_back(inst);
+        issueQueue_.clear();
+    }
 }
 
 void

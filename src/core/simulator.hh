@@ -116,6 +116,7 @@ class CtcpSimulator
     void doFetch();
 
     void renameOperand(TimedInst &inst, int index, RegId reg);
+    /** Slot modes: the cluster queue @p inst issues from. */
     ClusterId slotCluster(const TimedInst &inst) const;
 
     /**
@@ -146,7 +147,10 @@ class CtcpSimulator
     /** Classify this cycle's front-end output for cycle accounting. */
     CycleAccounting::FetchState fetchStarvation() const;
 
-    /** Re-route rename/issue after an adaptive mode switch. */
+    /**
+     * Re-route rename/issue after an adaptive mode switch, moving the
+     * renamed, unissued instructions into the new mode's structure.
+     */
     void applyAdaptiveMode();
 
     /**

@@ -6,12 +6,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+
+#include "common/parse_number.hh"
 
 namespace ctcp::service {
 
@@ -103,14 +107,28 @@ parseHeaderLines(const std::string &head, std::size_t first_line_end,
     return true;
 }
 
-std::size_t
-contentLength(const std::vector<std::pair<std::string, std::string>> &hs)
+/**
+ * The declared body length into @p length: 0 without a Content-Length
+ * header. A value that is not a decimal number fails with @p error.
+ */
+bool
+contentLength(const std::vector<std::pair<std::string, std::string>> &hs,
+              std::size_t &length, std::string &error)
 {
-    for (const auto &[name, value] : hs)
-        if (name == "content-length")
-            return static_cast<std::size_t>(
-                std::strtoull(value.c_str(), nullptr, 10));
-    return 0;
+    length = 0;
+    for (const auto &[name, value] : hs) {
+        if (name != "content-length")
+            continue;
+        try {
+            length = parseUnsigned(value, "Content-Length", 0,
+                                   std::numeric_limits<std::size_t>::max());
+        } catch (const std::invalid_argument &e) {
+            error = e.what();
+            return false;
+        }
+        return true;
+    }
+    return true;
 }
 
 } // namespace
@@ -266,7 +284,9 @@ parseRequest(const std::string &raw, HttpRequest &req, std::string &error)
     if (!parseHeaderLines(head, line_end + 2, parsed.headers, error))
         return false;
 
-    const std::size_t length = contentLength(parsed.headers);
+    std::size_t length = 0;
+    if (!contentLength(parsed.headers, length, error))
+        return false;
     if (length > maxBodyBytes) {
         error = "request body too large";
         return false;
@@ -328,7 +348,9 @@ parseResponse(const std::string &raw, HttpResponse &resp,
             parsed.contentType = value;
     // Trust Content-Length when present (and sane); fall back to
     // everything-until-EOF, which is what Connection: close implies.
-    const std::size_t length = contentLength(parsed.headers);
+    std::size_t length = 0;
+    std::string ignored;
+    contentLength(parsed.headers, length, ignored);
     const std::size_t available = raw.size() - (head_end + 4);
     parsed.body = raw.substr(head_end + 4,
                              length && length <= available ? length
@@ -524,13 +546,16 @@ readRequest(int fd, HttpRequest &req, double timeoutSeconds,
             head_end = raw.find("\r\n\r\n");
             if (head_end != std::string::npos) {
                 // Peek at Content-Length to know how much body to
-                // expect; full validation happens in parseRequest.
+                // expect; full validation happens in parseRequest. A
+                // malformed length ends the read.
                 std::vector<std::pair<std::string, std::string>> hs;
                 std::string ignored;
                 const std::size_t line_end = raw.find("\r\n");
                 parseHeaderLines(raw.substr(0, head_end + 2),
                                  line_end + 2, hs, ignored);
-                const std::size_t length = contentLength(hs);
+                std::size_t length = 0;
+                if (!contentLength(hs, length, error))
+                    return false;
                 if (length > maxBodyBytes) {
                     error = "request body too large";
                     return false;

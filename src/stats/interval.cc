@@ -2,10 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
 
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 
 namespace ctcp {
 
@@ -25,24 +25,8 @@ fmtValue(double v)
 Cycle
 parseIntervalCycles(const std::string &text)
 {
-    std::size_t pos = 0;
-    long long value = 0;
-    try {
-        value = std::stoll(text, &pos);
-    } catch (const std::exception &) {
-        throw std::invalid_argument("invalid interval '" + text +
-                                    "' (expected a positive cycle count)");
-    }
-    if (pos != text.size())
-        throw std::invalid_argument("invalid interval '" + text +
-                                    "' (expected a positive cycle count)");
-    if (value <= 0)
-        throw std::invalid_argument(
-            "interval must be a positive cycle count, got " + text);
-    if (value > 1000000000000ll)
-        throw std::invalid_argument(
-            "interval " + text + " is unreasonably large (max 1e12)");
-    return static_cast<Cycle>(value);
+    return parseUnsigned(text, "interval (a positive cycle count)", 1,
+                         1'000'000'000'000);
 }
 
 IntervalRecorder::IntervalRecorder(Cycle interval)

@@ -42,6 +42,24 @@ FaultInjector::scrambleTraceLine(CtcpSimulator &sim)
     return true;
 }
 
+bool
+FaultInjector::strandIssueEntry(CtcpSimulator &sim)
+{
+    if (!sim.issueQueue_.empty()) {
+        sim.clusterQueues_.front().push_back(sim.issueQueue_.back());
+        sim.issueQueue_.pop_back();
+        return true;
+    }
+    for (auto &queue : sim.clusterQueues_) {
+        if (queue.empty())
+            continue;
+        sim.issueQueue_.push_back(queue.back());
+        queue.pop_back();
+        return true;
+    }
+    return false;
+}
+
 void
 FaultInjector::stallRetirement(CtcpSimulator &sim, bool stalled)
 {

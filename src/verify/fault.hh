@@ -7,6 +7,7 @@
  *
  *   corruptReadyAt     -> invariant checker (cached readiness)
  *   scrambleTraceLine  -> invariant checker (slot permutation)
+ *   strandIssueEntry   -> invariant checker (one issue structure)
  *   stallRetirement    -> forward-progress watchdog (SimError, hang)
  *   flakyBuilder       -> campaign retry policy (workload errors)
  *   truncateFileTail   -> journal partial-record tolerance on resume
@@ -52,6 +53,16 @@ class FaultInjector
      * @return false when no such line exists yet
      */
     static bool scrambleTraceLine(CtcpSimulator &sim);
+
+    /**
+     * Move one renamed, unissued instruction into the structure the
+     * active mode does not issue from (an issue-queue entry into a
+     * cluster queue, or the reverse), as a mode switch that left it
+     * behind would.
+     *
+     * @return false when no instruction was waiting to issue
+     */
+    static bool strandIssueEntry(CtcpSimulator &sim);
 
     /** Suppress (or re-enable) retirement, starving forward progress. */
     static void stallRetirement(CtcpSimulator &sim, bool stalled);

@@ -40,6 +40,7 @@ InvariantChecker::checkCycle(const CtcpSimulator &sim)
 {
     ++cyclesChecked_;
     checkRob(sim);
+    checkIssueBuffers(sim);
     checkClusters(sim);
     checkStoreWindow(sim);
     checkFetchQueue(sim);
@@ -134,6 +135,24 @@ InvariantChecker::checkRob(const CtcpSimulator &sim) const
                 "cycle %llu: rename table entry for r%u names seq %llu, "
                 "which does not write r%u", ull(now), r,
                 ull(producer->dyn.seq), r));
+    }
+}
+
+void
+InvariantChecker::checkIssueBuffers(const CtcpSimulator &sim) const
+{
+    const Cycle now = sim.cycle_;
+    if (sim.routeToIssueQueue_) {
+        for (std::size_t c = 0; c < sim.clusterQueues_.size(); ++c)
+            if (!sim.clusterQueues_[c].empty())
+                fail(detail::format(
+                    "cycle %llu: cluster queue %zu holds %zu "
+                    "instructions in issue-time mode", ull(now), c,
+                    sim.clusterQueues_[c].size()));
+    } else if (!sim.issueQueue_.empty()) {
+        fail(detail::format(
+            "cycle %llu: issue queue holds %zu instructions in a slot "
+            "mode", ull(now), sim.issueQueue_.size()));
     }
 }
 

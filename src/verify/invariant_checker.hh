@@ -20,6 +20,10 @@
  *    sanity (dispatched implies issued, completed implies completeAt in
  *    the past), rename-table entries point at ROB-resident producers
  *    with the matching destination register.
+ *  - Issue buffers: only the active mode's structure holds renamed,
+ *    unissued instructions (the issue queue under issue-time steering,
+ *    the per-cluster queues otherwise); an adaptive mode switch moves
+ *    them across.
  *  - Per-cluster scheduler lists: intrusive linkage consistency,
  *    ascending age order on the ready list, membership (ready list
  *    holds only instructions with no outstanding producers, waiting
@@ -81,6 +85,7 @@ class InvariantChecker : public FillUnitObserver
 
   private:
     void checkRob(const CtcpSimulator &sim) const;
+    void checkIssueBuffers(const CtcpSimulator &sim) const;
     void checkClusters(const CtcpSimulator &sim) const;
     void checkSchedList(const CtcpSimulator &sim, const Cluster &cluster,
                         const SchedList &list, bool ready_list) const;

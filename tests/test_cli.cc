@@ -35,6 +35,12 @@ runCli(const std::string &args)
 TEST(CliExitCodes, SuccessfulRunReturnsZero)
 {
     EXPECT_EQ(runCli("--bench gzip --instructions 20000"), 0);
+    // Every numeric flag, with a valid value.
+    EXPECT_EQ(runCli("--bench gzip --instructions 20000 --clusters 2 "
+                     "--cluster-width 4 --hop-latency 1 "
+                     "--strategy adaptive --adaptive-interval 4000 "
+                     "--issue-latency 2 --watchdog 500000"),
+              0);
 }
 
 TEST(CliExitCodes, SuccessfulCheckedRunReturnsZero)
@@ -51,6 +57,25 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--strategy warp-speed"), 2);
     EXPECT_EQ(runCli("--deadline -3"), 2);
     EXPECT_EQ(runCli("--max-attempts 0"), 2);
+    // Numeric flags take decimal digits only, within their field's
+    // range: no numeric prefix of junk, no 0 for a word, no sign, no
+    // wrap-around. A valid --instructions 1000 keeps a regression
+    // short (the last --instructions wins).
+    EXPECT_EQ(runCli("--instructions 12abc"), 2);
+    EXPECT_EQ(runCli("--instructions banana --instructions 1000"), 2);
+    EXPECT_EQ(runCli("--instructions -1 --instructions 1000"), 2);
+    EXPECT_EQ(runCli("--instructions 18446744073709551616 "
+                     "--instructions 1000"),
+              2);
+    EXPECT_EQ(runCli("--instructions 1000 --hop-latency abc"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --clusters 2x"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --clusters 4294967298"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --cluster-width 4.0"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --issue-latency -4"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --adaptive-interval 5k"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --watchdog 1e6"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --max-attempts 2x"), 2);
+    EXPECT_EQ(runCli("--instructions 1000 --max-attempts ' 2'"), 2);
     // Wider than 64 issue slots, including a width whose unsigned
     // product with the cluster count wraps to zero.
     EXPECT_EQ(runCli("--clusters 8 --cluster-width 536870912 "
@@ -120,6 +145,9 @@ TEST(CliExitCodes, HealthyCampaignReturnsZero)
 {
     EXPECT_EQ(runCli("--campaign 'bench=gzip;strategy=base;"
                      "budget=10000' --jobs 2"),
+              0);
+    EXPECT_EQ(runCli("--campaign 'bench=gzip;strategy=base;"
+                     "budget=10000' --jobs 1 --max-attempts 2"),
               0);
 }
 

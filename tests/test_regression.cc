@@ -88,5 +88,59 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+// The adaptive strategy once deadlocked at a mode switch: renamed,
+// unissued instructions stayed in the old mode's structure, and the
+// younger ones that the other structure issued first filled every
+// reservation station they needed. Each point below hung at the
+// watchdog before the fix; its budget runs past the hang.
+struct AdaptiveSwitchPoint
+{
+    const char *benchmark;
+    Topology topology;
+    std::uint64_t budget;
+};
+
+constexpr AdaptiveSwitchPoint adaptiveSwitchPoints[] = {
+    {"gap", Topology::LinearChain, 20'000},
+    {"gap", Topology::Ring, 20'000},
+    {"gap", Topology::Crossbar, 20'000},
+    {"gsm_dec", Topology::Bus, 20'000},
+    {"jpeg_enc", Topology::LinearChain, 50'000},
+    {"vpr", Topology::Crossbar, 220'000},
+};
+
+// Printed by name for the same reason as Golden above.
+void
+PrintTo(const AdaptiveSwitchPoint &point, std::ostream *os)
+{
+    *os << point.benchmark << '/' << topologyName(point.topology);
+}
+
+class AdaptiveModeSwitch
+    : public ::testing::TestWithParam<AdaptiveSwitchPoint>
+{};
+
+TEST_P(AdaptiveModeSwitch, RunsPastTheFormerDeadlock)
+{
+    const AdaptiveSwitchPoint &point = GetParam();
+    SimConfig cfg = baseConfig();
+    cfg.assign.strategy = AssignStrategy::Adaptive;
+    cfg.cluster.topology = point.topology;
+    cfg.instructionLimit = point.budget;
+    cfg.watchdogCycles = 100'000;   // a hang fails fast
+    Program p = workloads::build(point.benchmark);
+    SimResult r;
+    ASSERT_NO_THROW(r = CtcpSimulator(cfg, p).run());
+    EXPECT_GE(r.instructions, point.budget);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FormerHangs, AdaptiveModeSwitch,
+    ::testing::ValuesIn(adaptiveSwitchPoints),
+    [](const ::testing::TestParamInfo<AdaptiveSwitchPoint> &info) {
+        return std::string(info.param.benchmark) + "_" +
+            topologyName(info.param.topology);
+    });
+
 } // namespace
 } // namespace ctcp

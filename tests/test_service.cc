@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "campaign/campaign.hh"
@@ -127,6 +128,37 @@ TEST(Http, RejectsMalformedRequests)
         "POST /x HTTP/1.1\r\nContent-Length: " +
             std::to_string(service::maxBodyBytes + 1) + "\r\n\r\n",
         req, error));
+    // A Content-Length that is not a decimal number is malformed, not
+    // read as its numeric prefix (12abc as 12) or as 0 (dropping the
+    // body).
+    for (const char *length : {"12abc", "banana", "", "-1", "+5", "0x10"}) {
+        error.clear();
+        EXPECT_FALSE(service::parseRequest(
+            std::string("POST /x HTTP/1.1\r\nContent-Length: ") + length +
+                "\r\n\r\n" + std::string(20, 'x'),
+            req, error))
+            << "Content-Length: " << length;
+        EXPECT_NE(error.find("Content-Length"), std::string::npos)
+            << error;
+    }
+}
+
+TEST(Http, MalformedContentLengthEndsTheRead)
+{
+    // readRequest stops at the header peek instead of waiting for a
+    // body whose length it cannot know.
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    const std::string raw =
+        "POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n{}";
+    ASSERT_EQ(::write(fds[1], raw.data(), raw.size()),
+              static_cast<ssize_t>(raw.size()));
+    service::HttpRequest req;
+    std::string error;
+    EXPECT_FALSE(service::readRequest(fds[0], req, 5.0, error));
+    EXPECT_NE(error.find("Content-Length"), std::string::npos) << error;
+    ::close(fds[0]);
+    ::close(fds[1]);
 }
 
 TEST(Http, ResponseRoundTripsThroughClientParser)

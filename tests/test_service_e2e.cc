@@ -219,4 +219,21 @@ TEST(ServiceE2E, SubmittingAgainstADeadSocketFailsCleanly)
     EXPECT_EQ(result.status, 2);
 }
 
+TEST(ServiceE2E, CtlRejectsMalformedNumbersBeforeConnecting)
+{
+    // A bad number is reported as such, not as the dead socket it
+    // would otherwise go on to dial (-1 once read as 4294967295).
+    const std::string ctl = std::string(CTCP_CTCPCTL_PATH) +
+        " --socket /nonexistent/ctcp.sock ";
+    const std::string top = runStderr(ctl + "top --iterations -1");
+    EXPECT_NE(top.find("invalid --iterations '-1'"), std::string::npos)
+        << top;
+    const std::string submit =
+        runStderr(ctl + "submit spec.txt --max-attempts 12abc");
+    EXPECT_NE(submit.find("invalid --max-attempts '12abc'"),
+              std::string::npos)
+        << submit;
+    EXPECT_EQ(run(ctl + "top --iterations banana").status, 2);
+}
+
 } // namespace

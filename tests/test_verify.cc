@@ -91,9 +91,11 @@ TEST(InvariantChecker, CleanRunMatchesUncheckedRun)
 {
     // The checker is pure observation: enabling it must not perturb a
     // single stat. Byte-compare the full dumps, all strategies.
+    // Adaptive switches modes twice within this budget.
     for (AssignStrategy s :
          {AssignStrategy::BaseSlotOrder, AssignStrategy::Fdrt,
-          AssignStrategy::Friendly, AssignStrategy::IssueTime}) {
+          AssignStrategy::Friendly, AssignStrategy::IssueTime,
+          AssignStrategy::Adaptive}) {
         Program prog = workloads::build("gzip");
         SimConfig off = checkedConfig(40'000, 0);
         SimConfig on = checkedConfig(40'000, 1);
@@ -153,6 +155,35 @@ TEST(InvariantChecker, CatchesScrambledTraceLine)
         EXPECT_EQ(e.category(), ErrorCategory::Invariant);
     }
     EXPECT_TRUE(caught) << "scrambled trace line was never detected";
+}
+
+TEST(InvariantChecker, CatchesInstructionInInactiveIssueStructure)
+{
+    // Slot mode (cluster queues) and issue-time mode (issue queue):
+    // an instruction left in the other structure must be reported.
+    for (AssignStrategy s :
+         {AssignStrategy::BaseSlotOrder, AssignStrategy::IssueTime}) {
+        Program prog = workloads::build("gzip");
+        SimConfig cfg = checkedConfig();
+        cfg.assign.strategy = s;
+        CtcpSimulator sim(cfg, prog);
+        bool injected = false;
+        for (int i = 0; i < 5'000 && !injected && !sim.done(); ++i) {
+            sim.step();
+            injected = verify::FaultInjector::strandIssueEntry(sim);
+        }
+        ASSERT_TRUE(injected) << assignStrategyName(s);
+        verify::InvariantChecker checker(1, 4, 4);
+        try {
+            checker.checkCycle(sim);
+            ADD_FAILURE() << "stranded instruction was not detected ("
+                          << assignStrategyName(s) << ")";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Invariant);
+            EXPECT_NE(std::string(e.what()).find("queue"),
+                      std::string::npos);
+        }
+    }
 }
 
 TEST(InvariantChecker, RejectsDuplicatePhysicalSlotDirectly)

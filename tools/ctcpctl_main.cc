@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,7 @@
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "common/parse_number.hh"
 #include "common/version.hh"
 #include "service/client.hh"
 #include "service/http.hh"
@@ -132,14 +134,16 @@ writeOut(const std::string &path, const std::string &bytes)
     return true;
 }
 
+/** A numeric flag value; anything but an unsigned decimal exits 2. */
 unsigned
-parseUnsigned(const std::string &text, const std::string &what)
+unsignedArg(const std::string &text, const std::string &flag)
 {
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (!end || *end != '\0' || text.empty())
-        die("bad " + what + " '" + text + "'");
-    return static_cast<unsigned>(v);
+    try {
+        return static_cast<unsigned>(ctcp::parseUnsigned(
+            text, flag, 0, std::numeric_limits<unsigned>::max()));
+    } catch (const std::invalid_argument &e) {
+        die(e.what());
+    }
 }
 
 double
@@ -282,7 +286,7 @@ cmdSubmit(const std::vector<std::string> &args)
             query += query.empty() ? "?" : "&";
             query += "accounting=1";
         } else if (args[i] == "--max-attempts" && i + 1 < args.size()) {
-            parseUnsigned(args[i + 1], "--max-attempts value");
+            unsignedArg(args[i + 1], "--max-attempts");
             query += query.empty() ? "?" : "&";
             query += "max_attempts=" + args[++i];
         } else if (args[i] == "--deadline" && i + 1 < args.size()) {
@@ -484,8 +488,8 @@ main(int argc, char **argv)
     if (command == "top")
         return cmdTop(parseSeconds(value("--interval", "2"),
                                    "--interval value"),
-                      parseUnsigned(value("--iterations", "0"),
-                                    "--iterations value"));
+                      unsignedArg(value("--iterations", "0"),
+                                  "--iterations"));
     if (command == "submit")
         return cmdSubmit(args);
     if (command == "list") {

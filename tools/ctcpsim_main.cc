@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "campaign/campaign.hh"
 #include "campaign/matrix.hh"
 #include "common/atomic_file.hh"
+#include "common/parse_number.hh"
 #include "common/sim_error.hh"
 #include "common/version.hh"
 #include "config/presets.hh"
@@ -330,6 +332,20 @@ main(int argc, char **argv)
             die(std::string("missing value for ") + argv[i]);
         return argv[++i];
     };
+    // Numeric values: decimal digits only, within [min, max] (the range
+    // of the field they set); anything else is a usage error.
+    constexpr std::uint64_t max_unsigned =
+        std::numeric_limits<unsigned>::max();
+    constexpr std::uint64_t max_u64 =
+        std::numeric_limits<std::uint64_t>::max();
+    auto number_arg = [&](int &i, std::uint64_t min, std::uint64_t max) {
+        const std::string flag = argv[i];
+        try {
+            return parseUnsigned(next_arg(i), flag, min, max);
+        } catch (const std::invalid_argument &e) {
+            die(e.what());
+        }
+    };
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -349,7 +365,7 @@ main(int argc, char **argv)
         } else if (arg == "--bench") {
             bench = next_arg(i);
         } else if (arg == "--instructions") {
-            instructions = std::strtoull(next_arg(i), nullptr, 10);
+            instructions = number_arg(i, 0, max_u64);
         } else if (arg == "--strategy") {
             const std::string s = next_arg(i);
             if (s == "base")
@@ -365,11 +381,10 @@ main(int argc, char **argv)
             else
                 die("unknown strategy '" + s + "'");
         } else if (arg == "--adaptive-interval") {
-            cfg.assign.adaptiveInterval =
-                std::strtoull(next_arg(i), nullptr, 10);
+            cfg.assign.adaptiveInterval = number_arg(i, 0, max_u64);
         } else if (arg == "--issue-latency") {
-            cfg.assign.issueTimeLatency = static_cast<unsigned>(
-                std::strtoul(next_arg(i), nullptr, 10));
+            cfg.assign.issueTimeLatency =
+                static_cast<unsigned>(number_arg(i, 0, max_unsigned));
         } else if (arg == "--no-pinning") {
             cfg.assign.fdrtPinning = false;
         } else if (arg == "--no-chains") {
@@ -377,16 +392,16 @@ main(int argc, char **argv)
         } else if (arg == "--middle-bias") {
             cfg.assign.friendlyMiddleBias = true;
         } else if (arg == "--clusters") {
-            clusters = static_cast<unsigned>(
-                std::strtoul(next_arg(i), nullptr, 10));
+            clusters =
+                static_cast<unsigned>(number_arg(i, 0, max_unsigned));
             clusters_set = true;
         } else if (arg == "--cluster-width") {
-            cluster_width = static_cast<unsigned>(
-                std::strtoul(next_arg(i), nullptr, 10));
+            cluster_width =
+                static_cast<unsigned>(number_arg(i, 0, max_unsigned));
             cluster_width_set = true;
         } else if (arg == "--hop-latency") {
-            cfg.cluster.hopLatency = static_cast<unsigned>(
-                std::strtoul(next_arg(i), nullptr, 10));
+            cfg.cluster.hopLatency =
+                static_cast<unsigned>(number_arg(i, 0, max_unsigned));
         } else if (arg == "--topology") {
             const std::string t = next_arg(i);
             if (!parseTopology(t, cfg.cluster.topology))
@@ -443,8 +458,7 @@ main(int argc, char **argv)
         } else if (arg == "--check-invariants") {
             robust.checkLevel = 1;
         } else if (arg == "--watchdog") {
-            robust.watchdogCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
+            robust.watchdogCycles = number_arg(i, 0, max_u64);
             robust.watchdogSet = true;
         } else if (arg == "--deadline") {
             char *end = nullptr;
@@ -453,10 +467,8 @@ main(int argc, char **argv)
             if (end == text || *end != '\0' || deadline_seconds < 0.0)
                 die(std::string("invalid --deadline '") + text + "'");
         } else if (arg == "--max-attempts") {
-            max_attempts = static_cast<unsigned>(
-                std::strtoul(next_arg(i), nullptr, 10));
-            if (max_attempts == 0)
-                die("--max-attempts must be positive");
+            max_attempts =
+                static_cast<unsigned>(number_arg(i, 1, max_unsigned));
         } else if (arg == "--journal") {
             journal_path = next_arg(i);
         } else if (arg == "--zero-fwd") {

@@ -34,13 +34,14 @@ class IssueTimeSteering
           counts_(static_cast<std::size_t>(interconnect.numClusters()), 0)
     {}
 
-    /** Reset the per-cycle steering caps. */
+    /** Reset the per-cycle steering caps and exhausted kinds. */
     void
     newCycle(Cycle now)
     {
         if (now != cycle_) {
             cycle_ = now;
             std::fill(counts_.begin(), counts_.end(), 0u);
+            exhaustedKinds_ = 0;
         }
     }
 
@@ -53,12 +54,22 @@ class IssueTimeSteering
      * clusters under the per-cycle cap that can structurally accept
      * the instruction are eligible.
      *
+     * Within one cycle, stations only fill and caps only rise, so
+     * eligibility only falls: once no cluster can take a station kind,
+     * later picks of that kind fail at once, exactly as a full pick
+     * would.
+     *
      * @return the chosen cluster, or invalidCluster when every
      *         eligible cluster is capped/full (issue must stall).
      */
     ClusterId
     pick(const TimedInst &inst, const std::vector<Cluster> &clusters)
     {
+        const unsigned kind_bit =
+            1u << static_cast<unsigned>(instStation(inst));
+        if ((exhaustedKinds_ & kind_bit) != 0)
+            return invalidCluster;
+
         auto eligible = [&](ClusterId c) {
             const auto i = static_cast<std::size_t>(c);
             return counts_[i] < cap_ && clusters[i].canAccept(inst, cycle_);
@@ -133,6 +144,8 @@ class IssueTimeSteering
         }
         if (best != invalidCluster)
             ++counts_[static_cast<std::size_t>(best)];
+        else
+            exhaustedKinds_ |= kind_bit;
         return best;
     }
 
@@ -144,6 +157,8 @@ class IssueTimeSteering
     unsigned cap_;
     std::vector<unsigned> counts_;
     Cycle cycle_ = neverCycle;
+    /** Station kinds (bit per StationKind) no cluster can take this cycle. */
+    unsigned exhaustedKinds_ = 0;
 };
 
 } // namespace ctcp

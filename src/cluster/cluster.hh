@@ -308,9 +308,10 @@ class Cluster
     }
 
     /**
-     * True when @p inst could be issued at @p now (non-mutating).
-     * Inline: issue-time steering calls this for every cluster on
-     * every pick.
+     * True exactly when issue(@p inst, @p now) would succeed
+     * (non-mutating). Inline: issue-time steering calls this for every
+     * cluster on every pick, and slot-mode issue before it computes
+     * readiness.
      */
     bool
     canAccept(const TimedInst &inst, Cycle now) const

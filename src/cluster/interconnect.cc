@@ -51,7 +51,7 @@ Interconnect::Interconnect(const ClusterConfig &cfg)
             switch (topo_) {
               case Topology::Bus:
                 // Uniform broadcast latency; the bandwidth limit is
-                // modelled by the simulator's PortSchedule.
+                // modelled by the simulator's InOrderPortSchedule.
                 cycles = busLatency_;
                 break;
               case Topology::Hierarchical:

@@ -15,7 +15,7 @@
  * The bus is the one topology with semantics beyond its matrices:
  * distance is uniformly one hop (so bus waits bin as wait_fwd1) and
  * latency uniformly busLatency, but bandwidth contention is modelled
- * separately by the simulator's PortSchedule using busReadyAt.
+ * separately by the simulator's InOrderPortSchedule using busReadyAt.
  * Intra-cluster forwarding is free (same cycle as dispatch) in every
  * topology.
  */

@@ -128,7 +128,7 @@ CtcpSimulator::CtcpSimulator(const SimConfig &cfg, const Program &program,
 
     clusterQueues_.resize(cfg_.cluster.numClusters);
     if (interconnect_.isBus())
-        busSchedule_ = std::make_unique<PortSchedule>(
+        busSchedule_ = std::make_unique<InOrderPortSchedule>(
             cfg_.cluster.busBandwidth);
 
     fillUnit_ = std::make_unique<FillUnit>(
@@ -461,10 +461,27 @@ CtcpSimulator::executeInst(TimedInst &inst, Cycle now_cycle)
 void
 CtcpSimulator::doCompletions()
 {
+    // Pop the cycle's due completions as one batch, then handle it.
+    // Completing an instruction never schedules another completion, so
+    // off the bus this is the heap's own order. The bus grants its
+    // broadcast slots in completion order, so there the batch is
+    // sorted oldest first (lowest sequence number), not left in the
+    // heap's tie order.
+    dueScratch_.clear();
     while (!completions_.empty() &&
            completions_.top().completeAt <= cycle_) {
-        TimedInst *inst = completions_.top().inst;
+        dueScratch_.push_back(completions_.top());
         completions_.pop();
+    }
+    if (busSchedule_)
+        std::sort(dueScratch_.begin(), dueScratch_.end(),
+                  [](const PendingComplete &a, const PendingComplete &b) {
+                      if (a.completeAt != b.completeAt)
+                          return a.completeAt < b.completeAt;
+                      return a.inst->dyn.seq < b.inst->dyn.seq;
+                  });
+    for (const PendingComplete &due : dueScratch_) {
+        TimedInst *inst = due.inst;
         inst->completed = true;
         if (obs_ && obs_->enabled(ObsKind::Complete))
             recordInstEvent(*obs_, ObsKind::Complete, cycle_, *inst);
@@ -653,15 +670,16 @@ CtcpSimulator::doIssue()
                 cfg_.frontEnd.renameStages + issueExtraStages_;
             if (issue_ready > cycle_)
                 break;
-            inst->cluster = static_cast<ClusterId>(c);
-            cacheReadiness(*inst);
-            if (!cluster.issue(inst, cycle_)) {
-                inst->cluster = invalidCluster;
+            if (!cluster.canAccept(*inst, cycle_)) {
                 ++issueStalls_;
                 if (acct_)
                     acct_->noteRsFull(static_cast<ClusterId>(c));
                 break;   // reservation station full or out of ports
             }
+            inst->cluster = static_cast<ClusterId>(c);
+            cacheReadiness(*inst);
+            const bool ok = cluster.issue(inst, cycle_);
+            ctcp_assert(ok, "cluster rejected an issue it could accept");
             inst->issued = true;
             inst->issueAt = cycle_;
             if (obs_ && obs_->enabled(ObsKind::Issue))

@@ -262,8 +262,13 @@ class CtcpSimulator
     };
     std::priority_queue<PendingComplete, std::vector<PendingComplete>,
                         CompareComplete> completions_;
-    /** Shared result-bus broadcast slots (bus interconnect mode only). */
-    std::unique_ptr<PortSchedule> busSchedule_;
+    /** One cycle's due completions (sorted oldest first on the bus). */
+    std::vector<PendingComplete> dueScratch_;
+    /**
+     * Shared result-bus broadcast slots (bus interconnect mode only).
+     * doCompletions books them in non-decreasing cycle order.
+     */
+    std::unique_ptr<InOrderPortSchedule> busSchedule_;
 
     Cycle cycle_ = 0;
     std::uint64_t retired_ = 0;

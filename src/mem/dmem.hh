@@ -27,7 +27,11 @@ namespace ctcp {
 
 class ObsSink;
 
-/** Arbitrates a fixed number of access ports per cycle. */
+/**
+ * Arbitrates a fixed number of access ports per cycle. Requests may
+ * arrive out of cycle order: the data cache's D-TLB misses ask for a
+ * later cycle than the loads that follow them.
+ */
 class PortSchedule
 {
   public:
@@ -44,6 +48,54 @@ class PortSchedule
     unsigned ports_;
     /** (cycle, ports already booked) for current and future cycles. */
     std::deque<std::pair<Cycle, unsigned>> booked_;
+};
+
+/**
+ * PortSchedule for requests that arrive in non-decreasing cycle order,
+ * such as the shared result bus, whose broadcast slots are booked as
+ * completions drain. In order, every booking lands on the first cycle
+ * that is not yet full, so that cycle and the ports used in it describe
+ * every live booking, and reserve() is O(1). It returns the cycles
+ * PortSchedule would for the same requests.
+ */
+class InOrderPortSchedule
+{
+  public:
+    explicit InOrderPortSchedule(unsigned ports_per_cycle)
+        : ports_(ports_per_cycle)
+    {
+        ctcp_assert(ports_per_cycle > 0, "need at least one port");
+    }
+
+    /**
+     * Earliest cycle >= @p now with a free port; books the port.
+     * @pre @p now is not older than the previous request.
+     */
+    Cycle
+    reserve(Cycle now)
+    {
+        ctcp_assert(now >= last_,
+                    "out-of-order port request: cycle %llu after %llu",
+                    static_cast<unsigned long long>(now),
+                    static_cast<unsigned long long>(last_));
+        last_ = now;
+        if (now > next_) {
+            next_ = now;
+            used_ = 0;
+        }
+        const Cycle slot = next_;
+        if (++used_ == ports_) {
+            ++next_;
+            used_ = 0;
+        }
+        return slot;
+    }
+
+  private:
+    unsigned ports_;
+    Cycle last_ = 0;      ///< the previous request
+    Cycle next_ = 0;      ///< first cycle that is not yet full
+    unsigned used_ = 0;   ///< ports already booked in next_
 };
 
 /** The complete data-side memory hierarchy. */

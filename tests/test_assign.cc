@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
 #include "assign/base_assignment.hh"
 #include "common/random.hh"
 #include "assign/fdrt_assignment.hh"
@@ -633,6 +636,80 @@ TEST(IssueTimeSteering, NewCycleResetsCaps)
     EXPECT_EQ(steer.pick(inst, clusters), invalidCluster);   // all capped
     steer.newCycle(2);
     EXPECT_NE(steer.pick(inst, clusters), invalidCluster);
+}
+
+TEST(IssueTimeSteering, ExhaustedKindFailsWithoutProbing)
+{
+    ClusterConfig cc;
+    Interconnect ic(cc);
+    std::deque<OwnedTimedInst> residents;
+    std::vector<Cluster> full;   // every memory station full
+    std::vector<Cluster> empty;
+    for (unsigned c = 0; c < 4; ++c) {
+        full.emplace_back(static_cast<ClusterId>(c), cc);
+        empty.emplace_back(static_cast<ClusterId>(c), cc);
+        for (unsigned n = 0; n < cc.rsEntries; ++n) {
+            residents.emplace_back();
+            residents.back().dyn.op = Opcode::Load;
+            ASSERT_TRUE(full[c].issue(&residents.back(), n));
+        }
+    }
+    IssueTimeSteering steer(ic, 4);
+    steer.newCycle(100);
+
+    OwnedTimedInst load;
+    load.dyn.op = Opcode::Load;
+    OwnedTimedInst add;
+    add.dyn.op = Opcode::Add;
+    EXPECT_EQ(steer.pick(load, full), invalidCluster);
+    // No cluster could take a load, and none can later this cycle, so
+    // the next load fails at once: it never looks at the clusters it
+    // is handed, even ones that would accept it.
+    EXPECT_EQ(steer.pick(load, empty), invalidCluster);
+    EXPECT_NE(steer.pick(add, full), invalidCluster);   // other kinds pick
+    steer.newCycle(101);
+    EXPECT_NE(steer.pick(load, empty), invalidCluster);
+}
+
+TEST(IssueTimeSteering, BalanceSeesTheMinimumLoadRiseAfterAnIssue)
+{
+    ClusterConfig cc;
+    Interconnect ic(cc);
+    std::deque<OwnedTimedInst> residents;
+    std::vector<Cluster> clusters;
+    for (unsigned c = 0; c < 4; ++c)
+        clusters.emplace_back(static_cast<ClusterId>(c), cc);
+    // Occupancies 0, 1, 13, 1: cluster 2's backlog is 13 over the
+    // minimum, past the balance slack of 12.
+    const std::pair<unsigned, unsigned> fills[] = {{1, 1}, {2, 13}, {3, 1}};
+    for (const auto &[c, n] : fills) {
+        for (unsigned i = 0; i < n; ++i) {
+            residents.emplace_back();
+            residents.back().dyn.op = Opcode::Add;
+            ASSERT_TRUE(clusters[c].issue(&residents.back(), i));
+        }
+    }
+    IssueTimeSteering steer(ic, 4);
+    steer.newCycle(100);
+
+    OwnedTimedInst producer;
+    producer.dyn.op = Opcode::Add;
+    producer.cluster = 2;
+    OwnedTimedInst consumer;
+    consumer.dyn.op = Opcode::Add;
+    consumer.ops[0].valid = true;
+    consumer.ops[0].fromRF = false;
+    consumer.ops[0].producerPtr = &producer;
+
+    // Balance overrides the dependence: the emptiest cluster wins.
+    ASSERT_EQ(steer.pick(consumer, clusters), 0);
+    OwnedTimedInst issued;
+    issued.dyn.op = Opcode::Add;
+    ASSERT_TRUE(clusters[0].issue(&issued, 100));
+    // Within the same cycle the minimum rose to 1, so cluster 2 is back
+    // within the slack (a minimum remembered from the first pick would
+    // send the consumer to cluster 1).
+    EXPECT_EQ(steer.pick(consumer, clusters), 2);
 }
 
 } // namespace

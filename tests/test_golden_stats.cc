@@ -38,6 +38,9 @@
 #ifndef CTCP_GOLDEN_SHAPES_PATH
 #error "CTCP_GOLDEN_SHAPES_PATH must point at tests/golden/golden_shapes.json"
 #endif
+#ifndef CTCP_GOLDEN_BUS_PATH
+#error "CTCP_GOLDEN_BUS_PATH must point at tests/golden/golden_bus.json"
+#endif
 
 namespace ctcp {
 namespace {
@@ -73,6 +76,17 @@ constexpr const char *goldenAdaptiveMatrix =
  */
 constexpr const char *goldenShapesMatrix =
     "bench=gzip,twolf;strategy=friendly,fdrt;clusters=2,8;budget=50000";
+
+/**
+ * The shared result bus is the only interconnect whose timing depends
+ * on arbitration: completing producers compete for its broadcast slots
+ * each cycle. It gets its own golden over every cluster count and the
+ * strategies with distinct issue paths (slot queues, retire-time
+ * placement, issue-time steering and the mode-switching chooser).
+ */
+constexpr const char *goldenBusMatrix =
+    "bench=gzip,twolf;strategy=base,fdrt,issue-time:4,adaptive;"
+    "topology=bus;clusters=2,4,8;budget=20000";
 
 std::string
 generateGolden(const char *matrix)
@@ -175,6 +189,11 @@ TEST(GoldenStats, AdaptiveMetricsMatchGoldenFile)
 TEST(GoldenStats, ShapesMetricsMatchGoldenFile)
 {
     checkAgainstGolden(CTCP_GOLDEN_SHAPES_PATH, goldenShapesMatrix);
+}
+
+TEST(GoldenStats, BusMetricsMatchGoldenFile)
+{
+    checkAgainstGolden(CTCP_GOLDEN_BUS_PATH, goldenBusMatrix);
 }
 
 TEST(GoldenStats, GoldenFileCoversTheFullMatrix)

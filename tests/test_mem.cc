@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "config/sim_config.hh"
 #include "mem/cache.hh"
 #include "mem/dmem.hh"
@@ -95,6 +96,48 @@ TEST(PortSchedule, SerializesBeyondWidth)
     EXPECT_EQ(ports.reserve(10), 11u);   // third access spills
     EXPECT_EQ(ports.reserve(11), 11u);
     EXPECT_EQ(ports.reserve(11), 12u);
+}
+
+TEST(InOrderPortSchedule, SerializesBeyondWidth)
+{
+    InOrderPortSchedule ports(2);
+    EXPECT_EQ(ports.reserve(10), 10u);
+    EXPECT_EQ(ports.reserve(10), 10u);
+    EXPECT_EQ(ports.reserve(10), 11u);   // third access spills
+    EXPECT_EQ(ports.reserve(11), 11u);
+    EXPECT_EQ(ports.reserve(11), 12u);
+    EXPECT_EQ(ports.reserve(20), 20u);   // the backlog has drained
+}
+
+TEST(InOrderPortSchedule, MatchesPortScheduleOnSeededInOrderStreams)
+{
+    // PortSchedule searches its backlog for every candidate cycle; on
+    // in-order requests the O(1) booking must return the same cycles.
+    // Bursts of 1-6 requests at one cycle, then a gap of 0-300 cycles,
+    // mostly short so that the backlog of full cycles builds up.
+    for (unsigned ports : {1u, 2u, 4u, 1u << 20}) {
+        Rng rng(0xb0500u + ports);
+        InOrderPortSchedule fast(ports);
+        PortSchedule slow(ports);
+        Cycle now = 0;
+        unsigned bookings = 0;
+        while (bookings < 100000) {
+            const unsigned burst =
+                1 + static_cast<unsigned>(rng.below(6));
+            for (unsigned i = 0; i < burst; ++i, ++bookings)
+                ASSERT_EQ(fast.reserve(now), slow.reserve(now))
+                    << "ports " << ports << ", booking " << bookings
+                    << " at cycle " << now;
+            now += rng.chance(3, 4) ? rng.below(3) : rng.below(301);
+        }
+    }
+}
+
+TEST(InOrderPortSchedule, OlderRequestTripsTheOrderAssertion)
+{
+    InOrderPortSchedule ports(2);
+    ports.reserve(10);
+    EXPECT_DEATH(ports.reserve(9), "out-of-order port request");
 }
 
 class DmemTest : public ::testing::Test

@@ -211,6 +211,21 @@ TEST(ServiceE2E, WorkerValidationIsSharedWithCtcpsim)
               2);
 }
 
+TEST(ServiceE2E, CacheEntriesRejectsMalformedNumbers)
+{
+    // Junk, a sign, an empty value and counts outside 1..4096 exit 2
+    // before the daemon starts (-1 once read as 2^64-1 entries).
+    const std::string cmd = std::string(CTCP_CTCPD_PATH) + " --socket " +
+        ctcp::test::tmpPath("ce.sock") + " --cache-entries ";
+    for (const char *bad :
+         {"-1", "''", "+4", "12abc", "18446744073709551616", "0", "4097"}) {
+        EXPECT_EQ(run(cmd + bad).status, 2) << bad;
+        const std::string msg = runStderr(cmd + bad);
+        EXPECT_NE(msg.find("--cache-entries"), std::string::npos)
+            << bad << ": " << msg;
+    }
+}
+
 TEST(ServiceE2E, SubmittingAgainstADeadSocketFailsCleanly)
 {
     const CommandResult result =

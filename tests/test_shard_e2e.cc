@@ -150,6 +150,24 @@ TEST(ShardE2E, CtcpsimHalvesMergeByteForByte)
     EXPECT_EQ(resumed.output, batch);
 }
 
+TEST(ShardE2E, MergeRejectsMalformedJobCounts)
+{
+    // --jobs shares ctcpsim's worker-count parser: junk exits 2 naming
+    // the worker count before any journal is read (-1 once ran
+    // 4294967295 workers).
+    const std::string dir = daemonDir("merge_jobs");
+    const std::string cmd = std::string(CTCP_MERGE_PATH) +
+        " --campaign '" + kMatrix + "' --merged " + dir +
+        "/merged.jsonl " + dir + "/none.jsonl --jobs ";
+    for (const char *bad :
+         {"-1", "''", "+4", "12abc", "18446744073709551616"}) {
+        EXPECT_EQ(run(cmd + bad).status, 2) << bad;
+        const std::string msg = runStderr(cmd + bad);
+        EXPECT_NE(msg.find("worker count"), std::string::npos)
+            << bad << ": " << msg;
+    }
+}
+
 TEST(ShardE2E, ShardedSubmitMatchesBatchByteForByte)
 {
     Daemon a("shard_a"), b("shard_b");

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,7 +51,8 @@ usage(const char *prog)
         "  --csv             CSV report instead of JSON\n"
         "  --run-missing     execute slots no journal covers locally\n"
         "                    instead of reporting them missing\n"
-        "  --jobs N          worker threads for --run-missing\n"
+        "  --jobs N          worker threads for --run-missing; accepts\n"
+        "                    the same values as ctcpsim --jobs\n"
         "\n"
         "exit status: 0 complete and all ok, 1 failed jobs or missing\n"
         "slots, 2 usage/config\n",
@@ -89,11 +91,12 @@ main(int argc, char **argv)
         } else if (arg == "--run-missing") {
             run_missing = true;
         } else if (arg == "--jobs" && i + 1 < argc) {
-            char *end = nullptr;
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], &end, 10));
-            if (!end || *end != '\0')
-                die(std::string("bad --jobs value '") + argv[i] + "'");
+            // Same parser, bounds, and messages as ctcpsim --jobs.
+            try {
+                jobs = ctcp::campaign::parseWorkerCount(argv[++i]);
+            } catch (const std::invalid_argument &e) {
+                die(e.what());
+            }
         } else if (!arg.empty() && arg[0] == '-') {
             die("unknown option '" + arg + "'");
         } else {

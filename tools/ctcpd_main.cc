@@ -25,11 +25,18 @@
 
 #include "campaign/campaign.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/sim_error.hh"
 #include "common/version.hh"
 #include "service/server.hh"
 
 namespace {
+
+/**
+ * Upper bound of --cache-entries. The registry holds ~26 programs and
+ * each budget is its own cache key, so this is far above any real use.
+ */
+constexpr std::uint64_t maxCacheEntries = 4096;
 
 std::atomic<bool> g_stop{false};
 
@@ -56,8 +63,8 @@ usage(const char *prog)
         "                      run (default: one per hardware\n"
         "                      thread); accepts the same values as\n"
         "                      ctcpsim --jobs\n"
-        "  --cache-entries N   workload setup cache capacity\n"
-        "                      (default 64)\n"
+        "  --cache-entries N   workload setup cache capacity,\n"
+        "                      1..4096 (default 64)\n"
         "  --io-deadline SECS  per-connection budget for reading one\n"
         "                      request and writing one response\n"
         "                      (default 30; 0 = unbounded). A stalled\n"
@@ -129,12 +136,13 @@ main(int argc, char **argv)
                 die(e.what());
             }
         } else if (arg == "--cache-entries") {
-            char *end = nullptr;
-            const char *text = next_arg(i);
-            cache_entries = std::strtoul(text, &end, 10);
-            if (end == text || *end != '\0' || cache_entries == 0)
-                die(std::string("invalid --cache-entries '") + text +
-                    "'");
+            try {
+                cache_entries = parseUnsigned(next_arg(i),
+                                              "--cache-entries", 1,
+                                              maxCacheEntries);
+            } catch (const std::invalid_argument &e) {
+                die(e.what());
+            }
         } else if (arg == "--io-deadline") {
             char *end = nullptr;
             const char *text = next_arg(i);

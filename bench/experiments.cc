@@ -6,9 +6,11 @@
  * 8-10, Figures 4-9), an ablation or the topology sweep. It names its
  * benchmarks, the machines it simulates on each of them (named runs)
  * and how each printed column derives from those runs. The runner
- * runs an entry's jobs through one campaign, then prints its tables;
- * aggregation is deterministic, so the output is the same for any
- * worker count.
+ * queues the jobs of every selected entry, each at its own budget,
+ * into one campaign, which runs each distinct simulation once, then
+ * prints each entry's tables from its part of the report; aggregation
+ * is deterministic, so the output is the same for any worker count.
+ * The job and distinct-simulation counts go to stderr.
  *
  * Usage: experiments NAME|all|--list [budget] [jobs]
  *   NAME    one experiment (--list names them); all runs every one
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -750,15 +753,11 @@ experiments()
 
 // ---- The runner -------------------------------------------------------
 
-/**
- * Run every (benchmark x run) job of @p e in one campaign and print
- * its tables. Returns false, after naming the failed jobs on stderr,
- * when any job failed; nothing is printed to stdout then.
- */
-bool
-runExperiment(const Experiment &e, std::uint64_t budget, unsigned jobs)
+/** Append every (benchmark x run) job of @p e to @p queue. */
+void
+queueJobs(const Experiment &e, std::uint64_t budget,
+          std::vector<campaign::Job> &queue)
 {
-    std::vector<campaign::Job> queue;
     for (const std::string &bench : e.benchmarks) {
         for (const Run &run : e.runs) {
             SimConfig cfg = run.config;
@@ -767,9 +766,17 @@ runExperiment(const Experiment &e, std::uint64_t budget, unsigned jobs)
                                               bench, std::move(cfg)));
         }
     }
-    campaign::Options options;
-    options.jobs = jobs;
-    const campaign::Report report = campaign::runCampaign(queue, options);
+}
+
+/**
+ * Print @p e's tables from @p report, the outcomes of its queued jobs.
+ * Returns false, after naming the failed jobs on stderr, when any job
+ * failed; nothing is printed to stdout then.
+ */
+bool
+printExperiment(const Experiment &e, std::uint64_t budget,
+                const campaign::Report &report)
+{
     if (report.failed() > 0) {
         for (const campaign::JobOutcome &out : report.jobs)
             if (!out.ok())
@@ -835,15 +842,44 @@ main(int argc, char **argv)
         die(e.what());
     }
 
-    bool found = false;
+    // One campaign for every selected entry, so a simulation that
+    // several entries print runs once.
+    const auto budget_of = [budget](const Experiment &e) {
+        return budget > 0 ? budget : e.budget;
+    };
+    std::vector<const Experiment *> selected;
+    std::vector<std::size_t> starts;
+    std::vector<campaign::Job> queue;
     for (const Experiment &e : table) {
         if (name != "all" && name != e.name)
             continue;
-        found = true;
-        if (!runExperiment(e, budget > 0 ? budget : e.budget, jobs))
+        selected.push_back(&e);
+        starts.push_back(queue.size());
+        queueJobs(e, budget_of(e), queue);
+    }
+    if (selected.empty())
+        die("unknown experiment '" + name + "' (see --list)");
+    starts.push_back(queue.size());
+
+    campaign::Options options;
+    options.jobs = jobs;
+    const std::vector<std::size_t> rep =
+        campaign::representatives(queue, options);
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < rep.size(); ++i)
+        distinct += rep[i] == i;
+    std::fprintf(stderr, "experiments: %zu jobs, %zu distinct simulations\n",
+                 queue.size(), distinct);
+    campaign::Report report = campaign::runCampaign(queue, options);
+
+    for (std::size_t k = 0; k < selected.size(); ++k) {
+        const Experiment &e = *selected[k];
+        campaign::Report part;
+        part.jobs.assign(
+            std::make_move_iterator(report.jobs.begin() + starts[k]),
+            std::make_move_iterator(report.jobs.begin() + starts[k + 1]));
+        if (!printExperiment(e, budget_of(e), part))
             return 1;
     }
-    if (!found)
-        die("unknown experiment '" + name + "' (see --list)");
     return 0;
 }

@@ -1,16 +1,20 @@
 #include "campaign/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <exception>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "campaign/journal.hh"
 #include "campaign/persistent_pool.hh"
 #include "campaign/work_queue.hh"
+#include "cluster/interconnect.hh"
 #include "common/logging.hh"
 #include "common/parse_number.hh"
 #include "core/simulator.hh"
@@ -117,6 +121,19 @@ jobFileStem(const std::string &label, std::size_t index)
     return sanitizeLabel(label) + "-" + std::to_string(index);
 }
 
+Program
+BenchmarkBuilder::operator()() const
+{
+    if (source)
+        return source();
+    // workloads::build() fatal()s on unknown names, which would kill
+    // the whole campaign; throw instead so only this job fails.
+    if (!workloads::exists(benchmark))
+        throw std::invalid_argument("unknown benchmark '" + benchmark +
+                                    "'");
+    return workloads::build(benchmark);
+}
+
 Job
 makeJob(std::string label, std::string benchmark, SimConfig config)
 {
@@ -124,15 +141,7 @@ makeJob(std::string label, std::string benchmark, SimConfig config)
     job.label = std::move(label);
     job.benchmark = std::move(benchmark);
     job.config = std::move(config);
-    job.builder = [name = job.benchmark] {
-        // workloads::build() fatal()s on unknown names, which would
-        // kill the whole campaign; throw instead so only this job
-        // fails.
-        if (!workloads::exists(name))
-            throw std::invalid_argument("unknown benchmark '" + name +
-                                        "'");
-        return workloads::build(name);
-    };
+    job.builder = BenchmarkBuilder{job.benchmark};
     return job;
 }
 
@@ -262,6 +271,49 @@ progressToStderr(const std::string &line)
 
 namespace {
 
+/** @p job's config as it runs: the campaign's options overlaid. */
+SimConfig
+runConfig(const Job &job, std::size_t index, const Options &options)
+{
+    // Per-job telemetry: overlay the campaign-wide output directories
+    // onto the job's own config (which wins when it already names a
+    // path).
+    SimConfig config = job.config;
+    const std::string stem = jobFileStem(job.label, index);
+    if (!options.traceEventsDir.empty() &&
+        config.obs.traceEventsPath.empty()) {
+        config.obs.traceEventsPath =
+            options.traceEventsDir + "/" + stem + ".trace.json";
+        if (config.obs.traceFilter.empty())
+            config.obs.traceFilter = options.traceFilter;
+    }
+    if (!options.intervalDir.empty() && options.intervalCycles > 0 &&
+        config.obs.intervalPath.empty()) {
+        config.obs.intervalPath =
+            options.intervalDir + "/" + stem + ".intervals.csv";
+        config.obs.intervalCycles = options.intervalCycles;
+    }
+    if (options.accounting)
+        config.obs.accounting = true;
+    // Campaign-wide deadline; a job-level deadline wins.
+    if (config.deadlineSeconds <= 0.0 && options.jobDeadlineSeconds > 0.0)
+        config.deadlineSeconds = options.jobDeadlineSeconds;
+    return config;
+}
+
+/**
+ * The registered benchmark @p job builds (an empty builder or a
+ * BenchmarkBuilder), or null when its builder is the caller's own.
+ */
+const std::string *
+programOf(const Job &job)
+{
+    if (!job.builder)
+        return &job.benchmark;
+    const BenchmarkBuilder *b = job.builder.target<BenchmarkBuilder>();
+    return b ? &b->benchmark : nullptr;
+}
+
 /** One simulation attempt; fills @p out with the outcome. */
 void
 runAttempt(const Job &job, std::size_t index, const Options &options,
@@ -279,31 +331,7 @@ runAttempt(const Job &job, std::size_t index, const Options &options,
             ? job.builder()
             : workloads::build(job.benchmark);
         building = false;
-        // Per-job telemetry: overlay the campaign-wide output
-        // directories onto the job's own config (which wins when
-        // it already names a path).
-        SimConfig config = job.config;
-        const std::string stem = jobFileStem(job.label, index);
-        if (!options.traceEventsDir.empty() &&
-            config.obs.traceEventsPath.empty()) {
-            config.obs.traceEventsPath =
-                options.traceEventsDir + "/" + stem + ".trace.json";
-            if (config.obs.traceFilter.empty())
-                config.obs.traceFilter = options.traceFilter;
-        }
-        if (!options.intervalDir.empty() &&
-            options.intervalCycles > 0 &&
-            config.obs.intervalPath.empty()) {
-            config.obs.intervalPath =
-                options.intervalDir + "/" + stem + ".intervals.csv";
-            config.obs.intervalCycles = options.intervalCycles;
-        }
-        if (options.accounting)
-            config.obs.accounting = true;
-        // Campaign-wide deadline; a job-level deadline wins.
-        if (config.deadlineSeconds <= 0.0 &&
-            options.jobDeadlineSeconds > 0.0)
-            config.deadlineSeconds = options.jobDeadlineSeconds;
+        const SimConfig config = runConfig(job, index, options);
         // Worker-local arena: chunks allocated by the first job on
         // this thread are reset and reused by every later job, so the
         // steady-state cycle loop of a long campaign never touches
@@ -333,7 +361,54 @@ runAttempt(const Job &job, std::size_t index, const Options &options,
     }
 }
 
+/**
+ * Turn a copy of another job's outcome into @p job's: its label, and
+ * host timing 0, because no cycle loop ran for it.
+ */
+void
+adoptOutcome(const Job &job, JobOutcome &out)
+{
+    out.label = job.label;
+    out.benchmark = job.benchmark;
+    out.result.hostSeconds = 0.0;
+    for (auto &[name, value] : out.result.metrics)
+        if (name.rfind("host.", 0) == 0)
+            value = 0.0;
+}
+
 } // namespace
+
+std::vector<std::size_t>
+representatives(const std::vector<Job> &jobs, const Options &options)
+{
+    std::vector<std::size_t> rep(jobs.size());
+    // (program, configHash) -> the distinct configs seen in it so far,
+    // each with the first job that runs it.
+    std::map<std::pair<std::string, std::uint64_t>,
+             std::vector<std::pair<std::size_t, SimConfig>>>
+        buckets;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        rep[i] = i;
+        const std::string *program = programOf(jobs[i]);
+        if (!program)
+            continue;
+        SimConfig config = runConfig(jobs[i], i, options);
+        if (!config.obs.traceEventsPath.empty() ||
+            !config.obs.traceTextPath.empty() ||
+            !config.obs.intervalPath.empty())
+            continue;
+        SimConfig canonical = canonicalTopology(std::move(config));
+        auto &bucket = buckets[{*program, configHash(canonical)}];
+        const auto same = std::find_if(
+            bucket.begin(), bucket.end(),
+            [&](const auto &seen) { return seen.second == canonical; });
+        if (same != bucket.end())
+            rep[i] = same->first;
+        else
+            bucket.emplace_back(i, std::move(canonical));
+    }
+    return rep;
+}
 
 Report
 runCampaign(const std::vector<Job> &jobs, const Options &options)
@@ -399,36 +474,27 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
     const unsigned max_attempts = options.maxAttempts ?
         options.maxAttempts : 1;
 
+    // One pool task per distinct simulation: its members in index
+    // order, the representative first.
+    std::vector<std::vector<std::size_t>> groups;
+    {
+        const std::vector<std::size_t> rep =
+            representatives(jobs, options);
+        std::vector<std::size_t> group_of(jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            if (rep[i] == i) {
+                group_of[i] = groups.size();
+                groups.emplace_back();
+            }
+            groups[group_of[rep[i]]].push_back(i);
+        }
+    }
+
     std::atomic<std::size_t> finished{0};
     std::mutex progress_mutex;
 
-    const auto body = [&](std::size_t i) {
-        const Job &job = jobs[i];
-        JobOutcome &out = report.jobs[i];
-        const bool from_journal = replayed[i];
-        if (!from_journal) {
-            out.label = job.label;
-            out.benchmark = job.benchmark;
-            if (options.cancelRequested && options.cancelRequested()) {
-                // Checkpoint semantics: a cancelled job is reported
-                // but never journaled, so resuming with the same
-                // journal re-runs exactly the jobs that did not
-                // finish (see Options::cancelRequested).
-                out.status = JobStatus::Failed;
-                out.category = ErrorCategory::Cancelled;
-                out.error = "cancelled before start";
-            } else {
-                for (unsigned attempt = 1; ; ++attempt) {
-                    out.attempts = attempt;
-                    runAttempt(job, i, options, out);
-                    if (out.ok() || attempt >= max_attempts ||
-                        !errorCategoryRetryable(out.category))
-                        break;
-                }
-                if (journal)
-                    journal->append(journal_index(i), out);
-            }
-        }
+    const auto finish = [&](std::size_t i, const char *origin) {
+        const JobOutcome &out = report.jobs[i];
         if (options.onJobFinished)
             options.onJobFinished(i, out);
         const std::size_t done =
@@ -438,17 +504,69 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
             options.progress(
                 "[" + std::to_string(done) + "/" +
                 std::to_string(jobs.size()) + "] " + out.label + ": " +
-                (out.ok()
-                     ? (from_journal ? "ok (journal)" : "ok")
-                     : "FAILED (" + out.error + ")"));
+                (out.ok() ? std::string("ok") + origin
+                          : "FAILED (" + out.error + ")"));
+        }
+    };
+
+    const auto body = [&](std::size_t g) {
+        const std::vector<std::size_t> &members = groups[g];
+        // The group's outcome: one the journal already holds, else the
+        // representative's own run.
+        const auto held = std::find_if(
+            members.begin(), members.end(),
+            [&](std::size_t i) { return replayed[i] != 0; });
+        const std::size_t source =
+            held != members.end() ? *held : members.front();
+        bool cancelled = false;
+        if (!replayed[source]) {
+            const Job &job = jobs[source];
+            JobOutcome &out = report.jobs[source];
+            out.label = job.label;
+            out.benchmark = job.benchmark;
+            if (options.cancelRequested && options.cancelRequested()) {
+                // Checkpoint semantics: a cancelled job is reported
+                // but never journaled, so resuming with the same
+                // journal re-runs exactly the jobs that did not
+                // finish (see Options::cancelRequested).
+                cancelled = true;
+                out.status = JobStatus::Failed;
+                out.category = ErrorCategory::Cancelled;
+                out.error = "cancelled before start";
+            } else {
+                for (unsigned attempt = 1; ; ++attempt) {
+                    out.attempts = attempt;
+                    runAttempt(job, source, options, out);
+                    if (out.ok() || attempt >= max_attempts ||
+                        !errorCategoryRetryable(out.category))
+                        break;
+                }
+                if (journal)
+                    journal->append(journal_index(source), out);
+            }
+            finish(source, "");
+        }
+        for (const std::size_t i : members) {
+            if (replayed[i]) {
+                finish(i, " (journal)");
+                continue;
+            }
+            if (i == source)
+                continue;
+            JobOutcome &out = report.jobs[i];
+            out = report.jobs[source];
+            adoptOutcome(jobs[i], out);
+            if (journal && !cancelled)
+                journal->append(journal_index(i), out);
+            finish(i, " (shared)");
         }
     };
 
     if (options.pool) {
-        options.pool->run(jobs.size(), body);
+        options.pool->run(groups.size(), body);
     } else {
         WorkStealingPool pool(options.jobs);
-        pool.run(jobs.size(), body);
+        pool.run(groups.size(), body);
     }
     return report;
 }

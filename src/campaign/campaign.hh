@@ -5,12 +5,18 @@
  * pool with deterministic aggregation.
  *
  * Guarantees:
- *  - Determinism: every job builds its own Program inside its worker
- *    (workload builders seed their own Rng locally, so no RNG state is
- *    shared between jobs) and runs its own CtcpSimulator. Results are
- *    written into a slot preassigned by submission index, so the
- *    aggregated report — including its JSON/CSV serializations — is
- *    byte-identical for any worker count.
+ *  - Determinism: every simulation builds its own Program inside its
+ *    worker (workload builders seed their own Rng locally, so no RNG
+ *    state is shared between jobs) and runs its own CtcpSimulator.
+ *    Results are written into a slot preassigned by submission index,
+ *    so the aggregated report — including its JSON/CSV serializations
+ *    — is byte-identical for any worker count.
+ *  - One run per distinct simulation: jobs that would compute the same
+ *    result (see representatives()) share the run of the lowest-index
+ *    one. Every other member gets a copy of its outcome under its own
+ *    label, with host time 0, and is journaled, reported and passed to
+ *    Options::onJobFinished as its own job, so every output is the one
+ *    running each job alone would give.
  *  - Failure isolation: a job whose builder or simulation throws is
  *    recorded as a per-job error in the report; the remaining jobs
  *    still run to completion. Failures carry an ErrorCategory, and
@@ -50,9 +56,29 @@ struct Job
     /**
      * Builds the job's Program inside the worker thread. When empty,
      * the engine uses workloads::build(benchmark). A throwing builder
-     * fails this job only.
+     * fails this job only. Any builder but a BenchmarkBuilder is the
+     * caller's own: it runs for its job, which never shares a run.
      */
     std::function<Program()> builder;
+};
+
+/**
+ * The builder makeJob() installs: the registered benchmark's Program.
+ * runCampaign() recognizes this type (std::function::target) as the
+ * job's program identity, so jobs whose builders name one benchmark
+ * may share a run.
+ */
+struct BenchmarkBuilder
+{
+    std::string benchmark;
+    /**
+     * Where the Program comes from when set (ctcpd's workload cache);
+     * it must return what workloads::build(benchmark) does.
+     */
+    std::function<Program()> source = {};
+
+    /** @throws std::invalid_argument for an unknown benchmark */
+    Program operator()() const;
 };
 
 /** Convenience: a job that simulates a registered benchmark. */
@@ -202,10 +228,10 @@ struct Options
     std::function<bool()> cancelRequested;
     /**
      * Invoked from worker threads after each job's outcome is final —
-     * freshly run, replayed from the journal, or cancelled — with the
-     * submission index and the outcome. Unlike `progress` this is not
-     * serialized; callers synchronize their own state. Observability
-     * only: it must not mutate the outcome.
+     * freshly run, shared, replayed from the journal, or cancelled —
+     * with the submission index and the outcome. Unlike `progress`
+     * this is not serialized; callers synchronize their own state.
+     * Observability only: it must not mutate the outcome.
      */
     std::function<void(std::size_t index, const JobOutcome &outcome)>
         onJobFinished;
@@ -238,7 +264,23 @@ std::string jobFileStem(const std::string &label, std::size_t index);
  */
 void progressToStderr(const std::string &line);
 
-/** Run every job and aggregate the outcomes in submission order. */
+/**
+ * For each job, the index of the job whose run it shares: the lowest
+ * index among the jobs that compute the same simulation, itself when
+ * none before it does. Two jobs compute the same simulation when they
+ * build one registered benchmark (an empty builder or a
+ * BenchmarkBuilder), write no per-job files (no trace or interval
+ * path, after @p options apply), and their configs as they will run
+ * are equal once canonicalTopology() describes their networks. Jobs
+ * are bucketed by configHash() and confirmed with operator==.
+ */
+std::vector<std::size_t> representatives(const std::vector<Job> &jobs,
+                                         const Options &options = {});
+
+/**
+ * Run each distinct simulation once and aggregate every job's outcome
+ * in submission order (see representatives()).
+ */
 Report runCampaign(const std::vector<Job> &jobs,
                    const Options &options = {});
 

@@ -1,5 +1,7 @@
 #include "cluster/interconnect.hh"
 
+#include "common/sim_error.hh"
+
 namespace ctcp {
 
 namespace {
@@ -70,6 +72,29 @@ Interconnect::Interconnect(const ClusterConfig &cfg)
         }
     }
     buildCentrality();
+}
+
+SimConfig
+canonicalTopology(SimConfig cfg)
+{
+    try {
+        cfg.validate();
+    } catch (const SimError &) {
+        return cfg;
+    }
+    const Interconnect own(cfg.cluster);
+    // Every Topology in declaration order (Bus is the last).
+    for (unsigned t = 0; t <= static_cast<unsigned>(Topology::Bus); ++t) {
+        ClusterConfig candidate = cfg.cluster;
+        candidate.topology = static_cast<Topology>(t);
+        candidate.hierGroupSize = ClusterConfig{}.hierGroupSize;
+        candidate.hierGroupLatency = ClusterConfig{}.hierGroupLatency;
+        if (Interconnect(candidate).forwardsLike(own)) {
+            cfg.cluster = candidate;
+            break;
+        }
+    }
+    return cfg;
 }
 
 } // namespace ctcp

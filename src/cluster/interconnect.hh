@@ -98,6 +98,21 @@ class Interconnect
      */
     const std::vector<ClusterId> &byCentrality() const { return central_; }
 
+    /**
+     * Does this network forward exactly as @p other does: the same
+     * distance, latency and centrality tables, and the same bus (none,
+     * or one of equal latency)? The simulator sees a topology only
+     * through these, so machines whose networks agree and whose other
+     * fields are equal are the same machine.
+     */
+    bool
+    forwardsLike(const Interconnect &other) const
+    {
+        return dist_ == other.dist_ && lat_ == other.lat_ &&
+            central_ == other.central_ && isBus() == other.isBus() &&
+            (!isBus() || busLatency_ == other.busLatency_);
+    }
+
   private:
     /** Build the centrality order (constructor helper). */
     void
@@ -124,6 +139,18 @@ class Interconnect
     /** Middle-first cluster order (see byCentrality()). */
     std::vector<ClusterId> central_;
 };
+
+/**
+ * @p cfg with its network described canonically: the cluster
+ * topology, hierGroupSize and hierGroupLatency replaced by the
+ * lowest-numbered Topology, with default hier parameters, whose
+ * network forwards like @p cfg's (Interconnect::forwardsLike). At two
+ * clusters linear, ring, crossbar and hier all become linear; a
+ * hierarchy that is one group becomes crossbar. Unchanged when no
+ * such topology exists, or when @p cfg does not validate (its run
+ * fails the same either way).
+ */
+SimConfig canonicalTopology(SimConfig cfg);
 
 } // namespace ctcp
 

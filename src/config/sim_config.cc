@@ -1,5 +1,9 @@
 #include "config/sim_config.hh"
 
+#include <cstdio>
+#include <cstring>
+#include <type_traits>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
@@ -114,6 +118,193 @@ SimConfig::validate() const
         config_error("trace lines must allow at least one basic block");
     if (deadlineSeconds < 0.0)
         config_error("deadlineSeconds must be non-negative");
+}
+
+namespace {
+
+/**
+ * Call @p f(name, value) on every field of @p cfg in declaration
+ * order: the one field list behind configKey() and configHash().
+ */
+template <class F>
+void
+forEachField(const SimConfig &cfg, F &&f)
+{
+    const ClusterConfig &cl = cfg.cluster;
+    f("cluster.numClusters", cl.numClusters);
+    f("cluster.clusterWidth", cl.clusterWidth);
+    f("cluster.rsEntries", cl.rsEntries);
+    f("cluster.rsWritePorts", cl.rsWritePorts);
+    f("cluster.hopLatency", cl.hopLatency);
+    f("cluster.topology", cl.topology);
+    f("cluster.hierGroupSize", cl.hierGroupSize);
+    f("cluster.hierGroupLatency", cl.hierGroupLatency);
+    f("cluster.busLatency", cl.busLatency);
+    f("cluster.busBandwidth", cl.busBandwidth);
+
+    const FrontEndConfig &fe = cfg.frontEnd;
+    f("frontEnd.fetchWidth", fe.fetchWidth);
+    f("frontEnd.fetchStages", fe.fetchStages);
+    f("frontEnd.decodeStages", fe.decodeStages);
+    f("frontEnd.renameStages", fe.renameStages);
+    f("frontEnd.traceCache.entries", fe.traceCache.entries);
+    f("frontEnd.traceCache.assoc", fe.traceCache.assoc);
+    f("frontEnd.traceCache.maxInsts", fe.traceCache.maxInsts);
+    f("frontEnd.traceCache.maxBlocks", fe.traceCache.maxBlocks);
+    f("frontEnd.traceCache.fillLatency", fe.traceCache.fillLatency);
+    f("frontEnd.icacheSets", fe.icacheSets);
+    f("frontEnd.icacheAssoc", fe.icacheAssoc);
+    f("frontEnd.icacheLineBytes", fe.icacheLineBytes);
+    f("frontEnd.icacheHitLatency", fe.icacheHitLatency);
+    f("frontEnd.icacheFetchWidth", fe.icacheFetchWidth);
+
+    const BranchPredictorConfig &bp = cfg.bpred;
+    f("bpred.gshareEntries", bp.gshareEntries);
+    f("bpred.bimodalEntries", bp.bimodalEntries);
+    f("bpred.chooserEntries", bp.chooserEntries);
+    f("bpred.historyBits", bp.historyBits);
+    f("bpred.btbEntries", bp.btbEntries);
+    f("bpred.btbAssoc", bp.btbAssoc);
+    f("bpred.rasEntries", bp.rasEntries);
+
+    const MemConfig &m = cfg.mem;
+    f("mem.l1dSets", m.l1dSets);
+    f("mem.l1dAssoc", m.l1dAssoc);
+    f("mem.l1dLineBytes", m.l1dLineBytes);
+    f("mem.l1dHitLatency", m.l1dHitLatency);
+    f("mem.l2Sets", m.l2Sets);
+    f("mem.l2Assoc", m.l2Assoc);
+    f("mem.l2LineBytes", m.l2LineBytes);
+    f("mem.l2ExtraLatency", m.l2ExtraLatency);
+    f("mem.dtlbEntries", m.dtlbEntries);
+    f("mem.dtlbAssoc", m.dtlbAssoc);
+    f("mem.dtlbHitLatency", m.dtlbHitLatency);
+    f("mem.dtlbMissLatency", m.dtlbMissLatency);
+    f("mem.pageBytes", m.pageBytes);
+    f("mem.storeBufferEntries", m.storeBufferEntries);
+    f("mem.loadQueueEntries", m.loadQueueEntries);
+    f("mem.mshrs", m.mshrs);
+    f("mem.cachePorts", m.cachePorts);
+    f("mem.memLatency", m.memLatency);
+
+    const CoreConfig &co = cfg.core;
+    f("core.robEntries", co.robEntries);
+    f("core.decodeWidth", co.decodeWidth);
+    f("core.issueWidth", co.issueWidth);
+    f("core.retireWidth", co.retireWidth);
+    f("core.registerFileLatency", co.registerFileLatency);
+
+    const AssignConfig &a = cfg.assign;
+    f("assign.strategy", a.strategy);
+    f("assign.issueTimeLatency", a.issueTimeLatency);
+    f("assign.fdrtPinning", a.fdrtPinning);
+    f("assign.fdrtChains", a.fdrtChains);
+    f("assign.friendlyMiddleBias", a.friendlyMiddleBias);
+    f("assign.adaptiveInterval", a.adaptiveInterval);
+    f("assign.adaptiveHysteresis", a.adaptiveHysteresis);
+    f("assign.adaptiveFwdHiPermille", a.adaptiveFwdHiPermille);
+    f("assign.adaptiveFwdLoPermille", a.adaptiveFwdLoPermille);
+    f("assign.adaptiveFwdMinPermille", a.adaptiveFwdMinPermille);
+    f("assign.adaptiveRedirectHiPermille", a.adaptiveRedirectHiPermille);
+
+    const AblationConfig &ab = cfg.ablation;
+    f("ablation.zeroAllForwardLatency", ab.zeroAllForwardLatency);
+    f("ablation.zeroCriticalForwardLatency", ab.zeroCriticalForwardLatency);
+    f("ablation.zeroIntraTraceForwardLatency",
+      ab.zeroIntraTraceForwardLatency);
+    f("ablation.zeroInterTraceForwardLatency",
+      ab.zeroInterTraceForwardLatency);
+    f("ablation.zeroRegisterFileLatency", ab.zeroRegisterFileLatency);
+
+    f("debug.disableDispatchPlans", cfg.debug.disableDispatchPlans);
+
+    const ObsConfig &o = cfg.obs;
+    f("obs.traceEventsPath", o.traceEventsPath);
+    f("obs.traceTextPath", o.traceTextPath);
+    f("obs.traceFilter", o.traceFilter);
+    f("obs.intervalPath", o.intervalPath);
+    f("obs.intervalCycles", o.intervalCycles);
+    f("obs.accounting", o.accounting);
+
+    f("instructionLimit", cfg.instructionLimit);
+    f("checkLevel", cfg.checkLevel);
+    f("watchdogCycles", cfg.watchdogCycles);
+    f("deadlineSeconds", cfg.deadlineSeconds);
+}
+
+/** -0 compares equal to 0, so it keys and hashes as 0. */
+double
+positiveZero(double v)
+{
+    return v == 0.0 ? 0.0 : v;
+}
+
+} // namespace
+
+std::uint64_t
+configHash(const SimConfig &cfg)
+{
+    // FNV-1a over the field values (not their text, which costs more
+    // to render than a campaign spends grouping its jobs).
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i, v >>= 8)
+            h = (h ^ (v & 0xff)) * 0x100000001b3ull;
+    };
+    forEachField(cfg, [&](const char *, const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+            mix(value.size());
+            for (const unsigned char c : value)
+                mix(c);
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits;
+            const double v = positiveZero(value);
+            std::memcpy(&bits, &v, sizeof(bits));
+            mix(bits);
+        } else {
+            mix(static_cast<std::uint64_t>(value));
+        }
+    });
+    return h;
+}
+
+std::string
+configKey(const SimConfig &cfg)
+{
+    std::string key;
+    forEachField(cfg, [&key](const char *name, const auto &value) {
+        using T = std::decay_t<decltype(value)>;
+        key += name;
+        key += '=';
+        if constexpr (std::is_same_v<T, bool>) {
+            key += value ? "true" : "false";
+        } else if constexpr (std::is_same_v<T, double>) {
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.17g", positiveZero(value));
+            key += buf;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            // Quoted and escaped, so the key stays injective.
+            key += '"';
+            for (const char c : value) {
+                if (c == '"' || c == '\\')
+                    key += '\\';
+                key += c;
+            }
+            key += '"';
+        } else if constexpr (std::is_same_v<T, Topology>) {
+            key += topologyName(value);
+        } else if constexpr (std::is_same_v<T, AssignStrategy>) {
+            key += assignStrategyName(value);
+        } else {
+            key += std::to_string(value);
+        }
+        key += ';';
+    });
+    char hash[24];
+    std::snprintf(hash, sizeof(hash), "#%016llx",
+                  static_cast<unsigned long long>(configHash(cfg)));
+    return key + hash;
 }
 
 } // namespace ctcp

@@ -98,6 +98,8 @@ struct ClusterConfig
     unsigned busLatency = 3;
     /** Broadcasts the bus can start per cycle. */
     unsigned busBandwidth = 1;
+
+    bool operator==(const ClusterConfig &) const = default;
 };
 
 /** Trace cache geometry (2-way, 1K-entry, 3-cycle access in the paper). */
@@ -115,6 +117,8 @@ struct TraceCacheConfig
      * that even 1000 cycles barely matters (Section 4); default 0.
      */
     unsigned fillLatency = 0;
+
+    bool operator==(const TraceCacheConfig &) const = default;
 };
 
 /** Front-end (fetch/decode/rename) configuration. */
@@ -133,6 +137,8 @@ struct FrontEndConfig
     unsigned icacheHitLatency = 2;
     /** Instructions fetchable from the I-cache per cycle (one block). */
     unsigned icacheFetchWidth = 4;
+
+    bool operator==(const FrontEndConfig &) const = default;
 };
 
 /** Branch predictor configuration (16k gshare/bimodal hybrid, 512x4 BTB). */
@@ -145,6 +151,8 @@ struct BranchPredictorConfig
     unsigned btbEntries = 512;
     unsigned btbAssoc = 4;
     unsigned rasEntries = 32;
+
+    bool operator==(const BranchPredictorConfig &) const = default;
 };
 
 /** Data-memory subsystem (Table 7 values). */
@@ -168,6 +176,8 @@ struct MemConfig
     unsigned mshrs = 16;
     unsigned cachePorts = 4;
     unsigned memLatency = 65;       ///< main memory, added to an L2 miss
+
+    bool operator==(const MemConfig &) const = default;
 };
 
 /** Out-of-order core resources. */
@@ -178,6 +188,8 @@ struct CoreConfig
     unsigned issueWidth = 16;
     unsigned retireWidth = 16;
     unsigned registerFileLatency = 2;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Cluster-assignment policy selection and knobs. */
@@ -223,6 +235,8 @@ struct AssignConfig
     unsigned adaptiveFwdMinPermille = 15;
     /** Redirect share above which issue-time's extra stages hurt. */
     unsigned adaptiveRedirectHiPermille = 80;
+
+    bool operator==(const AssignConfig &) const = default;
 };
 
 /**
@@ -236,6 +250,8 @@ struct AblationConfig
     bool zeroIntraTraceForwardLatency = false;
     bool zeroInterTraceForwardLatency = false;
     bool zeroRegisterFileLatency = false;
+
+    bool operator==(const AblationConfig &) const = default;
 };
 
 /** Debug switches. */
@@ -249,6 +265,8 @@ struct DebugConfig
      * byte-identical stats.
      */
     bool disableDispatchPlans = false;
+
+    bool operator==(const DebugConfig &) const = default;
 };
 
 /**
@@ -289,6 +307,8 @@ struct ObsConfig
     {
         return !intervalPath.empty() && intervalCycles > 0;
     }
+
+    bool operator==(const ObsConfig &) const = default;
 };
 
 /** Top-level simulation configuration. */
@@ -339,7 +359,30 @@ struct SimConfig
     {
         return cluster.numClusters * cluster.clusterWidth;
     }
+
+    /**
+     * Field-wise equality, as on every struct above. A field added
+     * later joins the comparison by itself, so a campaign that shares
+     * one run among equal configs can never ignore it.
+     */
+    bool operator==(const SimConfig &) const = default;
 };
+
+/**
+ * The canonical text of @p cfg: every field as `name=value` in
+ * declaration order, ';'-separated, then '#' and configHash(@p cfg)
+ * in 16 hex digits. Strings are quoted with '"' and '\' escaped and
+ * -0 prints as 0, so two configs have equal keys exactly when they
+ * compare equal (a NaN deadline equals nothing). It names the machine
+ * a run simulated.
+ */
+std::string configKey(const SimConfig &cfg);
+
+/**
+ * 64-bit FNV-1a hash of every field value of @p cfg: equal configs
+ * hash equal.
+ */
+std::uint64_t configHash(const SimConfig &cfg);
 
 } // namespace ctcp
 

@@ -150,12 +150,16 @@ RunRegistry::startLocked(Run &run)
     // Jobs pull their Programs from the shared cache; the copy keeps
     // the engine's jobs-share-no-mutable-state guarantee, and the
     // cache throws the exact error a batch builder would, so failure
-    // reports stay byte-identical too.
+    // reports stay byte-identical too. The builder stays a
+    // BenchmarkBuilder, so jobs that compute the same simulation
+    // still share one run, as they do in the batch path.
     for (campaign::Job &job : run.jobs) {
-        job.builder = [this, name = job.benchmark,
-                       limit = job.config.instructionLimit] {
-            return Program(*cache_.get(name, limit));
-        };
+        job.builder = campaign::BenchmarkBuilder{
+            job.benchmark,
+            [this, name = job.benchmark,
+             limit = job.config.instructionLimit] {
+                return Program(*cache_.get(name, limit));
+            }};
     }
     run.runner = std::thread(&RunRegistry::runnerMain, this, &run);
 }

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/sim_error.hh"
 
 namespace ctcp::service {
@@ -68,6 +69,37 @@ pathSegments(const std::string &path)
         start = end + 1;
     }
     return out;
+}
+
+/** A malformed query parameter: route() answers it with a 400. */
+struct BadParameter : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
+/** The unsigned query parameter @p name in [min, max], strictly parsed. */
+std::uint64_t
+unsignedParam(const HttpRequest &req, const std::string &name,
+              const std::string &fallback, std::uint64_t min,
+              std::uint64_t max)
+{
+    try {
+        return parseUnsigned(req.queryParam(name, fallback), name, min,
+                             max);
+    } catch (const std::invalid_argument &e) {
+        throw BadParameter(e.what());
+    }
+}
+
+/** The seconds-valued query parameter @p name (default 0). */
+double
+secondsParam(const HttpRequest &req, const std::string &name)
+{
+    try {
+        return parseDecimal(req.queryParam(name, "0"), name);
+    } catch (const std::invalid_argument &e) {
+        throw BadParameter(e.what());
+    }
 }
 
 bool
@@ -236,21 +268,10 @@ ServiceServer::route(const HttpRequest &req)
                          "request body)");
             RunRegistry::SubmitOptions options;
             options.accounting = flagParam(req, "accounting");
-            const std::string attempts =
-                req.queryParam("max_attempts", "1");
-            char *end = nullptr;
-            const long n = std::strtol(attempts.c_str(), &end, 10);
-            if (*end != '\0' || n < 1)
-                return errorResponse(400, "invalid max_attempts '" +
-                                              attempts + "'");
-            options.maxAttempts = static_cast<unsigned>(n);
-            const std::string deadline =
-                req.queryParam("deadline", "0");
-            options.jobDeadlineSeconds =
-                std::strtod(deadline.c_str(), nullptr);
-            if (options.jobDeadlineSeconds < 0.0)
-                return errorResponse(400, "invalid deadline '" +
-                                              deadline + "'");
+            options.maxAttempts = static_cast<unsigned>(unsignedParam(
+                req, "max_attempts", "1", 1,
+                std::numeric_limits<unsigned>::max()));
+            options.jobDeadlineSeconds = secondsParam(req, "deadline");
 
             std::string id;
             try {
@@ -296,10 +317,8 @@ ServiceServer::route(const HttpRequest &req)
         if (seg.size() == 3) {
             if (req.method != "GET")
                 return errorResponse(405, "run status is GET-only");
-            const double wait = std::min(
-                std::strtod(req.queryParam("wait", "0").c_str(),
-                            nullptr),
-                config_.maxWaitSeconds);
+            const double wait =
+                std::min(secondsParam(req, "wait"), config_.maxWaitSeconds);
             RunInfo info;
             const bool found = wait > 0.0
                 ? registry_.wait(id, wait, info)
@@ -318,12 +337,11 @@ ServiceServer::route(const HttpRequest &req)
         if (verb == "events") {
             if (req.method != "GET")
                 return errorResponse(405, "events is GET-only");
-            const std::uint64_t from = std::strtoull(
-                req.queryParam("from", "0").c_str(), nullptr, 10);
-            const double wait = std::min(
-                std::strtod(req.queryParam("wait", "0").c_str(),
-                            nullptr),
-                config_.maxWaitSeconds);
+            const std::uint64_t from = unsignedParam(
+                req, "from", "0", 0,
+                std::numeric_limits<std::uint64_t>::max());
+            const double wait =
+                std::min(secondsParam(req, "wait"), config_.maxWaitSeconds);
             std::string bytes;
             std::uint64_t next = from;
             RunState state = RunState::Queued;
@@ -388,6 +406,8 @@ ServiceServer::route(const HttpRequest &req)
         }
 
         return errorResponse(404, "unknown path " + req.path);
+    } catch (const BadParameter &e) {
+        return errorResponse(400, e.what());
     } catch (const std::exception &e) {
         return errorResponse(500, e.what());
     }

@@ -2,15 +2,19 @@
  * @file
  * Campaign-engine tests: work-stealing pool correctness, bit-identical
  * determinism of repeated runs, worker-count independence of the
- * aggregated report, per-job failure isolation, and matrix-spec
- * parsing.
+ * aggregated report, per-job failure isolation, matrix-spec parsing,
+ * and the sharing contract: jobs that compute the same simulation
+ * share one run and report exactly what running alone would.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "campaign/campaign.hh"
@@ -18,6 +22,8 @@
 #include "campaign/work_queue.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
+#include "tmp_dir.hh"
+#include "workload/workload.hh"
 
 namespace ctcp {
 namespace {
@@ -85,17 +91,18 @@ TEST(WorkStealingPool, ZeroJobsIsANoop)
 
 TEST(Campaign, SameRunTwiceIsBitIdentical)
 {
-    // The determinism contract underlying every cached or parallel
-    // result: identical (config, workload, budget) => identical full
-    // stat dump, not just headline numbers.
-    const std::vector<campaign::Job> jobs = {
-        campaign::makeJob("a", "gzip", quickConfig()),
-        campaign::makeJob("b", "gzip", quickConfig()),
-    };
-    const campaign::Report report = campaign::runCampaign(jobs);
-    ASSERT_EQ(report.failed(), 0u);
-    const SimResult &a = report.at("a").result;
-    const SimResult &b = report.at("b").result;
+    // The determinism contract underlying every cached, shared or
+    // parallel result: identical (config, workload, budget) =>
+    // identical full stat dump, not just headline numbers. Two
+    // campaigns, because one campaign runs the pair once.
+    const campaign::Job job = campaign::makeJob("a", "gzip", quickConfig());
+    const campaign::Report first = campaign::runCampaign({job});
+    const campaign::Report second = campaign::runCampaign({job});
+    ASSERT_EQ(first.failed(), 0u);
+    ASSERT_EQ(second.failed(), 0u);
+    const SimResult &a = first.jobs[0].result;
+    const SimResult &b = second.jobs[0].result;
+    EXPECT_GT(b.hostSeconds, 0.0) << "the second run did not run";
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.toJson(), b.toJson());
@@ -477,6 +484,281 @@ TEST(CampaignReport, CsvQuotesAwkwardFields)
     // JSON escapes the newline instead.
     const std::string json = report.toJson();
     EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
+}
+
+// ---- One run per distinct simulation ------------------------------------
+
+/** perfbench's sweep-daemon campaign (180 jobs). */
+const char *const kSweep =
+    "bench=six;strategy=base,issue-time:4,adaptive;"
+    "topology=linear,ring,crossbar,hier,bus;clusters=2,8;budget=20000";
+
+std::size_t
+distinctCount(const std::vector<std::size_t> &rep)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < rep.size(); ++i)
+        n += rep[i] == i;
+    return n;
+}
+
+TEST(CampaignSharing, SweepMatchesEveryJobRunAlone)
+{
+    const std::vector<campaign::Job> jobs = campaign::parseMatrix(kSweep);
+    ASSERT_EQ(jobs.size(), 180u);
+
+    // At 2 clusters ring, crossbar and hier build the linear chain's
+    // one link: 54 jobs share the run of their linear twin.
+    const std::vector<std::size_t> rep = campaign::representatives(jobs);
+    EXPECT_EQ(distinctCount(rep), 126u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (rep[i] == i)
+            continue;
+        std::string twin = jobs[i].label;
+        for (const char *topo : {"/ring/", "/crossbar/", "/hier/"})
+            if (const std::size_t at = twin.find(topo);
+                at != std::string::npos)
+                twin.replace(at, std::string(topo).size(), "/linear/");
+        EXPECT_NE(jobs[i].label.find("/c2"), std::string::npos)
+            << jobs[i].label;
+        EXPECT_EQ(jobs[rep[i]].label, twin);
+    }
+
+    // Reference: every job alone, in its own single-job campaign.
+    campaign::Report alone;
+    alone.jobs.resize(jobs.size());
+    campaign::WorkStealingPool(4).run(jobs.size(), [&](std::size_t i) {
+        campaign::Options one;
+        one.jobs = 1;
+        alone.jobs[i] = campaign::runCampaign({jobs[i]}, one).jobs[0];
+    });
+    ASSERT_EQ(alone.failed(), 0u);
+
+    for (const unsigned workers : {1u, 8u}) {
+        campaign::Options options;
+        options.jobs = workers;
+        const campaign::Report shared =
+            campaign::runCampaign(jobs, options);
+        EXPECT_EQ(shared.toJson(), alone.toJson()) << workers;
+        EXPECT_EQ(shared.toCsv(), alone.toCsv()) << workers;
+    }
+}
+
+TEST(CampaignSharing, SharedJobsReportZeroHostTimeAndProgress)
+{
+    const std::vector<campaign::Job> jobs = campaign::parseMatrix(
+        "bench=gzip;topology=linear,ring,crossbar,hier;clusters=2;"
+        "budget=5000");
+    ASSERT_EQ(campaign::representatives(jobs),
+              (std::vector<std::size_t>{0, 0, 0, 0}));
+
+    campaign::Options options;
+    options.jobs = 2;
+    std::mutex mutex;
+    std::vector<std::string> lines;
+    std::set<std::size_t> finished;
+    options.progress = [&](const std::string &line) {
+        std::lock_guard<std::mutex> lock(mutex);
+        lines.push_back(line);
+    };
+    options.onJobFinished = [&](std::size_t i,
+                                const campaign::JobOutcome &) {
+        std::lock_guard<std::mutex> lock(mutex);
+        finished.insert(i);
+    };
+    const campaign::Report report = campaign::runCampaign(jobs, options);
+    ASSERT_EQ(report.failed(), 0u);
+    EXPECT_EQ(finished, (std::set<std::size_t>{0, 1, 2, 3}));
+    ASSERT_EQ(lines.size(), 4u);
+    std::size_t shared_lines = 0;
+    for (const std::string &line : lines)
+        shared_lines += line.find("ok (shared)") != std::string::npos;
+    EXPECT_EQ(shared_lines, 3u);
+
+    // No cycle loop ran for the members: host time reads 0, also in
+    // the --host-timing export, while everything else is the run's.
+    const SimResult &run = report.jobs[0].result;
+    EXPECT_GT(run.hostSeconds, 0.0);
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+        const campaign::JobOutcome &out = report.jobs[i];
+        EXPECT_EQ(out.label, jobs[i].label);
+        EXPECT_EQ(out.result.hostSeconds, 0.0);
+        EXPECT_EQ(out.result.metrics.at("host.seconds"), 0.0);
+        EXPECT_EQ(out.result.metrics.at("host.sim_insts_per_sec"), 0.0);
+        EXPECT_NE(out.result.toJson(true).find("\"host.seconds\": 0.000000,"),
+                  std::string::npos);
+        EXPECT_EQ(out.result.toJson(), run.toJson());
+        EXPECT_EQ(out.result.statsText, run.statsText);
+    }
+}
+
+TEST(CampaignSharing, AGroupBuildsOnceAndCallerBuildersAlwaysRun)
+{
+    // A BenchmarkBuilder's source (ctcpd's cache hook) runs once per
+    // distinct simulation...
+    std::atomic<int> sourced{0};
+    const auto cached = [&sourced] {
+        ++sourced;
+        return workloads::build("gzip");
+    };
+    std::vector<campaign::Job> jobs;
+    for (const std::uint64_t budget : {4'000u, 4'000u, 4'000u, 6'000u}) {
+        campaign::Job job = campaign::makeJob(
+            "gzip@" + std::to_string(budget) + "/" +
+                std::to_string(jobs.size()),
+            "gzip", quickConfig(budget));
+        job.builder = campaign::BenchmarkBuilder{"gzip", cached};
+        jobs.push_back(job);
+    }
+    EXPECT_EQ(campaign::representatives(jobs),
+              (std::vector<std::size_t>{0, 0, 0, 3}));
+    EXPECT_EQ(campaign::runCampaign(jobs).failed(), 0u);
+    EXPECT_EQ(sourced.load(), 2);
+
+    // ...while a caller's own builder runs for every job.
+    std::atomic<int> built{0};
+    for (campaign::Job &job : jobs)
+        job.builder = [&built] {
+            ++built;
+            return workloads::build("gzip");
+        };
+    EXPECT_EQ(campaign::representatives(jobs),
+              (std::vector<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(campaign::runCampaign(jobs).failed(), 0u);
+    EXPECT_EQ(built.load(), 4);
+}
+
+TEST(CampaignSharing, JobsThatWriteFilesAreNeverShared)
+{
+    const std::vector<campaign::Job> jobs = campaign::parseMatrix(
+        "bench=gzip;topology=linear,ring;clusters=2;budget=3000");
+    ASSERT_EQ(campaign::representatives(jobs),
+              (std::vector<std::size_t>{0, 0}));
+
+    const std::filesystem::path dir = test::tmpPath("sharing_files");
+    std::filesystem::create_directories(dir);
+    campaign::Options options;
+    options.traceEventsDir = dir.string();
+    options.intervalDir = dir.string();
+    options.intervalCycles = 500;
+    EXPECT_EQ(campaign::representatives(jobs, options),
+              (std::vector<std::size_t>{0, 1}));
+    ASSERT_EQ(campaign::runCampaign(jobs, options).failed(), 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::string stem = campaign::jobFileStem(jobs[i].label, i);
+        EXPECT_TRUE(
+            std::filesystem::exists(dir / (stem + ".trace.json")))
+            << stem;
+        EXPECT_TRUE(
+            std::filesystem::exists(dir / (stem + ".intervals.csv")))
+            << stem;
+    }
+
+    // A file named by the jobs' own configs keeps them apart too, even
+    // when both name the same one.
+    std::vector<campaign::Job> named = jobs;
+    for (campaign::Job &job : named)
+        job.config.obs.traceTextPath = (dir / "own.txt").string();
+    EXPECT_EQ(campaign::representatives(named),
+              (std::vector<std::size_t>{0, 1}));
+    campaign::Options serial;   // two jobs, one file: one at a time
+    serial.jobs = 1;
+    ASSERT_EQ(campaign::runCampaign(named, serial).failed(), 0u);
+    EXPECT_TRUE(std::filesystem::exists(dir / "own.txt"));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignSharing, OnlyEqualRunConfigsShare)
+{
+    const campaign::Job linear = campaign::parseMatrix(
+        "bench=gzip;clusters=2;budget=3000")[0];
+    const auto pair_with = [&](auto edit) {
+        campaign::Job other = linear;
+        other.label = "other";
+        edit(other.config);
+        return std::vector<campaign::Job>{linear, other};
+    };
+    const std::vector<std::size_t> shared = {0, 0};
+    const std::vector<std::size_t> apart = {0, 1};
+
+    EXPECT_EQ(campaign::representatives(pair_with([](SimConfig &) {})),
+              shared);
+    // Budgets, check level, watchdog and deadline are config fields.
+    EXPECT_EQ(campaign::representatives(pair_with(
+                  [](SimConfig &c) { c.instructionLimit = 3001; })),
+              apart);
+    EXPECT_EQ(campaign::representatives(
+                  pair_with([](SimConfig &c) { c.checkLevel = 1; })),
+              apart);
+    EXPECT_EQ(campaign::representatives(pair_with(
+                  [](SimConfig &c) { c.watchdogCycles = 5000; })),
+              apart);
+    EXPECT_EQ(campaign::representatives(pair_with(
+                  [](SimConfig &c) { c.deadlineSeconds = 60.0; })),
+              apart);
+    // Accounting on one job only splits; a campaign-wide option puts
+    // it on both, which share again.
+    const std::vector<campaign::Job> accounted = pair_with(
+        [](SimConfig &c) { c.obs.accounting = true; });
+    EXPECT_EQ(campaign::representatives(accounted), apart);
+    campaign::Options options;
+    options.accounting = true;
+    EXPECT_EQ(campaign::representatives(accounted, options), shared);
+    // A different benchmark is a different program.
+    std::vector<campaign::Job> twolf = pair_with([](SimConfig &) {});
+    twolf[1] = campaign::makeJob("other", "twolf", linear.config);
+    EXPECT_EQ(campaign::representatives(twolf), apart);
+}
+
+TEST(CampaignSharing, FailuresAndCancellationReachEveryMember)
+{
+    // A failing representative fails every member alike: status,
+    // error, category and attempts.
+    const auto expectSameFailure = [](const campaign::Report &report,
+                                      ErrorCategory category,
+                                      unsigned attempts) {
+        ASSERT_EQ(report.jobs.size(), 2u);
+        for (const campaign::JobOutcome &out : report.jobs) {
+            EXPECT_FALSE(out.ok()) << out.label;
+            EXPECT_EQ(out.category, category) << out.label;
+            EXPECT_EQ(out.attempts, attempts) << out.label;
+            EXPECT_EQ(out.error, report.jobs[0].error) << out.label;
+        }
+    };
+
+    campaign::Options retry;
+    retry.maxAttempts = 3;
+    expectSameFailure(
+        campaign::runCampaign(
+            {campaign::makeJob("a", "no_such_bench", quickConfig()),
+             campaign::makeJob("b", "no_such_bench", quickConfig())},
+            retry),
+        ErrorCategory::Workload, 3);
+
+    SimConfig invalid = quickConfig();
+    invalid.cluster.rsEntries = 0;
+    expectSameFailure(
+        campaign::runCampaign({campaign::makeJob("a", "gzip", invalid),
+                               campaign::makeJob("b", "gzip", invalid)}),
+        ErrorCategory::Config, 1);
+
+    campaign::Options deadline;
+    deadline.jobDeadlineSeconds = 1e-6;
+    deadline.maxAttempts = 2;
+    expectSameFailure(
+        campaign::runCampaign(
+            {campaign::makeJob("a", "gzip", quickConfig(2'000'000)),
+             campaign::makeJob("b", "gzip", quickConfig(2'000'000))},
+            deadline),
+        ErrorCategory::Timeout, 2);
+
+    campaign::Options cancel;
+    cancel.cancelRequested = [] { return true; };
+    expectSameFailure(
+        campaign::runCampaign({campaign::makeJob("a", "gzip", quickConfig()),
+                               campaign::makeJob("b", "gzip", quickConfig())},
+                              cancel),
+        ErrorCategory::Cancelled, 1);
 }
 
 } // namespace

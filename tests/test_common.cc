@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for src/common: bit utilities, RNG determinism, the
- * circular queue, and the stats helpers.
+ * circular queue, the strict number parsers, and the stats helpers.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/bitutil.hh"
 #include "common/circular_queue.hh"
+#include "common/parse_number.hh"
 #include "common/random.hh"
 #include "common/small_vec.hh"
 #include "stats/stats.hh"
@@ -288,6 +292,31 @@ TEST(Counter, Accumulates)
     EXPECT_EQ(c.value(), 5u);
     c.reset();
     EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(ParseNumber, DecimalAcceptsPlainDecimalsOnly)
+{
+    EXPECT_EQ(parseDecimal("2", "wait"), 2.0);
+    EXPECT_EQ(parseDecimal("0.25", "wait"), 0.25);
+    EXPECT_EQ(parseDecimal("1.", "wait"), 1.0);
+    EXPECT_EQ(parseDecimal(".5", "wait"), 0.5);
+    EXPECT_EQ(parseDecimal("007", "wait"), 7.0);
+    // strtod would read each of these as a number.
+    for (const std::string bad :
+         {"", ".", "1x", "-1", "+1", " 1", "1 ", "1.2.3", "1e3", "1e999",
+          "inf", "nan", "0x10", "1,5"}) {
+        try {
+            parseDecimal(bad, "deadline");
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("deadline"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // Too large for a double: rejected, not read as infinity.
+    EXPECT_THROW(parseDecimal("1" + std::string(400, '0'), "deadline"),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -827,6 +828,140 @@ TEST(MergeJournals, DedupesValidatesAndFindsMissing)
     replay.jobs = 2;
     EXPECT_EQ(campaign::runCampaign(all, replay).toJson(),
               referenceJson(kSpec));
+}
+
+// ---- Shared runs: resume and sharding --------------------------------
+
+// Two groups of two jobs: at 2 clusters the ring is the linear chain.
+const char *const kSharedSpec =
+    "bench=gzip,twolf;topology=linear,ring;clusters=2;budget=5000";
+
+/** The journal's lines, each without its newline. */
+std::vector<std::string>
+journalLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    const std::string text = readFile(path);
+    for (std::size_t start = 0; start < text.size();) {
+        const std::size_t end = text.find('\n', start);
+        lines.push_back(text.substr(start, end - start));
+        start = end + 1;
+    }
+    return lines;
+}
+
+TEST(CampaignSharing, EveryMemberIsJournaledWithZeroHostTime)
+{
+    const std::vector<campaign::Job> jobs =
+        campaign::parseMatrix(kSharedSpec);
+    ASSERT_EQ(campaign::representatives(jobs),
+              (std::vector<std::size_t>{0, 0, 2, 2}));
+    const std::string dir = tempDir("shared_records");
+    campaign::Options options;
+    options.jobs = 2;
+    options.journalPath = dir + "/journal.jsonl";
+    campaign::runCampaign(jobs, options);
+
+    std::vector<double> host(jobs.size(), -1.0);
+    for (const campaign::JournalRecord &rec :
+         campaign::loadJournal(options.journalPath)) {
+        ASSERT_LT(rec.index, jobs.size());
+        EXPECT_EQ(host[rec.index], -1.0) << "two records for " << rec.index;
+        EXPECT_EQ(rec.outcome.label, jobs[rec.index].label);
+        host[rec.index] = rec.outcome.result.hostSeconds;
+    }
+    EXPECT_GT(host[0], 0.0);
+    EXPECT_EQ(host[1], 0.0);
+    EXPECT_GT(host[2], 0.0);
+    EXPECT_EQ(host[3], 0.0);
+}
+
+TEST(CampaignSharing, JournalCutBeforeTheMembersResumesByteIdentical)
+{
+    const std::vector<campaign::Job> jobs =
+        campaign::parseMatrix(kSharedSpec);
+    const campaign::Report fresh = campaign::runCampaign(jobs);
+    ASSERT_EQ(fresh.failed(), 0u);
+
+    // One worker journals each group in index order: the
+    // representative's record, then its member's.
+    const std::string dir = tempDir("shared_resume");
+    const std::string full = dir + "/full.jsonl";
+    {
+        campaign::Options options;
+        options.jobs = 1;
+        options.journalPath = full;
+        campaign::runCampaign(jobs, options);
+    }
+    const std::vector<std::string> lines = journalLines(full);
+    ASSERT_EQ(lines.size(), 4u);
+    campaign::JournalRecord first;
+    ASSERT_TRUE(campaign::decodeJournalRecord(lines[0], first));
+    ASSERT_EQ(first.index, 0u);
+
+    // Cut after a representative's record (0), and cut to a member's
+    // record alone (1): either way the group's outcome comes from the
+    // journal, the rest is copied or run, and the bytes match.
+    for (const std::size_t kept : {0u, 1u}) {
+        for (const unsigned workers : {1u, 4u}) {
+            const std::string partial = dir + "/partial.jsonl";
+            {
+                std::ofstream out(partial, std::ios::binary);
+                out << lines[kept] << '\n';
+            }
+            campaign::Options options;
+            options.jobs = workers;
+            options.journalPath = partial;
+            const campaign::Report resumed =
+                campaign::runCampaign(jobs, options);
+            EXPECT_EQ(resumed.toJson(), fresh.toJson())
+                << "kept " << kept << ", " << workers << " workers";
+            EXPECT_EQ(resumed.toCsv(), fresh.toCsv());
+            // Nothing re-ran the journaled group: the other job of it
+            // is a copy, with no host time.
+            EXPECT_EQ(resumed.jobs[1 - kept].result.hostSeconds, 0.0);
+            // The resumed journal now holds every job once.
+            std::set<std::size_t> indices;
+            for (const campaign::JournalRecord &rec :
+                 campaign::loadJournal(partial))
+                EXPECT_TRUE(indices.insert(rec.index).second);
+            EXPECT_EQ(indices.size(), jobs.size());
+            std::filesystem::remove(partial);
+        }
+    }
+}
+
+TEST(CampaignSharing, SlotHalvesMergeToTheWhole)
+{
+    // The split falls inside a group: job 0 (linear) runs in one half
+    // and its ring twin (job 1) in the other, where it runs for real.
+    const std::string dir = tempDir("shared_halves");
+    const std::vector<campaign::Job> all =
+        campaign::parseMatrix(kSharedSpec);
+    std::vector<std::string> journals;
+    for (const char *slots : {"0", "1-3"}) {
+        std::vector<std::size_t> map;
+        const std::vector<campaign::Job> half = campaign::parseMatrix(
+            std::string(kSharedSpec) + ";slots=" + slots, map);
+        campaign::Options options;
+        options.jobs = 2;
+        options.journalPath = dir + "/half" + slots + ".jsonl";
+        options.slotIndexMap = map;
+        ASSERT_EQ(campaign::runCampaign(half, options).failed(), 0u);
+        journals.push_back(options.journalPath);
+    }
+    const std::string merged = dir + "/merged.jsonl";
+    const campaign::MergeResult result =
+        campaign::mergeJournalFiles(journals, all, merged);
+    EXPECT_EQ(result.merged, all.size());
+    EXPECT_TRUE(result.missingSlots.empty());
+
+    campaign::Options replay;
+    replay.journalPath = merged;
+    const campaign::Report report = campaign::runCampaign(all, replay);
+    EXPECT_EQ(report.toJson(), referenceJson(kSharedSpec));
+    EXPECT_EQ(report.toCsv(),
+              campaign::runCampaign(all).toCsv());
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/journal.hh"
+#include "campaign/matrix.hh"
 #include "campaign/persistent_pool.hh"
 #include "config/presets.hh"
 #include "tmp_dir.hh"
@@ -661,6 +662,81 @@ TEST_F(ServerRouting, MalformedSpecIs400)
         EXPECT_NE(hostile.body.find("out of range"), std::string::npos)
             << hostile.body;
     }
+}
+
+TEST_F(ServerRouting, MalformedQueryNumbersAre400)
+{
+    // Every numeric query parameter is parsed strictly: junk, a sign,
+    // an empty value, an exponent and an overflow are a 400 that names
+    // the parameter, never a silently truncated number.
+    const std::string too_big_integer = "18446744073709551616";
+    const std::string too_big_decimal = "1" + std::string(400, '0');
+    const auto expect400 = [&](const service::HttpResponse &resp,
+                               const std::string &param,
+                               const std::string &value) {
+        EXPECT_EQ(resp.status, 400) << param << "=" << value;
+        EXPECT_NE(resp.body.find(param), std::string::npos)
+            << param << "=" << value << ": " << resp.body;
+    };
+    const std::string spec = "bench=gzip;budget=1000";
+    for (const std::string &bad :
+         {std::string("1x"), std::string("-1"), std::string(),
+          std::string("1e999"), std::string("0"), too_big_integer})
+        expect400(post("/v1/runs?max_attempts=" + bad, spec),
+                  "max_attempts", bad);
+    for (const std::string &bad :
+         {std::string("1x"), std::string("-1"), std::string(),
+          std::string("1e999"), std::string("."), too_big_decimal}) {
+        expect400(post("/v1/runs?deadline=" + bad, spec), "deadline",
+                  bad);
+        expect400(get("/v1/runs/r0001?wait=" + bad), "wait", bad);
+        expect400(get("/v1/runs/r0001/events?wait=" + bad), "wait", bad);
+    }
+    for (const std::string &bad :
+         {std::string("1x"), std::string("-1"), std::string(),
+          std::string("1e999"), too_big_integer})
+        expect400(get("/v1/runs/r0001/events?from=" + bad), "from", bad);
+    // Nothing malformed was accepted as a run.
+    EXPECT_EQ(server_->registry().runCount(), 0u);
+
+    // Plain decimals still pass the parse (the run is unknown: 404).
+    EXPECT_EQ(get("/v1/runs/r0001?wait=0.5").status, 404);
+    EXPECT_EQ(get("/v1/runs/r0001/events?from=12&wait=0").status, 404);
+}
+
+TEST_F(ServerRouting, SharedJobsStreamOneRecordEachAndBuildOnce)
+{
+    // At 2 clusters all four topologies build one machine: the daemon
+    // runs it once, builds its program once, and still streams and
+    // reports four jobs, the three copies with host time 0.
+    const std::string spec =
+        "bench=gzip;topology=linear,ring,crossbar,hier;clusters=2;"
+        "budget=5000";
+    const std::string id = submit(spec);
+    waitDone(id);
+
+    const service::HttpResponse events =
+        get("/v1/runs/" + id + "/events?from=0");
+    ASSERT_EQ(events.status, 200);
+    std::istringstream lines(events.body);
+    std::set<std::size_t> indices;
+    std::size_t zero_host = 0;
+    for (std::string line; std::getline(lines, line);) {
+        campaign::JournalRecord rec;
+        ASSERT_TRUE(campaign::decodeJournalRecord(line, rec)) << line;
+        EXPECT_TRUE(indices.insert(rec.index).second) << rec.index;
+        zero_host += rec.outcome.result.hostSeconds == 0.0;
+    }
+    EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
+    EXPECT_EQ(zero_host, 3u);
+
+    const service::WorkloadCache::Stats cache =
+        server_->registry().cacheStats();
+    EXPECT_EQ(cache.misses, 1u);
+    EXPECT_EQ(cache.hits, 0u);
+
+    EXPECT_EQ(get("/v1/runs/" + id + "/report").body,
+              campaign::runCampaign(campaign::parseMatrix(spec)).toJson());
 }
 
 TEST_F(ServerRouting, SubmitRunReportLifecycle)

@@ -12,13 +12,15 @@
  *  - SIGTERM performs a graceful shutdown with exit status 0, and a
  *    client that stalls mid-request cannot wedge it once
  *    --io-deadline bounds per-connection reads;
- *  - --workers shares ctcpsim's --jobs validation (exit 2 + message).
+ *  - --workers shares ctcpsim's --jobs validation (exit 2 + message),
+ *    and a missing socket directory exits 2 without creating it.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <sstream>
 #include <string>
 
@@ -224,6 +226,26 @@ TEST(ServiceE2E, CacheEntriesRejectsMalformedNumbers)
         EXPECT_NE(msg.find("--cache-entries"), std::string::npos)
             << bad << ": " << msg;
     }
+}
+
+TEST(ServiceE2E, MissingSocketDirectoryExitsTwoAndCreatesNothing)
+{
+    // Without --state-dir the state directory is <socket>.state, made
+    // with its parents; a mistyped socket directory must be reported,
+    // not created and served from.
+    const std::filesystem::path missing =
+        ctcp::test::tmpPath("no_such_dir");
+    // timeout: a daemon that wrongly starts must fail the test, not
+    // hang it.
+    const std::string cmd = std::string("timeout 10 ") + CTCP_CTCPD_PATH +
+        " --socket " + (missing / "ctcp.sock").string();
+    EXPECT_EQ(run(cmd).status, 2);
+    const std::string msg = runStderr(cmd);
+    EXPECT_NE(msg.find("socket directory '" + missing.string() +
+                       "' does not exist"),
+              std::string::npos)
+        << msg;
+    EXPECT_FALSE(std::filesystem::exists(missing));
 }
 
 TEST(ServiceE2E, SubmittingAgainstADeadSocketFailsCleanly)

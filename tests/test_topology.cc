@@ -6,12 +6,22 @@
  * repo already trusts (crossbar == unbounded bus, 2-cluster ring ==
  * 2-cluster linear chain, one-group hierarchy == crossbar) — all
  * byte-identical at the serialized-result level, accounting included.
+ * Also the equality, key and canonical-topology rules by which a
+ * campaign runs each distinct simulation once: keys agree exactly when
+ * configs do, and machines with one canonical config simulate
+ * byte-identically.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "campaign/campaign.hh"
+#include "campaign/matrix.hh"
 #include "cluster/interconnect.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
@@ -208,6 +218,235 @@ TEST(TopologyDifferential, OneGroupHierarchyMatchesCrossbar)
     const SimResult a = runConfig(crossbar, AssignStrategy::Fdrt);
     const SimResult b = runConfig(hier, AssignStrategy::Fdrt);
     EXPECT_EQ(a.toJson(false, true), b.toJson(false, true));
+}
+
+// --- Canonical configs: equality, keys and the topology rule -------------
+
+/**
+ * Every machine the presets and the matrix axes describe: each preset
+ * alone and crossed with every topology and cluster count 1-8, plus
+ * hierarchies of every cluster count with other group sizes and group
+ * latencies.
+ */
+std::vector<SimConfig>
+matrixMachines()
+{
+    std::vector<SimConfig> out;
+    const std::string presets = "bench=gzip;preset=base,mesh,onecycle,"
+                                "twocluster,bus,eightcluster,ring,"
+                                "crossbar,hier";
+    const std::string topologies = ";topology=linear,ring,crossbar,hier,bus";
+    const std::string clusters = ";clusters=1,2,3,4,5,6,7,8";
+    for (const std::string &axes :
+         {std::string(), topologies, clusters, topologies + clusters})
+        for (const campaign::Job &job :
+             campaign::parseMatrix(presets + axes))
+            out.push_back(job.config);
+    for (unsigned n = 1; n <= maxClusters; ++n)
+        for (const unsigned size : {1u, 3u, 4u, 8u})
+            for (const unsigned latency : {0u, 3u}) {
+                SimConfig cfg = baseConfig();
+                applyMachineScale(cfg, n, cfg.cluster.clusterWidth);
+                cfg.cluster.topology = Topology::Hierarchical;
+                cfg.cluster.hierGroupSize = size;
+                cfg.cluster.hierGroupLatency = latency;
+                out.push_back(cfg);
+            }
+    return out;
+}
+
+/** The machines above, plus every strategy and three budgets. */
+std::vector<SimConfig>
+matrixConfigs()
+{
+    std::vector<SimConfig> out = matrixMachines();
+    for (const campaign::Job &job : campaign::parseMatrix(
+             "bench=gzip;preset=base,mesh,twocluster,bus,eightcluster;"
+             "strategy=base,friendly,fdrt,issue-time,issue-time:0,"
+             "issue-time:4,adaptive;budget=3000,20000,300000"))
+        out.push_back(job.config);
+    return out;
+}
+
+/** Expect == and key equality to agree on every pair of @p configs. */
+void
+expectKeyEqualityMatches(const std::vector<SimConfig> &configs)
+{
+    std::vector<std::string> keys;
+    for (const SimConfig &cfg : configs)
+        keys.push_back(configKey(cfg));
+    std::size_t equal_pairs = 0, disagreements = 0;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        for (std::size_t j = i + 1; j < configs.size(); ++j) {
+            const bool equal = configs[i] == configs[j];
+            equal_pairs += equal;
+            if (equal != (keys[i] == keys[j]) && disagreements++ == 0)
+                ADD_FAILURE() << "configs " << i << " and " << j
+                              << (equal ? " are equal" : " differ")
+                              << " but their keys do not agree:\n"
+                              << keys[i] << "\n" << keys[j];
+        }
+    EXPECT_EQ(disagreements, 0u);
+    // The set must hold equal pairs, or the test shows nothing.
+    EXPECT_GT(equal_pairs, 0u);
+}
+
+TEST(ConfigKey, EqualExactlyWhenKeysAre)
+{
+    const std::vector<SimConfig> configs = matrixConfigs();
+    expectKeyEqualityMatches(configs);
+
+    std::vector<SimConfig> canonical;
+    for (const SimConfig &cfg : configs)
+        canonical.push_back(canonicalTopology(cfg));
+    expectKeyEqualityMatches(canonical);
+}
+
+TEST(ConfigKey, EveryFieldInDeclarationOrderThenItsHash)
+{
+    const SimConfig cfg = baseConfig();
+    const std::string key = configKey(cfg);
+    EXPECT_EQ(key.rfind("cluster.numClusters=4;cluster.clusterWidth=4;", 0),
+              0u)
+        << key;
+    const std::size_t hash = key.find('#');
+    ASSERT_NE(hash, std::string::npos);
+    EXPECT_NE(key.find(";deadlineSeconds=0;#"), std::string::npos) << key;
+    char hex[20];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(configHash(cfg)));
+    EXPECT_EQ(key.substr(hash + 1), hex);
+
+    // Quoted strings keep the key injective: a path that spells out
+    // the fields after it is still one field.
+    SimConfig tricky = cfg;
+    tricky.obs.traceFilter = "\";obs.intervalPath=\"x";
+    SimConfig plain = cfg;
+    plain.obs.intervalPath = "x";
+    EXPECT_NE(configKey(tricky), configKey(plain));
+    // -0 equals 0, so it keys as 0.
+    SimConfig negative_zero = cfg;
+    negative_zero.deadlineSeconds = -0.0;
+    EXPECT_TRUE(negative_zero == cfg);
+    EXPECT_EQ(configKey(negative_zero), key);
+}
+
+/** @p n clusters of four slots on @p topology. */
+SimConfig
+machine(unsigned n, Topology topology)
+{
+    SimConfig cfg = baseConfig();
+    applyMachineScale(cfg, n, cfg.cluster.clusterWidth);
+    cfg.cluster.topology = topology;
+    return cfg;
+}
+
+TEST(CanonicalTopology, TwoClusterPointToPointMachinesAreOne)
+{
+    // One link between two clusters: every point-to-point topology
+    // builds the same network, and canonically it is the chain.
+    const SimConfig linear = machine(2, Topology::LinearChain);
+    EXPECT_TRUE(canonicalTopology(linear) == linear);
+    for (const Topology t :
+         {Topology::Ring, Topology::Crossbar, Topology::Hierarchical}) {
+        const SimConfig other = machine(2, t);
+        EXPECT_FALSE(other == linear) << topologyName(t);
+        EXPECT_TRUE(canonicalTopology(other) == linear)
+            << topologyName(t);
+    }
+    // The bus arbitrates for bandwidth: never merged.
+    EXPECT_FALSE(canonicalTopology(machine(2, Topology::Bus)) == linear);
+}
+
+TEST(CanonicalTopology, DistinctNetworksStayDistinct)
+{
+    // Four clusters: the ring links the ends, the chain does not.
+    EXPECT_FALSE(canonicalTopology(machine(4, Topology::Ring)) ==
+                 canonicalTopology(machine(4, Topology::LinearChain)));
+    // Two groups of two: crossing a group costs a second hop.
+    EXPECT_FALSE(canonicalTopology(machine(4, Topology::Hierarchical)) ==
+                 canonicalTopology(machine(4, Topology::Crossbar)));
+    // One group is the crossbar, whatever the dead group latency.
+    SimConfig one_group = machine(4, Topology::Hierarchical);
+    one_group.cluster.hierGroupSize = 4;
+    one_group.cluster.hierGroupLatency = 99;
+    EXPECT_TRUE(canonicalTopology(one_group) ==
+                machine(4, Topology::Crossbar));
+    // A group latency that is charged is a different machine.
+    SimConfig slow_groups = machine(8, Topology::Hierarchical);
+    slow_groups.cluster.hierGroupLatency = 3;
+    EXPECT_TRUE(canonicalTopology(slow_groups) == slow_groups);
+    // A bus as fast as a hop has the crossbar's tables, but it still
+    // arbitrates for bandwidth.
+    SimConfig fast_bus = machine(4, Topology::Bus);
+    fast_bus.cluster.busLatency = fast_bus.cluster.hopLatency;
+    SimConfig crossbar = machine(4, Topology::Crossbar);
+    crossbar.cluster.busLatency = crossbar.cluster.hopLatency;
+    EXPECT_FALSE(canonicalTopology(fast_bus) == crossbar);
+    // A config that does not validate is left as it is.
+    SimConfig invalid = machine(2, Topology::Hierarchical);
+    invalid.cluster.hierGroupSize = 0;
+    EXPECT_TRUE(canonicalTopology(invalid) == invalid);
+}
+
+TEST(CanonicalTopology, EqualCanonicalMachinesSimulateIdentically)
+{
+    // Soundness of the rule: among the matrix machines, every group
+    // with one canonical config and more than one raw config is run
+    // member by member (caller builders, so nothing is shared) on two
+    // benchmarks and three strategies, and every member's result must
+    // match its group's first byte for byte.
+    std::map<std::string, std::vector<SimConfig>> groups;
+    for (const SimConfig &cfg : matrixMachines()) {
+        std::vector<SimConfig> &members =
+            groups[configKey(canonicalTopology(cfg))];
+        bool seen = false;
+        for (const SimConfig &m : members)
+            seen = seen || m == cfg;
+        if (!seen)
+            members.push_back(cfg);
+    }
+
+    std::vector<campaign::Job> jobs;
+    std::vector<std::size_t> first;   // per job: its group's first job
+    for (const auto &[key, members] : groups) {
+        if (members.size() < 2)
+            continue;
+        for (const char *bench : {"gzip", "twolf"})
+            for (const auto &[strategy, latency] :
+                 {std::pair{AssignStrategy::BaseSlotOrder, 0u},
+                  std::pair{AssignStrategy::IssueTime, 4u},
+                  std::pair{AssignStrategy::Adaptive, 0u}}) {
+                const std::size_t head = jobs.size();
+                for (SimConfig cfg : members) {
+                    cfg.assign.strategy = strategy;
+                    if (strategy == AssignStrategy::IssueTime)
+                        cfg.assign.issueTimeLatency = latency;
+                    cfg.instructionLimit = 3000;
+                    campaign::Job job;
+                    job.label = std::to_string(jobs.size());
+                    job.benchmark = bench;
+                    job.config = cfg;
+                    job.builder = [name = std::string(bench)] {
+                        return workloads::build(name);
+                    };
+                    first.push_back(head);
+                    jobs.push_back(std::move(job));
+                }
+            }
+    }
+    // Two-cluster point-to-point and one-group hierarchies, at least.
+    ASSERT_GE(jobs.size(), 4u * 2 * 3);
+
+    campaign::Options options;
+    options.jobs = 4;
+    const campaign::Report report = campaign::runCampaign(jobs, options);
+    ASSERT_EQ(report.failed(), 0u);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(report.jobs[i].result.toJson(),
+                  report.jobs[first[i]].result.toJson())
+            << configKey(jobs[i].config) << "\nagainst\n"
+            << configKey(jobs[first[i]].config);
 }
 
 } // namespace

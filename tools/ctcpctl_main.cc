@@ -146,14 +146,15 @@ unsignedArg(const std::string &text, const std::string &flag)
     }
 }
 
+/** A seconds value, parsed as strictly as the daemon parses it. */
 double
 parseSeconds(const std::string &text, const std::string &what)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (!end || *end != '\0' || text.empty() || v < 0)
-        die("bad " + what + " '" + text + "'");
-    return v;
+    try {
+        return ctcp::parseDecimal(text, what);
+    } catch (const std::invalid_argument &e) {
+        die(e.what());
+    }
 }
 
 /**
@@ -366,8 +367,13 @@ cmdEvents(const std::string &id, bool follow)
             else if (h.first == "x-ctcp-run-state")
                 state = h.second;
         }
-        if (!next.empty())
-            offset = std::strtoull(next.c_str(), nullptr, 10);
+        try {
+            offset = ctcp::parseUnsigned(next, "X-Ctcp-Next-Offset");
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "ctcpctl: malformed events response: %s\n",
+                         e.what());
+            return 1;
+        }
 
         const bool terminal = state == "done" || state == "cancelled" ||
             state == "error";
@@ -523,8 +529,8 @@ main(int argc, char **argv)
         return 0;
     }
     if (command == "wait")
-        return cmdWait(id, std::strtod(value("--timeout", "0").c_str(),
-                                       nullptr));
+        return cmdWait(id, parseSeconds(value("--timeout", "0"),
+                                        "--timeout"));
     if (command == "report") {
         std::string target = "/v1/runs/" + id + "/report";
         target += flag("--csv") ? "?format=csv" : "?format=json";

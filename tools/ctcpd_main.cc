@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
 
@@ -56,7 +57,8 @@ usage(const char *prog)
         "                      (required; an existing socket file is\n"
         "                      replaced)\n"
         "  --state-dir DIR     spec + journal storage (default:\n"
-        "                      <socket>.state). Restarting with the\n"
+        "                      <socket>.state; the socket's directory\n"
+        "                      must exist). Restarting with the\n"
         "                      same directory resumes interrupted\n"
         "                      runs from their journals\n"
         "  --workers N         persistent pool size shared by every\n"
@@ -165,8 +167,18 @@ main(int argc, char **argv)
     }
     if (config.socketPath.empty())
         die("--socket is required");
-    if (config.registry.stateDir.empty())
+    if (config.registry.stateDir.empty()) {
+        // The default state directory is made with its parents, so a
+        // mistyped socket directory would be created, not reported.
+        std::filesystem::path dir =
+            std::filesystem::path(config.socketPath).parent_path();
+        if (dir.empty())
+            dir = ".";
+        std::error_code ec;
+        if (!std::filesystem::is_directory(dir, ec))
+            die("socket directory '" + dir.string() + "' does not exist");
         config.registry.stateDir = config.socketPath + ".state";
+    }
     config.registry.cacheEntries = cache_entries;
     if (!log_file.empty()) {
         std::string log_error;

@@ -72,7 +72,9 @@ usage(const char *prog)
         "  --json                print headline metrics as JSON\n"
         "  --host-timing         include host wall-clock metrics\n"
         "                        (host.*) in JSON output; off by\n"
-        "                        default because they vary run to run\n"
+        "                        default because they vary run to run.\n"
+        "                        A campaign job that shared another\n"
+        "                        job's run reports 0\n"
         "\n"
         "observability (src/obs):\n"
         "  --trace-events FILE   write Chrome trace_event JSON (open in\n"

@@ -19,6 +19,7 @@
 #include "common/parse_number.hh"
 #include "core/simulator.hh"
 #include "obs/accounting.hh"
+#include "stats/stats.hh"
 #include "workload/workload.hh"
 
 namespace ctcp::campaign {
@@ -82,14 +83,6 @@ csvField(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-std::string
-csvDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
 }
 
 } // namespace
@@ -228,12 +221,13 @@ Report::toCsv(bool include_accounting) const
             out += csvField(r.strategy) + ",ok,,";
             out += std::to_string(r.cycles) + ',';
             out += std::to_string(r.instructions) + ',';
-            out += csvDouble(r.ipc()) + ',';
-            out += csvDouble(r.pctFromTraceCache) + ',';
-            out += csvDouble(r.tcHitRate) + ',';
-            out += csvDouble(r.pctIntraClusterFwd) + ',';
-            out += csvDouble(r.meanFwdDistance) + ',';
-            out += csvDouble(r.bpredAccuracy) + ',';
+            for (const double v :
+                 {r.ipc(), r.pctFromTraceCache, r.tcHitRate,
+                  r.pctIntraClusterFwd, r.meanFwdDistance,
+                  r.bpredAccuracy}) {
+                appendFixed(out, v, 6);
+                out += ',';
+            }
             out += std::to_string(r.mispredicts);
             if (include_accounting) {
                 const auto total_it = r.accounting.find("slots.total");
@@ -245,7 +239,7 @@ Report::toCsv(bool include_accounting) const
                         std::string("slots.") +
                         slotCatName(static_cast<SlotCat>(k)));
                     if (it != r.accounting.end() && total > 0.0)
-                        out += csvDouble(100.0 * it->second / total);
+                        appendFixed(out, 100.0 * it->second / total, 6);
                 }
             }
         } else {

@@ -1,8 +1,11 @@
 #include "campaign/journal.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "common/sim_error.hh"
@@ -600,9 +603,62 @@ formatSlotRanges(const std::vector<std::size_t> &slots)
     return out;
 }
 
+namespace {
+
+/**
+ * Cut @p path back to just after its last newline. Records are written
+ * whole and flushed, and readJournalTail() never hands out a line
+ * without its newline, so bytes after the last newline can only be a
+ * write torn by a crash, and no reader's offset points past them.
+ * Appending after them would glue the next record onto the fragment,
+ * and that line would never decode.
+ */
+void
+dropTornTail(const std::string &path)
+{
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (!file)
+        return; // a new journal
+    std::uint64_t size = 0;
+    if (std::fseek(file, 0, SEEK_END) == 0 && std::ftell(file) > 0)
+        size = static_cast<std::uint64_t>(std::ftell(file));
+    // Scan back a chunk at a time for the last newline.
+    std::uint64_t keep = size;
+    char buf[4096];
+    while (keep > 0) {
+        const std::size_t n = std::min<std::uint64_t>(keep, sizeof(buf));
+        if (std::fseek(file, static_cast<long>(keep - n), SEEK_SET) != 0 ||
+            std::fread(buf, 1, n, file) != n) {
+            keep = size; // unreadable: leave the file as it is
+            break;
+        }
+        const std::size_t newline = std::string_view(buf, n).rfind('\n');
+        if (newline != std::string_view::npos) {
+            keep -= n - newline - 1;
+            break;
+        }
+        keep -= n;
+    }
+    std::fclose(file);
+    if (keep == size)
+        return;
+    std::error_code ec;
+    std::filesystem::resize_file(path, keep, ec);
+    if (ec)
+        ctcp_warn("journal %s: cannot drop its torn last line: %s",
+                  path.c_str(), ec.message().c_str());
+    else
+        ctcp_warn("journal %s: dropped a torn last line (%llu bytes)",
+                  path.c_str(),
+                  static_cast<unsigned long long>(size - keep));
+}
+
+} // namespace
+
 JournalWriter::JournalWriter(std::string path)
     : path_(std::move(path))
 {
+    dropTornTail(path_);
     file_ = std::fopen(path_.c_str(), "ab");
     if (!file_)
         throw SimError(ErrorCategory::Config,

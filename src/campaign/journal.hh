@@ -106,7 +106,9 @@ class JournalWriter
   public:
     /**
      * Opens @p path for appending (existing records are preserved —
-     * that is the resume contract).
+     * that is the resume contract). A torn last line, the bytes after
+     * the last newline that a crash mid-append leaves, is cut off
+     * first, with a warning naming how many bytes were dropped.
      * @throws SimError (category Config) when the file cannot be opened
      */
     explicit JournalWriter(std::string path);

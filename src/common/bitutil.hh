@@ -7,8 +7,11 @@
 #ifndef CTCPSIM_COMMON_BITUTIL_HH
 #define CTCPSIM_COMMON_BITUTIL_HH
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace ctcp {
 
@@ -51,6 +54,48 @@ foldAddress(std::uint64_t v, unsigned width)
     }
     return result;
 }
+
+/**
+ * One bit per set of a lazily initialised array: a structure builds a
+ * set's entries on the set's first touch and reads them only after.
+ */
+class TouchedSets
+{
+  public:
+    explicit TouchedSets(std::size_t sets) : words_((sets + 63) / 64, 0) {}
+
+    bool
+    test(std::size_t set) const
+    {
+        return (words_[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** Mark @p set touched. @return true if it was not touched before. */
+    bool
+    mark(std::size_t set)
+    {
+        std::uint64_t &word = words_[set >> 6];
+        const std::uint64_t bit = std::uint64_t{1} << (set & 63);
+        const bool first = (word & bit) == 0;
+        word |= bit;
+        return first;
+    }
+
+    void clear() { std::fill(words_.begin(), words_.end(), 0); }
+
+    /** Number of touched sets. */
+    std::size_t
+    count() const
+    {
+        std::size_t n = 0;
+        for (const std::uint64_t word : words_)
+            n += static_cast<std::size_t>(std::popcount(word));
+        return n;
+    }
+
+  private:
+    std::vector<std::uint64_t> words_;
+};
 
 } // namespace ctcp
 

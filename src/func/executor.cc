@@ -63,13 +63,8 @@ Executor::reset()
 {
     regs_.fill(0);
     mem_ = SparseMemory();
-    for (const DataBlock &block : program_.data()) {
-        Addr addr = block.base;
-        for (std::int64_t word : block.words) {
-            mem_.write(addr, word);
-            addr += 8;
-        }
-    }
+    for (const DataBlock &block : program_.data())
+        mem_.writeWords(block.base, block.words.data(), block.words.size());
     pc_ = program_.entry();
     nextSeq_ = 0;
     halted_ = false;

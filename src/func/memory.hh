@@ -10,7 +10,9 @@
 #ifndef CTCPSIM_FUNC_MEMORY_HH
 #define CTCPSIM_FUNC_MEMORY_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 
@@ -39,6 +41,27 @@ class SparseMemory
     {
         const Addr word = addr >> 3;
         pages_[word >> wordsPerPageLog2][word & (wordsPerPage - 1)] = value;
+    }
+
+    /**
+     * Write @p count consecutive words starting at the word containing
+     * byte address @p addr, one page lookup per page: the same memory
+     * as @p count write() calls at addr, addr + 8, ...
+     */
+    void
+    writeWords(Addr addr, const std::int64_t *words, std::size_t count)
+    {
+        Addr word = addr >> 3;
+        while (count > 0) {
+            const std::size_t offset = word & (wordsPerPage - 1);
+            const std::size_t n =
+                std::min<std::size_t>(count, wordsPerPage - offset);
+            std::copy_n(words, n,
+                        pages_[word >> wordsPerPageLog2].data() + offset);
+            words += n;
+            word += n;
+            count -= n;
+        }
     }
 
     /** Number of resident 4 KiB pages (for footprint reporting). */

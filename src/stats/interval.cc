@@ -1,26 +1,11 @@
 #include "stats/interval.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "common/atomic_file.hh"
 #include "common/logging.hh"
 #include "common/parse_number.hh"
+#include "stats/stats.hh"
 
 namespace ctcp {
-
-namespace {
-
-/** Fixed-precision value formatting so reruns are byte-identical. */
-std::string
-fmtValue(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
-} // namespace
 
 Cycle
 parseIntervalCycles(const std::string &text)
@@ -103,7 +88,7 @@ IntervalRecorder::toCsv() const
         out += std::to_string(row.cycle);
         for (double v : row.values) {
             out += ',';
-            out += fmtValue(v);
+            appendFixed(out, v, 6);
         }
         out += '\n';
     }
@@ -120,8 +105,10 @@ IntervalRecorder::toJson() const
     out += "],\n  \"rows\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
         out += "    [" + std::to_string(rows_[i].cycle);
-        for (double v : rows_[i].values)
-            out += ", " + fmtValue(v);
+        for (double v : rows_[i].values) {
+            out += ", ";
+            appendFixed(out, v, 6);
+        }
         out += i + 1 < rows_.size() ? "],\n" : "]\n";
     }
     out += "  ]\n}\n";

@@ -1,10 +1,23 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <numeric>
 
 namespace ctcp {
+
+void
+appendFixed(std::string &out, double value, int precision)
+{
+    // Room for DBL_MAX's 309 integer digits, a sign, the point and a
+    // stats-sized precision.
+    char buf[352];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), value,
+                      std::chars_format::fixed, precision);
+    ctcp_assert(r.ec == std::errc(), "fixed-point value too wide");
+    out.append(buf, r.ptr);
+}
 
 double
 harmonicMean(const std::vector<double> &values)
@@ -29,23 +42,38 @@ arithmeticMean(const std::vector<double> &values)
 }
 
 void
-StatDump::scalar(const std::string &name, std::uint64_t value)
+StatDump::scalar(std::string_view name, std::uint64_t value)
 {
-    entries_.push_back({name, std::to_string(value)});
+    const std::size_t start = text_.size();
+    text_ += name;
+    char buf[24];
+    text_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+    end(start, name.size());
 }
 
 void
-StatDump::scalar(const std::string &name, double value)
+StatDump::scalar(std::string_view name, double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.4f", value);
-    entries_.push_back({name, buf});
+    const std::size_t start = text_.size();
+    text_ += name;
+    appendFixed(text_, value, 4);
+    end(start, name.size());
 }
 
 void
-StatDump::note(const std::string &name, const std::string &text)
+StatDump::note(std::string_view name, std::string_view text)
 {
-    entries_.push_back({name, text});
+    const std::size_t start = text_.size();
+    text_ += name;
+    text_ += text;
+    end(start, name.size());
+}
+
+void
+StatDump::end(std::size_t start, std::size_t name_len)
+{
+    entries_.push_back({name_len, text_.size() - start - name_len});
+    width_ = std::max(width_, name_len);
 }
 
 void
@@ -103,15 +131,15 @@ StatGroup::render() const
 std::string
 StatDump::render() const
 {
-    std::size_t width = 0;
-    for (const auto &e : entries_)
-        width = std::max(width, e.name.size());
     std::string out;
-    for (const auto &e : entries_) {
-        out += e.name;
-        out.append(width - e.name.size() + 2, ' ');
-        out += e.value;
+    out.reserve(text_.size() + entries_.size() * (width_ + 3));
+    const char *p = text_.data();
+    for (const Entry &e : entries_) {
+        out.append(p, e.nameLen);
+        out.append(width_ - e.nameLen + 2, ' ');
+        out.append(p + e.nameLen, e.valueLen);
         out += '\n';
+        p += e.nameLen + e.valueLen;
     }
     return out;
 }

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -107,6 +108,12 @@ ratio(std::uint64_t num, std::uint64_t den)
     return den ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
 }
 
+/**
+ * Append @p value to @p out exactly as printf("%.*f", precision, value)
+ * prints it, through std::to_chars (no locale, no format parsing).
+ */
+void appendFixed(std::string &out, double value, int precision);
+
 /** Harmonic mean of a list of speedups (the paper's averaging rule). */
 double harmonicMean(const std::vector<double> &values);
 
@@ -120,20 +127,30 @@ double arithmeticMean(const std::vector<double> &values);
 class StatDump
 {
   public:
-    void scalar(const std::string &name, std::uint64_t value);
-    void scalar(const std::string &name, double value);
-    void note(const std::string &name, const std::string &text);
+    void scalar(std::string_view name, std::uint64_t value);
+    /** Formatted as printf("%.4f") would. */
+    void scalar(std::string_view name, double value);
+    void note(std::string_view name, std::string_view text);
 
     /** Render as "name  value" lines with aligned columns. */
     std::string render() const;
 
   private:
+    /** Lengths of one entry's name and value, stored back to back in
+     *  text_ in entry order. */
     struct Entry
     {
-        std::string name;
-        std::string value;
+        std::size_t nameLen;
+        std::size_t valueLen;
     };
+
+    /** Record the entry whose name and value were appended to text_
+     *  from offset @p start on. */
+    void end(std::size_t start, std::size_t name_len);
+
+    std::string text_;
     std::vector<Entry> entries_;
+    std::size_t width_ = 0;   ///< longest name
 };
 
 /**

@@ -1,6 +1,7 @@
 #include "tracecache/trace_cache.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/bitutil.hh"
 #include "common/logging.hh"
@@ -26,17 +27,38 @@ recordTcEvent(ObsSink &obs, ObsKind kind, Cycle now, Addr start_pc,
 } // namespace
 
 TraceCache::TraceCache(const TraceCacheConfig &cfg)
-    : sets_(cfg.entries / cfg.assoc), assoc_(cfg.assoc)
+    : sets_(cfg.entries / cfg.assoc), assoc_(cfg.assoc),
+      lines_(std::allocator<TraceLine>().allocate(
+          static_cast<std::size_t>(sets_) * assoc_)),
+      touched_(sets_)
 {
     ctcp_assert(isPowerOfTwo(sets_), "trace cache sets must be 2^n");
-    lines_.resize(static_cast<std::size_t>(sets_) * assoc_);
+}
+
+TraceCache::~TraceCache()
+{
+    forEachLine([](TraceLine &line) { std::destroy_at(&line); });
+    std::allocator<TraceLine>().deallocate(
+        lines_, static_cast<std::size_t>(sets_) * assoc_);
+}
+
+TraceLine *
+TraceCache::touchSet(unsigned set)
+{
+    TraceLine *ways = wayArray(set);
+    if (touched_.mark(set))
+        std::uninitialized_value_construct_n(ways, assoc_);
+    return ways;
 }
 
 const TraceLine *
 TraceCache::lookup(Addr start_pc, const DirPredictFn &predict, Cycle now)
 {
-    TraceLine *ways = wayArray(setOf(start_pc));
-    for (unsigned w = 0; w < assoc_; ++w) {
+    const unsigned set = setOf(start_pc);
+    TraceLine *ways = wayArray(set);
+    // An untouched set holds no line: a miss, without building it.
+    const unsigned assoc = touched_.test(set) ? assoc_ : 0;
+    for (unsigned w = 0; w < assoc; ++w) {
         TraceLine &line = ways[w];
         if (!line.valid || line.key.startPc != start_pc)
             continue;
@@ -78,7 +100,7 @@ TraceCache::insert(TraceLine line, Cycle available_at)
     line.lastUse = ++useClock_;
     line.availableAt = available_at;
 
-    TraceLine *ways = wayArray(setOf(line.key.startPc));
+    TraceLine *ways = touchSet(setOf(line.key.startPc));
     // Same identity: overwrite in place (trace reconstruction). The
     // resident copy keeps serving fetches while the refreshed one is
     // in flight, so availability never regresses — this is what makes
@@ -114,30 +136,39 @@ TraceCache::updateProfile(std::uint64_t key_hash, Addr pc,
         return false;
     // The key hash does not localize the set, so scan; the trace cache
     // is small (1K lines) and promotions are rare relative to fetches.
-    for (TraceLine &line : lines_) {
-        if (!line.valid || line.key.hash() != key_hash)
-            continue;
-        bool any = false;
-        for (TraceSlot &slot : line.insts) {
-            if (slot.pc == pc && slot.profile.role == ChainRole::None) {
-                slot.profile = profile;
-                any = true;
-            }
+    TraceLine *line = find(key_hash);
+    if (line == nullptr)
+        return false;
+    bool any = false;
+    for (TraceSlot &slot : line->insts) {
+        if (slot.pc == pc && slot.profile.role == ChainRole::None) {
+            slot.profile = profile;
+            any = true;
         }
-        if (any)
-            ++profileUpdates_;
-        return any;
     }
-    return false;
+    if (any)
+        ++profileUpdates_;
+    return any;
+}
+
+TraceLine *
+TraceCache::find(std::uint64_t key_hash) const
+{
+    for (unsigned set = 0; set < sets_; ++set) {
+        if (!touched_.test(set))
+            continue;
+        TraceLine *ways = wayArray(set);
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (ways[w].valid && ways[w].key.hash() == key_hash)
+                return &ways[w];
+    }
+    return nullptr;
 }
 
 const TraceLine *
 TraceCache::findByHash(std::uint64_t key_hash) const
 {
-    for (const TraceLine &line : lines_)
-        if (line.valid && line.key.hash() == key_hash)
-            return &line;
-    return nullptr;
+    return find(key_hash);
 }
 
 void

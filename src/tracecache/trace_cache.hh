@@ -9,8 +9,8 @@
 #define CTCPSIM_TRACECACHE_TRACE_CACHE_HH
 
 #include <functional>
-#include <vector>
 
+#include "common/bitutil.hh"
 #include "config/sim_config.hh"
 #include "stats/stats.hh"
 #include "tracecache/trace_line.hh"
@@ -35,6 +35,10 @@ class TraceCache
 {
   public:
     explicit TraceCache(const TraceCacheConfig &cfg);
+    ~TraceCache();
+
+    TraceCache(const TraceCache &) = delete;
+    TraceCache &operator=(const TraceCache &) = delete;
 
     /**
      * Find a valid line starting at @p start_pc whose embedded branch
@@ -76,19 +80,44 @@ class TraceCache
     std::uint64_t insertions() const { return inserts_.value(); }
     std::uint64_t evictions() const { return evicts_.value(); }
 
+    /** Sets whose lines have been constructed (DESIGN decision 15). */
+    std::size_t touchedSets() const { return touched_.count(); }
+
   private:
     /** Corrupts resident lines for the robustness tests (src/verify). */
     friend class verify::FaultInjector;
 
     unsigned setOf(Addr start_pc) const { return start_pc & (sets_ - 1); }
-    TraceLine *wayArray(unsigned set)
+    TraceLine *wayArray(unsigned set) const
     {
         return &lines_[static_cast<std::size_t>(set) * assoc_];
+    }
+    /** The lines of @p set, constructed (all invalid) on first use. */
+    TraceLine *touchSet(unsigned set);
+
+    /** First valid line whose key hashes to @p key_hash, or null. */
+    TraceLine *find(std::uint64_t key_hash) const;
+
+    /** Call @p f on each constructed line, in set-major order. */
+    template <class Fn>
+    void
+    forEachLine(Fn &&f)
+    {
+        for (unsigned set = 0; set < sets_; ++set) {
+            if (!touched_.test(set))
+                continue;
+            TraceLine *ways = wayArray(set);
+            for (unsigned w = 0; w < assoc_; ++w)
+                f(ways[w]);
+        }
     }
 
     unsigned sets_;
     unsigned assoc_;
-    std::vector<TraceLine> lines_;
+    /** sets_ * assoc_ slots of raw storage; a set's lines are
+     *  constructed when its touched_ bit is set, and read only after. */
+    TraceLine *lines_;
+    TouchedSets touched_;
     std::uint64_t useClock_ = 0;
     ObsSink *obs_ = nullptr;
 

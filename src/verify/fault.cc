@@ -30,12 +30,11 @@ FaultInjector::scrambleTraceLine(CtcpSimulator &sim)
 {
     TraceCache &tc = *sim.tc_;
     TraceLine *victim = nullptr;
-    for (TraceLine &line : tc.lines_) {
-        if (!line.valid || line.insts.size() < 2)
-            continue;
-        if (victim == nullptr || line.lastUse > victim->lastUse)
+    tc.forEachLine([&](TraceLine &line) {
+        if (line.valid && line.insts.size() >= 2 &&
+            (victim == nullptr || line.lastUse > victim->lastUse))
             victim = &line;
-    }
+    });
     if (victim == nullptr)
         return false;
     victim->insts[1].physSlot = victim->insts[0].physSlot;

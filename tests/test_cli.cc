@@ -32,6 +32,24 @@ runCli(const std::string &args)
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
 
+/** ctcpsim's stderr for @p args (stdout discarded). */
+std::string
+cliStderr(const std::string &args)
+{
+    std::string out;
+    const std::string cmd = std::string(CTCP_CTCPSIM_PATH) + " " + args +
+        " 2>&1 >/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    ::pclose(pipe);
+    return out;
+}
+
 TEST(CliExitCodes, SuccessfulRunReturnsZero)
 {
     EXPECT_EQ(runCli("--bench gzip --instructions 20000"), 0);
@@ -39,8 +57,10 @@ TEST(CliExitCodes, SuccessfulRunReturnsZero)
     EXPECT_EQ(runCli("--bench gzip --instructions 20000 --clusters 2 "
                      "--cluster-width 4 --hop-latency 1 "
                      "--strategy adaptive --adaptive-interval 4000 "
-                     "--issue-latency 2 --watchdog 500000"),
+                     "--issue-latency 2 --watchdog 500000 --deadline 2.5"),
               0);
+    // A deadline of 0 is no deadline.
+    EXPECT_EQ(runCli("--bench gzip --instructions 1000 --deadline 0"), 0);
 }
 
 TEST(CliExitCodes, SuccessfulCheckedRunReturnsZero)
@@ -76,6 +96,17 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--instructions 1000 --watchdog 1e6"), 2);
     EXPECT_EQ(runCli("--instructions 1000 --max-attempts 2x"), 2);
     EXPECT_EQ(runCli("--instructions 1000 --max-attempts ' 2'"), 2);
+    // --deadline takes a plain decimal: no NaN (which compared false
+    // everywhere and meant no deadline), infinity, exponent, sign,
+    // empty value or suffix; the message names the flag.
+    for (const char *bad : {"nan", "inf", "1e3", "-1", "''", "1x"}) {
+        const std::string args =
+            std::string("--bench gzip --instructions 1000 --deadline ") +
+            bad;
+        EXPECT_EQ(runCli(args), 2) << bad;
+        EXPECT_NE(cliStderr(args).find("--deadline"), std::string::npos)
+            << bad;
+    }
     // Wider than 64 issue slots, including a width whose unsigned
     // product with the cluster count wraps to zero.
     EXPECT_EQ(runCli("--clusters 8 --cluster-width 536870912 "

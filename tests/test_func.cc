@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.hh"
 #include "func/executor.hh"
 #include "prog/builder.hh"
 
@@ -130,6 +131,29 @@ TEST(Executor, DataBlocksInstalled)
     DynInst d;
     while (exec.step(d)) {}
     EXPECT_EQ(exec.readReg(intReg(2)), 7);
+}
+
+TEST(SparseMemory, WriteWordsMatchesOneWritePerWord)
+{
+    // Blocks start anywhere (unaligned bases included) and cross page
+    // boundaries; later blocks overwrite earlier ones.
+    Rng rng(0x9a6e5u);
+    SparseMemory paged, reference;
+    std::vector<Addr> probes;
+    for (unsigned b = 0; b < 200; ++b) {
+        const Addr base = rng.below(1 << 20);
+        std::vector<std::int64_t> words(rng.below(2000));
+        for (std::int64_t &w : words)
+            w = static_cast<std::int64_t>(rng.next());
+        paged.writeWords(base, words.data(), words.size());
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            reference.write(base + 8 * i, words[i]);
+            probes.push_back(base + 8 * i);
+        }
+    }
+    for (const Addr addr : probes)
+        ASSERT_EQ(paged.read(addr), reference.read(addr)) << addr;
+    EXPECT_EQ(paged.residentPages(), reference.residentPages());
 }
 
 TEST(Executor, ConditionalBranchOutcomes)

@@ -52,6 +52,25 @@ tinyProgram()
     return b.build();
 }
 
+/** Three runs of tinyProgram() whose builders count into @p builds. */
+std::vector<campaign::Job>
+tinyJobs(std::atomic<int> &builds)
+{
+    std::vector<campaign::Job> jobs;
+    for (const char *label : {"tiny/a", "tiny/b", "tiny/c"}) {
+        campaign::Job job;
+        job.label = label;
+        job.benchmark = "tiny";
+        job.config = quickConfig(0);
+        job.builder = [&builds] {
+            ++builds;
+            return tinyProgram();
+        };
+        jobs.push_back(job);
+    }
+    return jobs;
+}
+
 std::string
 tempPath(const char *name)
 {
@@ -73,6 +92,23 @@ readFile(const std::string &path)
         out.append(buf, n);
     std::fclose(f);
     return out;
+}
+
+/** The journal's lines, each without its newline; a last line with
+ *  no newline is returned as it is. */
+std::vector<std::string>
+journalLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    const std::string text = readFile(path);
+    for (std::size_t start = 0; start < text.size();) {
+        std::size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        lines.push_back(text.substr(start, end - start));
+        start = end + 1;
+    }
+    return lines;
 }
 
 campaign::JobOutcome
@@ -276,21 +312,7 @@ TEST(CampaignJournal, ResumeSkipsCompletedJobs)
 {
     const std::string path = tempPath("ctcp_journal_resume.jsonl");
     std::atomic<int> builds{0};
-    auto makeJobs = [&] {
-        std::vector<campaign::Job> jobs;
-        for (const char *label : {"tiny/a", "tiny/b", "tiny/c"}) {
-            campaign::Job job;
-            job.label = label;
-            job.benchmark = "tiny";
-            job.config = quickConfig(0);
-            job.builder = [&builds] {
-                ++builds;
-                return tinyProgram();
-            };
-            jobs.push_back(job);
-        }
-        return jobs;
-    };
+    auto makeJobs = [&] { return tinyJobs(builds); };
 
     campaign::Options options;
     options.jobs = 1;
@@ -307,6 +329,74 @@ TEST(CampaignJournal, ResumeSkipsCompletedJobs)
     EXPECT_EQ(builds.load(), 3) << "a completed job was re-run";
     EXPECT_EQ(first.toJson(), second.toJson());
     EXPECT_EQ(first.toCsv(), second.toCsv());
+    std::remove(path.c_str());
+}
+
+TEST(CampaignJournal, ResumeAfterATornLastLineKeepsEveryRecord)
+{
+    // A crash mid-append leaves a fragment with no newline. The resume
+    // must cut it off before appending, or its first record is glued
+    // onto the fragment and never decodes.
+    const std::string path = tempPath("ctcp_journal_torn.jsonl");
+    std::atomic<int> builds{0};
+    auto makeJobs = [&] { return tinyJobs(builds); };
+    campaign::Options options;
+    options.jobs = 1;
+    options.journalPath = path;
+    const campaign::Report fresh = campaign::runCampaign(makeJobs(), options);
+    ASSERT_EQ(fresh.failed(), 0u);
+    const std::vector<std::string> lines = journalLines(path);
+    ASSERT_EQ(lines.size(), 3u);
+
+    // One good record, then 40 bytes of the next one.
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << lines[0] << '\n' << lines[1].substr(0, 40);
+    }
+    builds = 0;
+    const campaign::Report resumed =
+        campaign::runCampaign(makeJobs(), options);
+    EXPECT_EQ(builds.load(), 2);
+    EXPECT_EQ(resumed.toJson(), fresh.toJson());
+
+    // Every line decodes, one record per job, and the load skips
+    // nothing.
+    const std::vector<std::string> after = journalLines(path);
+    ASSERT_EQ(readFile(path).back(), '\n');
+    std::set<std::size_t> indices;
+    for (const std::string &line : after) {
+        campaign::JournalRecord rec;
+        ASSERT_TRUE(campaign::decodeJournalRecord(line, rec)) << line;
+        EXPECT_TRUE(indices.insert(rec.index).second);
+    }
+    EXPECT_EQ(indices.size(), 3u);
+    EXPECT_EQ(campaign::loadJournal(path).size(), after.size());
+
+    // A second resume finds every job journaled.
+    builds = 0;
+    const campaign::Report again = campaign::runCampaign(makeJobs(), options);
+    EXPECT_EQ(builds.load(), 0) << "a journaled job was re-run";
+    EXPECT_EQ(again.toJson(), fresh.toJson());
+    std::remove(path.c_str());
+}
+
+TEST(Journal, ReopeningKeepsAWholeLastLine)
+{
+    // Only a tail without its newline is torn; a journal that ends
+    // with one is reopened byte for byte.
+    const std::string path = tempPath("ctcp_journal_whole.jsonl");
+    {
+        campaign::JournalWriter writer(path);
+        writer.append(0, sampleOkOutcome());
+    }
+    const std::string before = readFile(path);
+    { campaign::JournalWriter writer(path); }
+    EXPECT_EQ(readFile(path), before);
+
+    // A journal that is only a fragment is cut to empty.
+    writeBytes(path, "{\"index\":0,\"label\":\"gz");
+    { campaign::JournalWriter writer(path); }
+    EXPECT_EQ(readFile(path), "");
     std::remove(path.c_str());
 }
 
@@ -835,20 +925,6 @@ TEST(MergeJournals, DedupesValidatesAndFindsMissing)
 // Two groups of two jobs: at 2 clusters the ring is the linear chain.
 const char *const kSharedSpec =
     "bench=gzip,twolf;topology=linear,ring;clusters=2;budget=5000";
-
-/** The journal's lines, each without its newline. */
-std::vector<std::string>
-journalLines(const std::string &path)
-{
-    std::vector<std::string> lines;
-    const std::string text = readFile(path);
-    for (std::size_t start = 0; start < text.size();) {
-        const std::size_t end = text.find('\n', start);
-        lines.push_back(text.substr(start, end - start));
-        start = end + 1;
-    }
-    return lines;
-}
 
 TEST(CampaignSharing, EveryMemberIsJournaledWithZeroHostTime)
 {

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "common/random.hh"
 #include "config/sim_config.hh"
+#include "eager_cache_reference.hh"
 #include "mem/cache.hh"
 #include "mem/dmem.hh"
 #include "mem/mshr.hh"
@@ -71,6 +75,80 @@ TEST(Cache, SetsAreIndependent)
     c.access(0x60);
     EXPECT_TRUE(c.probe(0x00));
     EXPECT_TRUE(c.probe(0x60));
+}
+
+TEST(Cache, LazySetsMatchTheEagerCacheOnSeededStreams)
+{
+    // Addresses crowd a few sets (evictions, invalid ways at every
+    // index) or spread over all of them; resets come rarely, so sets
+    // are rebuilt after one.
+    const std::pair<unsigned, unsigned> geometries[] = {
+        {1, 1}, {1, 2}, {16, 2}, {256, 4}, {8192, 4}};
+    for (const auto &[sets, assoc] : geometries) {
+        SetAssocCache lazy(sets, assoc, 32);
+        test::EagerSetAssocCache eager(sets, assoc, 32);
+        Rng rng(0xcac4e0u + sets * 8 + assoc);
+        const Addr span = static_cast<Addr>(sets) * 32 * (assoc + 2);
+        for (unsigned op = 0; op < 200000; ++op) {
+            const Addr addr = rng.chance(1, 2)
+                ? rng.below(span)
+                : rng.below(std::min<Addr>(span, 32 * 8 * (assoc + 2)));
+            const unsigned kind = static_cast<unsigned>(rng.below(1000));
+            if (kind < 600) {
+                ASSERT_EQ(lazy.access(addr), eager.access(addr))
+                    << sets << "x" << assoc << " op " << op;
+            } else if (kind < 750) {
+                ASSERT_EQ(lazy.access(addr, false), eager.access(addr, false))
+                    << sets << "x" << assoc << " op " << op;
+            } else if (kind < 900) {
+                ASSERT_EQ(lazy.probe(addr), eager.probe(addr))
+                    << sets << "x" << assoc << " op " << op;
+            } else if (kind < 999) {
+                lazy.invalidate(addr);
+                eager.invalidate(addr);
+            } else {
+                lazy.reset();
+                eager.reset();
+            }
+        }
+        EXPECT_EQ(lazy.hits(), eager.hits()) << sets << "x" << assoc;
+        EXPECT_EQ(lazy.misses(), eager.misses()) << sets << "x" << assoc;
+        EXPECT_GT(lazy.hits(), 0u);
+    }
+}
+
+TEST(Cache, OnlyAccessesInitialiseASet)
+{
+    SetAssocCache c(8192, 4, 64);   // the Table 7 L2
+    EXPECT_EQ(c.touchedSets(), 0u);
+    Rng rng(0x5e75u);
+    std::set<unsigned> accessed;
+    for (unsigned i = 0; i < 5000; ++i) {
+        const Addr addr = rng.below(Addr{1} << 26);
+        const unsigned set = static_cast<unsigned>(c.lineAddr(addr) & 8191);
+        switch (rng.below(4)) {
+          case 0:
+            c.access(addr);
+            accessed.insert(set);
+            break;
+          case 1:
+            c.access(addr, false);
+            accessed.insert(set);
+            break;
+          case 2:
+            c.probe(addr);
+            break;
+          default:
+            c.invalidate(addr);
+            break;
+        }
+        ASSERT_EQ(c.touchedSets(), accessed.size()) << "op " << i;
+    }
+    EXPECT_LT(c.touchedSets(), 8192u);
+    c.reset();
+    EXPECT_EQ(c.touchedSets(), 0u);
+    EXPECT_FALSE(c.probe(0));
+    EXPECT_EQ(c.touchedSets(), 0u);
 }
 
 TEST(Mshr, MergeAndExpire)

@@ -228,6 +228,21 @@ TEST(ServiceE2E, CacheEntriesRejectsMalformedNumbers)
     }
 }
 
+TEST(ServiceE2E, IoDeadlineRejectsMalformedNumbers)
+{
+    // --io-deadline takes a plain decimal like ctcpsim --deadline: NaN,
+    // infinity, an exponent, a sign, an empty value and a suffix exit
+    // 2 before the daemon starts, with a message naming the flag.
+    const std::string cmd = std::string("timeout 10 ") + CTCP_CTCPD_PATH +
+        " --socket " + ctcp::test::tmpPath("iod.sock") + " --io-deadline ";
+    for (const char *bad : {"nan", "inf", "1e3", "-1", "''", "1x"}) {
+        EXPECT_EQ(run(cmd + bad).status, 2) << bad;
+        const std::string msg = runStderr(cmd + bad);
+        EXPECT_NE(msg.find("--io-deadline"), std::string::npos)
+            << bad << ": " << msg;
+    }
+}
+
 TEST(ServiceE2E, MissingSocketDirectoryExitsTwoAndCreatesNothing)
 {
     // Without --state-dir the state directory is <socket>.state, made

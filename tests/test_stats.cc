@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "common/random.hh"
 #include "stats/interval.hh"
 #include "stats/stats.hh"
 
@@ -148,6 +153,82 @@ TEST(StatGroup, MixedGroupWithPopulatedHistogram)
     const std::string text = dump.render();
     EXPECT_NE(text.find("net.forwards"), std::string::npos);
     EXPECT_NE(text.find("net.hops.samples"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Fixed-point formatting (StatDump, interval CSVs)
+// ---------------------------------------------------------------------
+
+std::string
+printfFixed(double value, int precision)
+{
+    std::vector<char> buf(512);
+    std::snprintf(buf.data(), buf.size(), "%.*f", precision, value);
+    return buf.data();
+}
+
+std::string
+fixed(double value, int precision)
+{
+    std::string out = "x";
+    appendFixed(out, value, precision);
+    EXPECT_EQ(out.front(), 'x') << "appendFixed must append";
+    return out.substr(1);
+}
+
+TEST(AppendFixed, MatchesPrintfOnSeededAndEdgeValues)
+{
+    // No golden pins statsText, so this is the fence for its bytes.
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.5, 99.99995, 1e300, -1e300, 1e-300,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    // Exact halves at the last printed digit: odd multiples of 2^-5
+    // end in a 5 at the fifth decimal, odd multiples of 2^-7 at the
+    // seventh; both signs.
+    for (int n = 1; n < 400; n += 2) {
+        for (const double sign : {1.0, -1.0}) {
+            values.push_back(sign * n / 32.0);
+            values.push_back(sign * n / 128.0);
+            values.push_back(sign * (1000.0 + n / 32.0));
+        }
+    }
+    // Seeded: stats-sized percentages and ratios, and raw bit patterns
+    // (every exponent, subnormals and NaN payloads included).
+    Rng rng(0xf19edu);
+    for (unsigned i = 0; i < 20000; ++i) {
+        values.push_back(rng.uniform() * 100.0);
+        values.push_back(static_cast<double>(rng.below(1000000)) /
+                         static_cast<double>(1 + rng.below(100000)));
+        values.push_back(std::bit_cast<double>(rng.next()));
+    }
+    for (const double v : values)
+        for (const int precision : {4, 6})
+            ASSERT_EQ(fixed(v, precision), printfFixed(v, precision))
+                << "precision " << precision << ", bits 0x" << std::hex
+                << std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(StatDump, RendersAlignedLinesInEntryOrder)
+{
+    StatDump dump;
+    dump.note("benchmark", "gzip");
+    dump.scalar("cycles", std::uint64_t{18446744073709551615u});
+    dump.scalar("ipc", 1.03125);
+    dump.scalar("a.much.longer.stat.name", -0.0);
+    dump.note("empty", "");
+    EXPECT_EQ(dump.render(),
+              "benchmark                gzip\n"
+              "cycles                   18446744073709551615\n"
+              "ipc                      1.0312\n"
+              "a.much.longer.stat.name  -0.0000\n"
+              "empty                    \n");
+    EXPECT_EQ(StatDump().render(), "");
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "assign/base_assignment.hh"
+#include "common/random.hh"
+#include "eager_trace_cache_reference.hh"
 #include "placement_reference.hh"
 #include "tracecache/fill_unit.hh"
 #include "tracecache/trace_cache.hh"
@@ -377,6 +379,119 @@ TEST(TraceCache, FillLatencyDelaysAvailability)
     EXPECT_NE(tc.lookup(100, always, 500), nullptr);
     // Lookups with no cycle context see everything (test convenience).
     EXPECT_NE(tc.lookup(100, always), nullptr);
+}
+
+/** Same key, instructions and profiles (or both absent). */
+void
+expectSameLine(const TraceLine *lazy, const TraceLine *eager,
+               const char *what, unsigned op)
+{
+    ASSERT_EQ(lazy == nullptr, eager == nullptr) << what << " op " << op;
+    if (lazy == nullptr)
+        return;
+    EXPECT_TRUE(lazy->key == eager->key) << what << " op " << op;
+    ASSERT_EQ(lazy->insts.size(), eager->insts.size()) << what;
+    for (std::size_t i = 0; i < lazy->insts.size(); ++i) {
+        EXPECT_EQ(lazy->insts[i].pc, eager->insts[i].pc);
+        EXPECT_EQ(lazy->insts[i].profile.role, eager->insts[i].profile.role);
+        EXPECT_EQ(lazy->insts[i].profile.chainCluster,
+                  eager->insts[i].profile.chainCluster);
+    }
+    EXPECT_EQ(lazy->availableAt, eager->availableAt) << what << " op " << op;
+}
+
+TEST(TraceCache, LazySetsMatchTheEagerCacheOnSeededStreams)
+{
+    // Start PCs crowd a few sets (evictions, path variants, in-flight
+    // lines) and spread over all of them (untouched sets stay lazy).
+    for (const unsigned entries : {2u, 8u, 64u, 1024u}) {
+        TraceCacheConfig cfg;
+        cfg.entries = entries;
+        cfg.assoc = entries == 2 ? 1 : 2;
+        TraceCache lazy(cfg);
+        test::EagerTraceCache eager(cfg);
+        EXPECT_EQ(lazy.touchedSets(), 0u);
+        Rng rng(0x7cac4eu + entries);
+        std::vector<TraceKey> inserted;
+        Cycle now = 0;
+        for (unsigned op = 0; op < 20000; ++op) {
+            now += rng.below(3);
+            const Addr start = rng.chance(3, 4) ? rng.below(24)
+                                                : rng.below(4096);
+            const unsigned kind = static_cast<unsigned>(rng.below(10));
+            if (kind < 4) {
+                const unsigned conds = static_cast<unsigned>(rng.below(3));
+                const unsigned insts = 1 + static_cast<unsigned>(rng.below(6));
+                std::vector<Addr> pcs, branches;
+                for (unsigned i = 0; i < insts; ++i)
+                    pcs.push_back(start + i);
+                for (unsigned b = 0; b < conds; ++b)
+                    branches.push_back(start + b);
+                TraceLine line = makeLine(
+                    start, static_cast<std::uint32_t>(rng.below(4)), conds,
+                    pcs, branches);
+                const Cycle at = rng.chance(1, 4) ? now + rng.below(50) : 0;
+                inserted.push_back(line.key);
+                lazy.insert(line, at);
+                eager.insert(line, at);
+            } else if (kind < 8) {
+                const std::uint64_t salt = rng.next();
+                const DirPredictFn predict = [salt](Addr pc, unsigned i) {
+                    return ((pc * 0x9e3779b97f4a7c15ull ^ salt) >> i) & 1;
+                };
+                const Cycle at = rng.chance(1, 2) ? now : neverCycle;
+                expectSameLine(lazy.lookup(start, predict, at),
+                               eager.lookup(start, predict, at), "lookup",
+                               op);
+            } else if (!inserted.empty()) {
+                const TraceKey key =
+                    inserted[rng.below(inserted.size())];
+                const std::uint64_t hash = key.hash();
+                if (kind == 8) {
+                    ChainProfile prof;
+                    prof.role = ChainRole::Leader;
+                    prof.chainCluster =
+                        static_cast<ClusterId>(rng.below(4));
+                    const Addr pc = key.startPc + rng.below(4);
+                    EXPECT_EQ(lazy.updateProfile(hash, pc, prof),
+                              eager.updateProfile(hash, pc, prof))
+                        << "op " << op;
+                } else {
+                    expectSameLine(lazy.findByHash(hash),
+                                   eager.findByHash(hash), "findByHash",
+                                   op);
+                }
+            }
+        }
+        StatDump lazy_stats, eager_stats;
+        lazy.dumpStats(lazy_stats);
+        eager.dumpStats(eager_stats);
+        EXPECT_EQ(lazy_stats.render(), eager_stats.render())
+            << entries << " entries";
+        EXPECT_GT(lazy.evictions(), 0u) << entries << " entries";
+        EXPECT_LE(lazy.touchedSets(), entries / cfg.assoc);
+    }
+}
+
+TEST(TraceCache, OnlyInsertsBuildASet)
+{
+    TraceCacheConfig cfg;   // the Table 7 geometry: 512 sets of 2
+    TraceCache tc(cfg);
+    EXPECT_EQ(tc.touchedSets(), 0u);
+    auto always = [](Addr, unsigned) { return true; };
+    for (Addr pc = 0; pc < 100; ++pc)
+        EXPECT_EQ(tc.lookup(pc, always), nullptr);
+    EXPECT_EQ(tc.findByHash(TraceKey{5, 0, 0}.hash()), nullptr);
+    EXPECT_FALSE(tc.updateProfile(TraceKey{5, 0, 0}.hash(), 5, {}));
+    EXPECT_EQ(tc.touchedSets(), 0u);
+    EXPECT_EQ(tc.misses(), 100u);
+
+    // Start PCs 3, 515 and 1027 share set 3; 4 is a set of its own.
+    for (const Addr pc : {3u, 515u, 1027u, 4u})
+        tc.insert(makeLine(pc, 0, 0, {pc}));
+    EXPECT_EQ(tc.touchedSets(), 2u);
+    EXPECT_EQ(tc.evictions(), 1u);
+    EXPECT_NE(tc.findByHash(TraceKey{4, 0, 0}.hash()), nullptr);
 }
 
 TEST(TraceKey, HashDistinguishesPaths)

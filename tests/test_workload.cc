@@ -66,6 +66,29 @@ TEST_P(WorkloadSweep, RunsFarPastTheSimulationBudget)
         ASSERT_TRUE(exec.step(d)) << "halted after " << i << " instructions";
 }
 
+TEST_P(WorkloadSweep, DataImageMatchesWordByWordWrites)
+{
+    // The executor copies each data block a page at a time; every word
+    // of every block must read as one write() per word leaves it, in
+    // block order (a later block overwrites an earlier one).
+    const Program p = workloads::build(GetParam());
+    const Executor exec(p);
+    SparseMemory reference;
+    for (const DataBlock &block : p.data())
+        for (std::size_t i = 0; i < block.words.size(); ++i)
+            reference.write(block.base + 8 * i, block.words[i]);
+    std::size_t words = 0;
+    for (const DataBlock &block : p.data()) {
+        for (std::size_t i = 0; i < block.words.size(); ++i, ++words) {
+            const Addr addr = block.base + 8 * i;
+            ASSERT_EQ(exec.memory().read(addr), reference.read(addr))
+                << "block at " << block.base << ", word " << i;
+        }
+    }
+    EXPECT_GT(words, 0u);
+    EXPECT_EQ(exec.memory().residentPages(), reference.residentPages());
+}
+
 TEST_P(WorkloadSweep, ControlFlowAndMemoryDiversity)
 {
     Program p = workloads::build(GetParam());

@@ -146,13 +146,11 @@ main(int argc, char **argv)
                 die(e.what());
             }
         } else if (arg == "--io-deadline") {
-            char *end = nullptr;
-            const char *text = next_arg(i);
-            config.ioDeadlineSeconds = std::strtod(text, &end);
-            if (end == text || *end != '\0' ||
-                config.ioDeadlineSeconds < 0.0)
-                die(std::string("invalid --io-deadline '") + text +
-                    "'");
+            try {
+                config.ioDeadlineSeconds = parseDecimal(next_arg(i), arg);
+            } catch (const std::invalid_argument &e) {
+                die(e.what());
+            }
         } else if (arg == "--log-file") {
             log_file = next_arg(i);
         } else if (arg == "--log-level") {

@@ -463,11 +463,11 @@ main(int argc, char **argv)
             robust.watchdogCycles = number_arg(i, 0, max_u64);
             robust.watchdogSet = true;
         } else if (arg == "--deadline") {
-            char *end = nullptr;
-            const char *text = next_arg(i);
-            deadline_seconds = std::strtod(text, &end);
-            if (end == text || *end != '\0' || deadline_seconds < 0.0)
-                die(std::string("invalid --deadline '") + text + "'");
+            try {
+                deadline_seconds = parseDecimal(next_arg(i), arg);
+            } catch (const std::invalid_argument &e) {
+                die(e.what());
+            }
         } else if (arg == "--max-attempts") {
             max_attempts =
                 static_cast<unsigned>(number_arg(i, 1, max_unsigned));

@@ -272,20 +272,20 @@ modeJson(const ModeResult &m, bool last)
 void
 writeValue(std::ostringstream &out, const json::Value &v)
 {
-    using Kind = json::Value::Kind;
-    switch (v.kind) {
+    using Kind = json::Kind;
+    switch (v.kind()) {
       case Kind::Null:
         out << "null";
         break;
       case Kind::Bool:
-        out << (v.boolean ? "true" : "false");
+        out << (v.asBool() ? "true" : "false");
         break;
       case Kind::Number:
-        out << v.number;   // raw text: exact round-trip
+        out << v.text();   // raw text: exact round-trip
         break;
       case Kind::String:
         out << '"';
-        for (char c : v.string) {
+        for (char c : v.text()) {
             if (c == '"' || c == '\\')
                 out << '\\';
             out << c;
@@ -295,7 +295,7 @@ writeValue(std::ostringstream &out, const json::Value &v)
       case Kind::Array: {
         out << '[';
         bool first = true;
-        for (const json::Value &e : v.array) {
+        for (const json::Value e : v.items()) {
             if (!first)
                 out << ", ";
             first = false;
@@ -307,7 +307,7 @@ writeValue(std::ostringstream &out, const json::Value &v)
       case Kind::Object: {
         out << '{';
         bool first = true;
-        for (const auto &[key, val] : v.object) {
+        for (const auto &[key, val] : v.members()) {
             if (!first)
                 out << ", ";
             first = false;
@@ -333,10 +333,10 @@ struct PriorBench
 double
 modeRate(const json::Value &doc, const std::string &mode_name)
 {
-    const json::Value *modes = doc.find("modes");
-    if (modes == nullptr || !modes->isArray())
+    const auto modes = doc.find("modes");
+    if (!modes)
         return 0.0;
-    for (const json::Value &m : modes->array) {
+    for (const json::Value m : modes->items()) {
         if (m.str("name") == mode_name)
             return m.num("sim_insts_per_host_second");
     }
@@ -344,26 +344,11 @@ modeRate(const json::Value &doc, const std::string &mode_name)
 }
 
 PriorBench
-loadPrior(const std::string &path)
+priorFrom(const json::Value &doc)
 {
     PriorBench prior;
-    std::ifstream in(path);
-    if (!in)
-        return prior;
-    std::ostringstream text;
-    text << in.rdbuf();
-    json::Value doc;
-    try {
-        doc = json::parse(text.str());
-    } catch (const std::exception &e) {
-        std::printf("note: ignoring unparsable %s (%s)\n", path.c_str(),
-                    e.what());
-        return prior;
-    }
-
-    const json::Value *history = doc.find("history");
-    if (history != nullptr && history->isArray()) {
-        for (const json::Value &entry : history->array) {
+    if (const auto history = doc.find("history")) {
+        for (const json::Value entry : history->items()) {
             std::ostringstream line;
             writeValue(line, entry);
             prior.historyLines.push_back(line.str());
@@ -377,9 +362,8 @@ loadPrior(const std::string &path)
     const double top = modeRate(doc, "tracing_off");
     if (top > 0.0) {
         prior.lastTracingOff = top;
-        if (const json::Value *ts = doc.find("generated_at");
-            ts != nullptr && ts->isString())
-            prior.lastTimestamp = ts->string;
+        if (const auto ts = doc.find("generated_at"); ts && ts->isString())
+            prior.lastTimestamp = ts->text();
         if (prior.historyLines.empty()) {
             char line[512];
             std::snprintf(line, sizeof(line),
@@ -398,6 +382,23 @@ loadPrior(const std::string &path)
         }
     }
     return prior;
+}
+
+PriorBench
+loadPrior(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        return {};
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+        return priorFrom(json::parse(text.str()));
+    } catch (const std::exception &e) {
+        std::printf("note: ignoring unparsable %s (%s)\n", path.c_str(),
+                    e.what());
+        return {};
+    }
 }
 
 std::string

@@ -15,6 +15,7 @@
 #include "campaign/persistent_pool.hh"
 #include "campaign/work_queue.hh"
 #include "cluster/interconnect.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse_number.hh"
 #include "core/simulator.hh"
@@ -25,32 +26,6 @@
 namespace ctcp::campaign {
 
 namespace {
-
-/** JSON string escaping (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Re-indent an embedded JSON block: prefix every line but the first. */
 std::string
@@ -170,8 +145,8 @@ Report::toJson(bool include_host_timing, bool include_accounting) const
         const JobOutcome &job = jobs[i];
         out += i ? ",\n" : "\n";
         out += "    {\n";
-        out += "      \"label\": \"" + jsonEscape(job.label) + "\",\n";
-        out += "      \"benchmark\": \"" + jsonEscape(job.benchmark) +
+        out += "      \"label\": \"" + json::escape(job.label) + "\",\n";
+        out += "      \"benchmark\": \"" + json::escape(job.benchmark) +
                "\",\n";
         if (job.ok()) {
             out += "      \"status\": \"ok\",\n";
@@ -192,7 +167,7 @@ Report::toJson(bool include_host_timing, bool include_accounting) const
             out += "\",\n";
             out += "      \"attempts\": " +
                    std::to_string(job.attempts) + ",\n";
-            out += "      \"error\": \"" + jsonEscape(job.error) +
+            out += "      \"error\": \"" + json::escape(job.error) +
                    "\"\n";
         }
         out += "    }";

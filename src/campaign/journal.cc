@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <string_view>
+#include <utility>
+#include <variant>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 
@@ -16,38 +19,13 @@ namespace {
 
 // ---- Encoding ----------------------------------------------------------
 
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 put(std::string &out, const char *key, const std::string &value)
 {
     out += '"';
     out += key;
     out += "\":\"";
-    out += escape(value);
+    out += json::escape(value);
     out += "\",";
 }
 
@@ -70,68 +48,75 @@ put(std::string &out, const char *key, double value)
     out += buf;
 }
 
+/** "key":{"name":value,...}, each value %.17g. */
+void
+putNumbers(std::string &out, const char *key,
+           const std::map<std::string, double> &values)
+{
+    out += '"';
+    out += key;
+    out += "\":{";
+    const char *sep = "";
+    for (const auto &[name, value] : values) {
+        out += sep;
+        sep = ",";
+        char buf[192];
+        std::snprintf(buf, sizeof(buf), "\"%s\":%.17g",
+                      json::escape(name).c_str(), value);
+        out += buf;
+    }
+    out += '}';
+}
+
+/** The result's scalar fields, in record order. */
+using Field = std::variant<std::string SimResult::*,
+                           std::uint64_t SimResult::*, double SimResult::*>;
+const std::pair<const char *, Field> resultFields[] = {
+    {"benchmark", &SimResult::benchmark},
+    {"strategy", &SimResult::strategy},
+    {"cycles", &SimResult::cycles},
+    {"instructions", &SimResult::instructions},
+    {"pctFromTraceCache", &SimResult::pctFromTraceCache},
+    {"meanTraceSize", &SimResult::meanTraceSize},
+    {"pctCritFromRF", &SimResult::pctCritFromRF},
+    {"pctCritFromRs1", &SimResult::pctCritFromRs1},
+    {"pctCritFromRs2", &SimResult::pctCritFromRs2},
+    {"pctDepsCritical", &SimResult::pctDepsCritical},
+    {"pctCritInterTrace", &SimResult::pctCritInterTrace},
+    {"repeatRs1", &SimResult::repeatRs1},
+    {"repeatRs2", &SimResult::repeatRs2},
+    {"repeatRs1CritInter", &SimResult::repeatRs1CritInter},
+    {"repeatRs2CritInter", &SimResult::repeatRs2CritInter},
+    {"pctIntraClusterFwd", &SimResult::pctIntraClusterFwd},
+    {"meanFwdDistance", &SimResult::meanFwdDistance},
+    {"pctOptionA", &SimResult::pctOptionA},
+    {"pctOptionB", &SimResult::pctOptionB},
+    {"pctOptionC", &SimResult::pctOptionC},
+    {"pctOptionD", &SimResult::pctOptionD},
+    {"pctOptionE", &SimResult::pctOptionE},
+    {"pctSkipped", &SimResult::pctSkipped},
+    {"migrationAllPct", &SimResult::migrationAllPct},
+    {"migrationChainPct", &SimResult::migrationChainPct},
+    {"bpredAccuracy", &SimResult::bpredAccuracy},
+    {"tcHitRate", &SimResult::tcHitRate},
+    {"mispredicts", &SimResult::mispredicts},
+    {"hostSeconds", &SimResult::hostSeconds},
+    {"statsText", &SimResult::statsText},
+};
+
 std::string
 encodeResult(const SimResult &r)
 {
     std::string out = "{";
-    put(out, "benchmark", r.benchmark);
-    put(out, "strategy", r.strategy);
-    put(out, "cycles", r.cycles);
-    put(out, "instructions", r.instructions);
-    put(out, "pctFromTraceCache", r.pctFromTraceCache);
-    put(out, "meanTraceSize", r.meanTraceSize);
-    put(out, "pctCritFromRF", r.pctCritFromRF);
-    put(out, "pctCritFromRs1", r.pctCritFromRs1);
-    put(out, "pctCritFromRs2", r.pctCritFromRs2);
-    put(out, "pctDepsCritical", r.pctDepsCritical);
-    put(out, "pctCritInterTrace", r.pctCritInterTrace);
-    put(out, "repeatRs1", r.repeatRs1);
-    put(out, "repeatRs2", r.repeatRs2);
-    put(out, "repeatRs1CritInter", r.repeatRs1CritInter);
-    put(out, "repeatRs2CritInter", r.repeatRs2CritInter);
-    put(out, "pctIntraClusterFwd", r.pctIntraClusterFwd);
-    put(out, "meanFwdDistance", r.meanFwdDistance);
-    put(out, "pctOptionA", r.pctOptionA);
-    put(out, "pctOptionB", r.pctOptionB);
-    put(out, "pctOptionC", r.pctOptionC);
-    put(out, "pctOptionD", r.pctOptionD);
-    put(out, "pctOptionE", r.pctOptionE);
-    put(out, "pctSkipped", r.pctSkipped);
-    put(out, "migrationAllPct", r.migrationAllPct);
-    put(out, "migrationChainPct", r.migrationChainPct);
-    put(out, "bpredAccuracy", r.bpredAccuracy);
-    put(out, "tcHitRate", r.tcHitRate);
-    put(out, "mispredicts", r.mispredicts);
-    put(out, "hostSeconds", r.hostSeconds);
-    put(out, "statsText", r.statsText);
-    out += "\"metrics\":{";
-    bool first = true;
-    for (const auto &[name, value] : r.metrics) {
-        if (!first)
-            out += ',';
-        first = false;
-        char buf[192];
-        std::snprintf(buf, sizeof(buf), "\"%s\":%.17g",
-                      escape(name).c_str(), value);
-        out += buf;
-    }
-    out += "}";
+    for (const auto &[key, field] : resultFields)
+        std::visit([&](auto member) { put(out, key, r.*member); }, field);
+    putNumbers(out, "metrics", r.metrics);
     // Only present for accounting-enabled runs, so journals written by
     // older builds decode unchanged and plain runs keep their exact
     // record bytes.
     if (!r.accounting.empty()) {
-        out += ",\"accounting\":{";
-        first = true;
-        for (const auto &[name, value] : r.accounting) {
-            if (!first)
-                out += ',';
-            first = false;
-            char buf[192];
-            std::snprintf(buf, sizeof(buf), "\"%s\":%.17g",
-                          escape(name).c_str(), value);
-            out += buf;
-        }
-        out += "}";
+        out += ',';
+        putNumbers(out, "accounting", r.accounting);
     }
     out += "}";
     return out;
@@ -139,285 +124,74 @@ encodeResult(const SimResult &r)
 
 // ---- Decoding ----------------------------------------------------------
 //
-// Minimal recursive-descent JSON parser, sufficient for the records
-// this file writes (objects, strings, numbers). Any deviation —
-// including a line truncated by a crash mid-append — makes a parse
-// function return false, and the caller skips the record.
-
-struct JsonValue
-{
-    enum class Kind : std::uint8_t { Null, Number, String, Object };
-
-    Kind kind = Kind::Null;
-    /** Raw numeric text; lets integers convert without a double trip. */
-    std::string number;
-    std::string str;
-    std::vector<std::pair<std::string, JsonValue>> object;
-
-    const JsonValue *
-    find(const char *key) const
-    {
-        for (const auto &[k, v] : object)
-            if (k == key)
-                return &v;
-        return nullptr;
-    }
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        skipSpace();
-        if (!parseValue(out))
-            return false;
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-  private:
-    void
-    skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return false;
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseValue(JsonValue &out)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        const char c = text_[pos_];
-        if (c == '{')
-            return parseObject(out);
-        if (c == '"') {
-            out.kind = JsonValue::Kind::String;
-            return parseString(out.str);
-        }
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return parseNumber(out);
-        return false;
-    }
-
-    bool
-    parseObject(JsonValue &out)
-    {
-        if (!consume('{'))
-            return false;
-        out.kind = JsonValue::Kind::Object;
-        skipSpace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            if (!consume(':'))
-                return false;
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            out.object.emplace_back(std::move(key), std::move(value));
-            skipSpace();
-            if (pos_ >= text_.size())
-                return false;
-            if (text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (text_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            const char esc = text_[pos_++];
-            switch (esc) {
-              case '"':  out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/':  out += '/'; break;
-              case 'n':  out += '\n'; break;
-              case 'r':  out += '\r'; break;
-              case 't':  out += '\t'; break;
-              case 'b':  out += '\b'; break;
-              case 'f':  out += '\f'; break;
-              case 'u': {
-                if (pos_ + 4 > text_.size())
-                    return false;
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    const char h = text_[pos_++];
-                    code <<= 4;
-                    if (h >= '0' && h <= '9')
-                        code |= h - '0';
-                    else if (h >= 'a' && h <= 'f')
-                        code |= h - 'a' + 10;
-                    else if (h >= 'A' && h <= 'F')
-                        code |= h - 'A' + 10;
-                    else
-                        return false;
-                }
-                // The encoder only emits \u00xx (control characters).
-                out += static_cast<char>(code & 0xff);
-                break;
-              }
-              default:
-                return false;
-            }
-        }
-        return false; // unterminated (truncated record)
-    }
-
-    bool
-    parseNumber(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if ((c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                c == 'E' || c == '+' || c == '-')
-                ++pos_;
-            else
-                break;
-        }
-        if (pos_ == start)
-            return false;
-        out.kind = JsonValue::Kind::Number;
-        out.number = text_.substr(start, pos_ - start);
-        return true;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
+// Records are read with the common JSON reader. A line that is not one
+// complete JSON object, including a line torn by a crash mid-append,
+// or that lacks a field or holds one of the wrong kind or range, makes
+// the decode functions return false, and the caller skips the record.
 
 bool
-getString(const JsonValue &obj, const char *key, std::string &out)
+get(const json::Value &obj, const char *key, std::string &out)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::String)
+    const auto v = obj.find(key);
+    if (!v || !v->isString())
         return false;
-    out = v->str;
+    out = v->text();
+    return true;
+}
+
+/** A non-negative integer that fits in 64 bits: no sign, point or exponent. */
+bool
+get(const json::Value &obj, const char *key, std::uint64_t &out)
+{
+    const auto v = obj.find(key);
+    if (!v || !v->isNumber())
+        return false;
+    const std::string_view digits = v->text();
+    const char *last = digits.data() + digits.size();
+    const auto [end, ec] = std::from_chars(digits.data(), last, out);
+    return ec == std::errc() && end == last;
+}
+
+/** Any number: the reader has already held it to a finite double. */
+bool
+get(const json::Value &obj, const char *key, double &out)
+{
+    const auto v = obj.find(key);
+    if (!v || !v->isNumber())
+        return false;
+    out = v->asNumber();
+    return true;
+}
+
+/** An object of numbers into @p out. */
+bool
+getNumbers(const json::Value &obj, std::map<std::string, double> &out)
+{
+    out.clear();
+    if (!obj.isObject())
+        return false;
+    for (const auto &[name, value] : obj.members()) {
+        if (!value.isNumber())
+            return false;
+        out[std::string(name)] = value.asNumber();
+    }
     return true;
 }
 
 bool
-getU64(const JsonValue &obj, const char *key, std::uint64_t &out)
+decodeResult(const json::Value &obj, SimResult &r)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
-        return false;
-    out = std::strtoull(v->number.c_str(), nullptr, 10);
-    return true;
-}
-
-bool
-getDouble(const JsonValue &obj, const char *key, double &out)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind != JsonValue::Kind::Number)
-        return false;
-    out = std::strtod(v->number.c_str(), nullptr);
-    return true;
-}
-
-bool
-decodeResult(const JsonValue &obj, SimResult &r)
-{
-    bool ok = getString(obj, "benchmark", r.benchmark) &&
-        getString(obj, "strategy", r.strategy) &&
-        getU64(obj, "cycles", r.cycles) &&
-        getU64(obj, "instructions", r.instructions) &&
-        getDouble(obj, "pctFromTraceCache", r.pctFromTraceCache) &&
-        getDouble(obj, "meanTraceSize", r.meanTraceSize) &&
-        getDouble(obj, "pctCritFromRF", r.pctCritFromRF) &&
-        getDouble(obj, "pctCritFromRs1", r.pctCritFromRs1) &&
-        getDouble(obj, "pctCritFromRs2", r.pctCritFromRs2) &&
-        getDouble(obj, "pctDepsCritical", r.pctDepsCritical) &&
-        getDouble(obj, "pctCritInterTrace", r.pctCritInterTrace) &&
-        getDouble(obj, "repeatRs1", r.repeatRs1) &&
-        getDouble(obj, "repeatRs2", r.repeatRs2) &&
-        getDouble(obj, "repeatRs1CritInter", r.repeatRs1CritInter) &&
-        getDouble(obj, "repeatRs2CritInter", r.repeatRs2CritInter) &&
-        getDouble(obj, "pctIntraClusterFwd", r.pctIntraClusterFwd) &&
-        getDouble(obj, "meanFwdDistance", r.meanFwdDistance) &&
-        getDouble(obj, "pctOptionA", r.pctOptionA) &&
-        getDouble(obj, "pctOptionB", r.pctOptionB) &&
-        getDouble(obj, "pctOptionC", r.pctOptionC) &&
-        getDouble(obj, "pctOptionD", r.pctOptionD) &&
-        getDouble(obj, "pctOptionE", r.pctOptionE) &&
-        getDouble(obj, "pctSkipped", r.pctSkipped) &&
-        getDouble(obj, "migrationAllPct", r.migrationAllPct) &&
-        getDouble(obj, "migrationChainPct", r.migrationChainPct) &&
-        getDouble(obj, "bpredAccuracy", r.bpredAccuracy) &&
-        getDouble(obj, "tcHitRate", r.tcHitRate) &&
-        getU64(obj, "mispredicts", r.mispredicts) &&
-        getDouble(obj, "hostSeconds", r.hostSeconds) &&
-        getString(obj, "statsText", r.statsText);
-    if (!ok)
-        return false;
-    const JsonValue *metrics = obj.find("metrics");
-    if (!metrics || metrics->kind != JsonValue::Kind::Object)
-        return false;
-    r.metrics.clear();
-    for (const auto &[name, value] : metrics->object) {
-        if (value.kind != JsonValue::Kind::Number)
+    for (const auto &[key, field] : resultFields)
+        if (!std::visit([&](auto member) { return get(obj, key, r.*member); },
+                        field))
             return false;
-        r.metrics[name] = std::strtod(value.number.c_str(), nullptr);
-    }
+    const auto metrics = obj.find("metrics");
+    if (!metrics || !getNumbers(*metrics, r.metrics))
+        return false;
     // Optional: only accounting-enabled runs write this block.
     r.accounting.clear();
-    if (const JsonValue *acct = obj.find("accounting")) {
-        if (acct->kind != JsonValue::Kind::Object)
-            return false;
-        for (const auto &[name, value] : acct->object) {
-            if (value.kind != JsonValue::Kind::Number)
-                return false;
-            r.accounting[name] =
-                std::strtod(value.number.c_str(), nullptr);
-        }
-    }
-    return true;
+    const auto acct = obj.find("accounting");
+    return !acct || getNumbers(*acct, r.accounting);
 }
 
 } // namespace
@@ -447,40 +221,39 @@ encodeJournalRecord(std::size_t index, const JobOutcome &outcome)
 bool
 decodeJournalRecord(const std::string &line, JournalRecord &record)
 {
-    JsonValue root;
-    if (!Parser(line).parse(root) ||
-        root.kind != JsonValue::Kind::Object)
-        return false;
-
-    JournalRecord parsed;
-    std::uint64_t index = 0;
-    std::string status;
-    std::string category;
-    std::uint64_t attempts = 0;
-    if (!getU64(root, "index", index) ||
-        !getString(root, "label", parsed.outcome.label) ||
-        !getString(root, "benchmark", parsed.outcome.benchmark) ||
-        !getString(root, "status", status) ||
-        !getString(root, "category", category) ||
-        !getU64(root, "attempts", attempts) ||
-        !getString(root, "error", parsed.outcome.error))
-        return false;
-    if (status != "ok" && status != "failed")
-        return false;
-    parsed.index = static_cast<std::size_t>(index);
-    parsed.outcome.status =
-        status == "ok" ? JobStatus::Ok : JobStatus::Failed;
-    parsed.outcome.category = errorCategoryFromName(category);
-    parsed.outcome.attempts =
-        attempts ? static_cast<unsigned>(attempts) : 1;
-    if (parsed.outcome.ok()) {
-        const JsonValue *result = root.find("result");
-        if (!result || result->kind != JsonValue::Kind::Object ||
-            !decodeResult(*result, parsed.outcome.result))
+    try {
+        const json::Document root = json::parse(line);
+        JournalRecord parsed;
+        std::uint64_t index = 0;
+        std::string status;
+        std::string category;
+        std::uint64_t attempts = 0;
+        if (!get(root, "index", index) ||
+            !get(root, "label", parsed.outcome.label) ||
+            !get(root, "benchmark", parsed.outcome.benchmark) ||
+            !get(root, "status", status) ||
+            !get(root, "category", category) ||
+            !get(root, "attempts", attempts) ||
+            !get(root, "error", parsed.outcome.error))
             return false;
+        if (status != "ok" && status != "failed")
+            return false;
+        parsed.index = static_cast<std::size_t>(index);
+        parsed.outcome.status =
+            status == "ok" ? JobStatus::Ok : JobStatus::Failed;
+        parsed.outcome.category = errorCategoryFromName(category);
+        parsed.outcome.attempts =
+            attempts ? static_cast<unsigned>(attempts) : 1;
+        if (parsed.outcome.ok()) {
+            const auto result = root.find("result");
+            if (!result || !decodeResult(*result, parsed.outcome.result))
+                return false;
+        }
+        record = std::move(parsed);
+        return true;
+    } catch (const std::exception &) {
+        return false; // not one complete JSON document
     }
-    record = std::move(parsed);
-    return true;
 }
 
 std::vector<JournalRecord>

@@ -1,9 +1,10 @@
 #include "campaign/matrix.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
+#include "common/parse_number.hh"
 #include "config/presets.hh"
 #include "workload/workload.hh"
 
@@ -15,6 +16,18 @@ namespace {
 bad(const std::string &msg)
 {
     throw std::invalid_argument("campaign matrix: " + msg);
+}
+
+/** ctcp::parseUnsigned, its message prefixed like every matrix error. */
+std::uint64_t
+parseNumber(const std::string &text, const std::string &field,
+            std::uint64_t min, std::uint64_t max)
+{
+    try {
+        return parseUnsigned(text, field, min, max);
+    } catch (const std::invalid_argument &e) {
+        bad(e.what());
+    }
 }
 
 std::vector<std::string>
@@ -77,13 +90,10 @@ parseStrategy(const std::string &value)
     const std::size_t colon = value.find(':');
     if (colon != std::string::npos) {
         name = value.substr(0, colon);
-        const std::string lat = value.substr(colon + 1);
-        if (lat.empty() ||
-            lat.find_first_not_of("0123456789") != std::string::npos)
-            bad("bad issue-time latency in '" + value + "'");
         spec.latencySet = true;
         spec.latency = static_cast<unsigned>(
-            std::strtoul(lat.c_str(), nullptr, 10));
+            parseNumber(value.substr(colon + 1), "issue-time latency", 0,
+                        std::numeric_limits<unsigned>::max()));
     }
     if (name == "base")
         spec.strategy = AssignStrategy::BaseSlotOrder;
@@ -128,14 +138,7 @@ parseTopologyValue(const std::string &value)
 unsigned
 parseClusterCount(const std::string &value)
 {
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        bad("bad cluster count '" + value + "'");
-    const unsigned n =
-        static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    if (n == 0 || n > 8)
-        bad("cluster count must be in 1..8 (got '" + value + "')");
-    return n;
+    return static_cast<unsigned>(parseNumber(value, "cluster count", 1, 8));
 }
 
 struct PresetSpec
@@ -156,14 +159,8 @@ parsePreset(const std::string &value)
 std::uint64_t
 parseBudget(const std::string &value)
 {
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        bad("bad instruction budget '" + value + "'");
-    const std::uint64_t budget =
-        std::strtoull(value.c_str(), nullptr, 10);
-    if (budget == 0)
-        bad("instruction budget must be positive");
-    return budget;
+    return parseNumber(value, "instruction budget", 1,
+                       std::numeric_limits<std::uint64_t>::max());
 }
 
 /**

@@ -9,6 +9,8 @@
 
 #include <sys/time.h>
 
+#include "common/json.hh"
+
 namespace ctcp {
 
 // ---- Structured JSONL sink ---------------------------------------------
@@ -27,34 +29,6 @@ sink()
 {
     static LogSink s;
     return s;
-}
-
-/** Minimal JSON string escaping (logging must not depend on json.hh). */
-std::string
-jsonEscapeLog(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** UTC timestamp with millisecond precision, RFC 3339. */
@@ -153,13 +127,13 @@ logRecord(LogLevel level, const std::string &component,
         return;
     std::string line = "{\"ts\":\"" + logTimestamp() + "\",\"level\":\"";
     line += logLevelName(level);
-    line += "\",\"component\":\"" + jsonEscapeLog(component) + "\"";
+    line += "\",\"component\":\"" + json::escape(component) + "\"";
     if (!traceId.empty())
-        line += ",\"trace\":\"" + jsonEscapeLog(traceId) + "\"";
-    line += ",\"msg\":\"" + jsonEscapeLog(msg) + "\"";
+        line += ",\"trace\":\"" + json::escape(traceId) + "\"";
+    line += ",\"msg\":\"" + json::escape(msg) + "\"";
     for (const auto &[key, value] : fields)
-        line += ",\"" + jsonEscapeLog(key) + "\":\"" +
-            jsonEscapeLog(value) + "\"";
+        line += ",\"" + json::escape(key) + "\":\"" +
+            json::escape(value) + "\"";
     line += "}\n";
     std::fwrite(line.data(), 1, line.size(), s.file);
     // One flush per record, like the campaign journal: a crashed

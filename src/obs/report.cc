@@ -199,12 +199,10 @@ runFromMetricsObject(const json::Value &obj)
     run.cycles = obj.num("cycles");
     run.instructions = obj.num("instructions");
     run.ipc = obj.num("ipc");
-    if (const json::Value *a = obj.find("accounting");
-        a && a->isObject()) {
-        for (const auto &[name, value] : a->object)
+    if (const auto a = obj.find("accounting"))
+        for (const auto &[name, value] : a->members())
             if (value.isNumber())
-                run.accounting[name] = value.asNumber();
-    }
+                run.accounting[std::string(name)] = value.asNumber();
     return run;
 }
 
@@ -213,14 +211,14 @@ runFromMetricsObject(const json::Value &obj)
 ReportView
 fromJsonText(const std::string &text)
 {
-    const json::Value root = json::parse(text);
+    const json::Document root = json::parse(text);
     if (!root.isObject())
         throw std::runtime_error("report document is not a JSON object");
     ReportView view;
-    const json::Value *results = root.find("results");
+    const auto results = root.find("results");
     if (results && results->isArray()) {
         view.campaign = true;
-        for (const json::Value &entry : results->array) {
+        for (const json::Value entry : results->items()) {
             if (!entry.isObject())
                 throw std::runtime_error(
                     "campaign results entry is not an object");
@@ -228,7 +226,7 @@ fromJsonText(const std::string &text)
             run.label = entry.str("label");
             run.ok = entry.str("status") == "ok";
             if (run.ok) {
-                const json::Value *metrics = entry.find("metrics");
+                const auto metrics = entry.find("metrics");
                 if (!metrics || !metrics->isObject())
                     throw std::runtime_error(
                         "ok job '" + run.label + "' has no metrics");

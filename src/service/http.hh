@@ -84,9 +84,6 @@ bool parseResponse(const std::string &raw, HttpResponse &resp,
 /** Decode %xx escapes and '+' (query components). */
 std::string percentDecode(const std::string &text);
 
-/** JSON string escaping for hand-built response bodies. */
-std::string jsonEscape(const std::string &text);
-
 /**
  * A fresh correlation id for the X-Ctcp-Trace-Id header: 16 lowercase
  * hex digits, unique per process lifetime (seeded from the clock and

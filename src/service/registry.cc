@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include <dirent.h>
@@ -16,6 +17,7 @@
 #include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/parse_number.hh"
 #include "common/sim_error.hh"
 #include "obs/report.hh"
 #include "service/http.hh"
@@ -254,7 +256,7 @@ RunRegistry::submit(const std::string &spec, const SubmitOptions &options)
 
     // Persist the submission first: once submit() returns an id, a
     // daemon restart must be able to resume this run.
-    std::string record = "{\"spec\":\"" + jsonEscape(spec) + "\"";
+    std::string record = "{\"spec\":\"" + json::escape(spec) + "\"";
     record += ",\"accounting\":";
     record += options.accounting ? "true" : "false";
     record += ",\"maxAttempts\":" + std::to_string(options.maxAttempts);
@@ -300,12 +302,15 @@ RunRegistry::resume()
         SubmitOptions options;
         std::string spec;
         try {
-            const json::Value doc = json::parse(text);
+            const json::Document doc = json::parse(text);
             spec = doc.str("spec");
-            const json::Value *acc = doc.find("accounting");
-            options.accounting = acc && acc->boolean;
-            options.maxAttempts = static_cast<unsigned>(
-                doc.num("maxAttempts", 1.0));
+            const auto acc = doc.find("accounting");
+            options.accounting = acc && acc->asBool();
+            if (const auto attempts = doc.find("maxAttempts"))
+                options.maxAttempts = static_cast<unsigned>(parseUnsigned(
+                    attempts->isNumber() ? std::string(attempts->text())
+                                         : std::string(),
+                    "maxAttempts", 1, std::numeric_limits<unsigned>::max()));
             options.jobDeadlineSeconds =
                 doc.num("jobDeadlineSeconds", 0.0);
         } catch (const std::exception &e) {

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/parse_number.hh"
 #include "common/sim_error.hh"
@@ -26,7 +27,7 @@ errorResponse(int status, const std::string &message)
 {
     HttpResponse resp;
     resp.status = status;
-    resp.body = "{\"error\":\"" + jsonEscape(message) + "\"}\n";
+    resp.body = "{\"error\":\"" + json::escape(message) + "\"}\n";
     return resp;
 }
 
@@ -34,10 +35,10 @@ std::string
 runInfoJson(const RunInfo &info)
 {
     std::string out = "{";
-    out += "\"id\":\"" + jsonEscape(info.id) + "\",";
+    out += "\"id\":\"" + json::escape(info.id) + "\",";
     out += "\"state\":\"" + std::string(runStateName(info.state)) +
         "\",";
-    out += "\"spec\":\"" + jsonEscape(info.spec) + "\",";
+    out += "\"spec\":\"" + json::escape(info.spec) + "\",";
     out += "\"jobs\":" + std::to_string(info.totalJobs) + ",";
     out += "\"done\":" + std::to_string(info.doneJobs) + ",";
     out += "\"failed\":" + std::to_string(info.failedJobs) + ",";
@@ -47,7 +48,7 @@ runInfoJson(const RunInfo &info)
     out += std::string("\"cancelRequested\":") +
         (info.cancelRequested ? "true" : "false");
     if (!info.error.empty())
-        out += ",\"error\":\"" + jsonEscape(info.error) + "\"";
+        out += ",\"error\":\"" + json::escape(info.error) + "\"";
     out += "}";
     return out;
 }

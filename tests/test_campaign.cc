@@ -366,6 +366,9 @@ TEST(CampaignMatrix, RejectsBadTopologyAndClusterValues)
                  std::invalid_argument);
     EXPECT_THROW(campaign::parseMatrix("clusters="),
                  std::invalid_argument);
+    // 2^32 + 2 would wrap to a 2-cluster machine through a 32-bit cast.
+    EXPECT_THROW(campaign::parseMatrix("clusters=4294967298"),
+                 std::invalid_argument);
 }
 
 TEST(CampaignAdaptive, DeterministicAcrossWorkerCounts)
@@ -419,6 +422,17 @@ TEST(CampaignMatrix, MultipleBudgetsGetLabelSuffix)
     EXPECT_EQ(jobs[1].label, "gzip/base/base@2000");
 }
 
+TEST(CampaignMatrix, NumbersTakeTheirWholeRange)
+{
+    const std::vector<campaign::Job> jobs = campaign::parseMatrix(
+        "bench=gzip;strategy=issue-time:4294967295;clusters=8;"
+        "budget=18446744073709551615");
+    ASSERT_EQ(jobs.size(), 1u);
+    EXPECT_EQ(jobs[0].config.assign.issueTimeLatency, 4294967295u);
+    EXPECT_EQ(jobs[0].config.cluster.numClusters, 8u);
+    EXPECT_EQ(jobs[0].config.instructionLimit, 18446744073709551615ull);
+}
+
 TEST(CampaignMatrix, RejectsBadSpecs)
 {
     EXPECT_THROW(campaign::parseMatrix("bench=not_a_bench"),
@@ -430,6 +444,15 @@ TEST(CampaignMatrix, RejectsBadSpecs)
     EXPECT_THROW(campaign::parseMatrix("budget=0"),
                  std::invalid_argument);
     EXPECT_THROW(campaign::parseMatrix("budget=soon"),
+                 std::invalid_argument);
+    EXPECT_THROW(campaign::parseMatrix("budget=18446744073709551616"),
+                 std::invalid_argument);
+    // 2^32 + 4 would wrap to latency 4 through a 32-bit cast.
+    EXPECT_THROW(campaign::parseMatrix("strategy=issue-time:4294967300"),
+                 std::invalid_argument);
+    EXPECT_THROW(campaign::parseMatrix("strategy=issue-time:"),
+                 std::invalid_argument);
+    EXPECT_THROW(campaign::parseMatrix("strategy=issue-time:-1"),
                  std::invalid_argument);
     EXPECT_THROW(campaign::parseMatrix("colour=red"),
                  std::invalid_argument);

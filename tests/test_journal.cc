@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,8 +23,10 @@
 #include "campaign/campaign.hh"
 #include "campaign/journal.hh"
 #include "campaign/matrix.hh"
+#include "common/random.hh"
 #include "common/sim_error.hh"
 #include "config/presets.hh"
+#include "mutate.hh"
 #include "prog/builder.hh"
 #include "tmp_dir.hh"
 #include "verify/fault.hh"
@@ -182,18 +185,79 @@ TEST(JournalRecord, FailedOutcomeRoundTrips)
     EXPECT_EQ(rec.outcome.label, out.label);
 }
 
+/** sampleOkOutcome() with an accounting block. */
+campaign::JobOutcome
+sampleAccountedOutcome()
+{
+    campaign::JobOutcome out = sampleOkOutcome();
+    out.result.accounting["slots.total"] = 1234567.0 * 16;
+    out.result.accounting["slots.useful"] = 1.0 / 9.0;
+    return out;
+}
+
+campaign::JobOutcome
+sampleFailedOutcome()
+{
+    campaign::JobOutcome out;
+    out.label = "mcf/base";
+    out.benchmark = "mcf";
+    out.status = campaign::JobStatus::Failed;
+    out.category = ErrorCategory::Workload;
+    out.error = "builder threw";
+    return out;
+}
+
 TEST(JournalRecord, TruncatedLinesAreRejected)
 {
-    const std::string line =
-        campaign::encodeJournalRecord(3, sampleOkOutcome());
     campaign::JournalRecord rec;
-    for (std::size_t cut : {std::size_t(1), line.size() / 2,
-                            line.size() - 2})
-        EXPECT_FALSE(campaign::decodeJournalRecord(
-            line.substr(0, cut), rec))
-            << "accepted a record cut to " << cut << " bytes";
+    for (const campaign::JobOutcome &out :
+         {sampleOkOutcome(), sampleAccountedOutcome(),
+          sampleFailedOutcome()}) {
+        std::string line = campaign::encodeJournalRecord(3, out);
+        line.pop_back(); // the newline
+        ASSERT_TRUE(campaign::decodeJournalRecord(line, rec));
+        // Every torn prefix, as a crash mid-append can leave it.
+        for (std::size_t cut = 0; cut < line.size(); ++cut)
+            ASSERT_FALSE(campaign::decodeJournalRecord(
+                line.substr(0, cut), rec))
+                << "accepted a record cut to " << cut << " bytes";
+    }
     EXPECT_FALSE(campaign::decodeJournalRecord("not json at all", rec));
-    EXPECT_FALSE(campaign::decodeJournalRecord("", rec));
+}
+
+TEST(JournalRecord, NumbersMustBeInRangeAndWellFormed)
+{
+    std::string line = campaign::encodeJournalRecord(3, sampleOkOutcome());
+    line.pop_back();
+    const auto with = [&](const std::string &from, const std::string &to) {
+        std::string out = line;
+        const std::size_t at = out.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return out.replace(at, from.size(), to);
+    };
+    campaign::JournalRecord rec;
+    ASSERT_TRUE(campaign::decodeJournalRecord(line, rec));
+    // Integers: no arithmetic, sign, point, exponent or overflow.
+    for (const char *index :
+         {"7-2", "-1", "1.5", "3e0", "99999999999999999999",
+          "18446744073709551616", "\"3\"", "-", "03"})
+        EXPECT_FALSE(campaign::decodeJournalRecord(
+            with("\"index\":3,", std::string("\"index\":") + index + ","),
+            rec))
+            << index;
+    EXPECT_TRUE(campaign::decodeJournalRecord(
+        with("\"index\":3,", "\"index\":18446744073709551615,"), rec));
+    EXPECT_FALSE(campaign::decodeJournalRecord(
+        with("\"cycles\":1234567,", "\"cycles\":1234567.0,"), rec));
+    // Doubles: finite, and spelled as JSON numbers.
+    for (const char *seconds : {"1e999", "-1e999", "inf", "nan", "1.", ".5"})
+        EXPECT_FALSE(campaign::decodeJournalRecord(
+            with("\"hostSeconds\":0.25,",
+                 std::string("\"hostSeconds\":") + seconds + ","),
+            rec))
+            << seconds;
+    EXPECT_FALSE(campaign::decodeJournalRecord(
+        with("\"host.seconds\":0.25", "\"host.seconds\":1e400"), rec));
 }
 
 TEST(Journal, LoadToleratesCrashMidAppend)
@@ -1038,6 +1102,92 @@ TEST(CampaignSharing, SlotHalvesMergeToTheWhole)
     EXPECT_EQ(report.toJson(), referenceJson(kSharedSpec));
     EXPECT_EQ(report.toCsv(),
               campaign::runCampaign(all).toCsv());
+}
+
+TEST(JournalFuzz, MutatedRecordsDecodeOrReturnFalse)
+{
+    const std::vector<std::string> seeds = {
+        campaign::encodeJournalRecord(3, sampleOkOutcome()),
+        campaign::encodeJournalRecord(4, sampleAccountedOutcome()),
+        campaign::encodeJournalRecord(5, sampleFailedOutcome()),
+    };
+    Rng rng(20260818);
+    std::size_t decoded = 0;
+    for (unsigned i = 0; i < 5'000; ++i) {
+        const std::string line =
+            test::mutate(seeds[rng.below(seeds.size())], rng);
+        campaign::JournalRecord rec;
+        bool ok = false;
+        ASSERT_NO_THROW(ok = campaign::decodeJournalRecord(line, rec))
+            << line;
+        if (!ok)
+            continue;
+        // What decodes re-encodes to a record that decodes the same.
+        ++decoded;
+        const std::string again =
+            campaign::encodeJournalRecord(rec.index, rec.outcome);
+        campaign::JournalRecord rec2;
+        ASSERT_TRUE(campaign::decodeJournalRecord(again, rec2)) << line;
+        EXPECT_EQ(campaign::encodeJournalRecord(rec2.index, rec2.outcome),
+                  again);
+    }
+    EXPECT_GT(decoded, 50u);
+    EXPECT_LT(decoded, 4'500u);
+}
+
+TEST(JournalFuzz, TailOfAMutatedJournalHandsOutWholeLines)
+{
+    const std::string seed =
+        campaign::encodeJournalRecord(0, sampleOkOutcome()) +
+        campaign::encodeJournalRecord(1, sampleFailedOutcome()) +
+        campaign::encodeJournalRecord(2, sampleAccountedOutcome());
+    const std::string path = tempPath("ctcp_fuzz_tail.jsonl");
+    Rng rng(20260819);
+    for (unsigned i = 0; i < 200; ++i) {
+        const std::string bytes = test::mutate(seed, rng);
+        writeBytes(path, bytes);
+        const std::uint64_t offset = rng.below(bytes.size() + 2);
+        std::uint64_t next = 0;
+        const std::string tail =
+            campaign::readJournalTail(path, offset, next);
+        ASSERT_EQ(next, offset + tail.size());
+        if (tail.empty())
+            continue;
+        ASSERT_EQ(tail.back(), '\n');
+        ASSERT_EQ(tail, bytes.substr(offset, tail.size()));
+        std::istringstream lines(tail);
+        for (std::string line; std::getline(lines, line);) {
+            campaign::JournalRecord rec;
+            ASSERT_NO_THROW(campaign::decodeJournalRecord(line, rec));
+        }
+        ASSERT_NO_THROW(campaign::loadJournal(path));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(MatrixFuzz, MutatedSpecsParseOrThrowInvalidArgument)
+{
+    const std::vector<std::string> seeds = {
+        "bench=gzip,twolf;strategy=base,issue-time:4,fdrt;budget=1000",
+        "bench=six;strategy=friendly,adaptive;clusters=2,8;"
+        "topology=ring,bus;budget=1000,2000",
+        "bench=mcf;preset=base,mesh,twocluster;slots=0-1,2",
+        "",
+    };
+    Rng rng(20260820);
+    std::size_t parsed = 0;
+    for (unsigned i = 0; i < 5'000; ++i) {
+        const std::string spec =
+            test::mutate(seeds[rng.below(seeds.size())], rng);
+        try {
+            parsed += !campaign::parseMatrix(spec).empty();
+        } catch (const std::invalid_argument &) {
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "spec '" << spec << "' threw " << e.what();
+        }
+    }
+    EXPECT_GT(parsed, 50u);
+    EXPECT_LT(parsed, 4'500u);
 }
 
 } // namespace

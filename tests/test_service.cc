@@ -28,6 +28,7 @@
 #include "campaign/journal.hh"
 #include "campaign/matrix.hh"
 #include "campaign/persistent_pool.hh"
+#include "common/json.hh"
 #include "config/presets.hh"
 #include "tmp_dir.hh"
 #include "service/http.hh"
@@ -190,8 +191,9 @@ TEST(Http, ResponseRoundTripsThroughClientParser)
 
 TEST(Http, JsonEscapeHandlesControlCharacters)
 {
-    EXPECT_EQ(service::jsonEscape("plain"), "plain");
-    EXPECT_EQ(service::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(json::escape("plain"), "plain");
+    EXPECT_EQ(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(json::escape("\t\r\x01\x1f\x7f"), "\\t\\r\\u0001\\u001f\x7f");
 }
 
 // ---- Journal tail reader (the /events wire format) ---------------------
@@ -662,6 +664,42 @@ TEST_F(ServerRouting, MalformedSpecIs400)
         EXPECT_NE(hostile.body.find("out of range"), std::string::npos)
             << hostile.body;
     }
+    // Matrix numbers past their range, not wrapped into it.
+    for (const char *spec : {"bench=gzip;clusters=4294967298",
+                             "bench=gzip;strategy=issue-time:4294967300",
+                             "bench=gzip;budget=18446744073709551616"}) {
+        const service::HttpResponse wrapped = post("/v1/runs", spec);
+        EXPECT_EQ(wrapped.status, 400) << spec;
+        EXPECT_NE(wrapped.body.find("out of range"), std::string::npos)
+            << wrapped.body;
+    }
+}
+
+TEST(RunRegistry, ResumeReadsMaxAttemptsAsARangedInteger)
+{
+    // A restarted daemon skips a persisted spec whose maxAttempts is
+    // not an integer in 1..2^32-1, instead of casting it.
+    const std::string dir = tempPath("registry_attempts");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const char *attempts[] = {"3",   "4294967296", "2.5", "0",
+                              "-1",  "1e3",        "\"3\""};
+    for (std::size_t i = 0; i < std::size(attempts); ++i) {
+        std::ofstream(dir + "/r000" + std::to_string(i + 1) + ".spec.json")
+            << "{\"spec\":\"bench=gzip;budget=1000\",\"accounting\":false,"
+            << "\"maxAttempts\":" << attempts[i]
+            << ",\"jobDeadlineSeconds\":0}\n";
+    }
+    service::RunRegistry::Config config;
+    config.stateDir = dir;
+    config.workers = 1;
+    service::RunRegistry registry(config);
+    EXPECT_EQ(registry.resume(), 1u);
+    service::RunInfo info;
+    ASSERT_TRUE(registry.wait("r0001", 60.0, info));
+    EXPECT_EQ(info.maxAttempts, 3u);
+    for (std::size_t i = 2; i <= std::size(attempts); ++i)
+        EXPECT_FALSE(registry.info("r000" + std::to_string(i), info)) << i;
 }
 
 TEST_F(ServerRouting, MalformedQueryNumbersAre400)

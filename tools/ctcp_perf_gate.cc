@@ -52,7 +52,7 @@ die(const std::string &msg)
     std::exit(2);
 }
 
-ctcp::json::Value
+ctcp::json::Document
 loadJson(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
@@ -71,10 +71,10 @@ loadJson(const std::string &path)
 double
 modeRate(const ctcp::json::Value &doc, const std::string &mode_name)
 {
-    const ctcp::json::Value *modes = doc.find("modes");
-    if (modes == nullptr || !modes->isArray())
+    const auto modes = doc.find("modes");
+    if (!modes)
         return 0.0;
-    for (const ctcp::json::Value &m : modes->array) {
+    for (const ctcp::json::Value m : modes->items()) {
         if (m.str("name") == mode_name)
             return m.num("sim_insts_per_host_second");
     }
@@ -125,8 +125,8 @@ main(int argc, char **argv)
     if (gated_modes.empty())
         gated_modes.emplace_back("tracing_off");
 
-    const ctcp::json::Value baseline = loadJson(base_path);
-    const ctcp::json::Value candidate = loadJson(cand_path);
+    const ctcp::json::Document baseline = loadJson(base_path);
+    const ctcp::json::Document candidate = loadJson(cand_path);
 
     bool failed = false;
     for (const std::string &mode : gated_modes) {

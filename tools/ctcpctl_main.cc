@@ -104,7 +104,7 @@ failFrom(const HttpResponse &resp)
     // Error bodies are {"error": "..."} — surface just the message.
     std::string message = resp.body;
     try {
-        const ctcp::json::Value doc = ctcp::json::parse(resp.body);
+        const ctcp::json::Document doc = ctcp::json::parse(resp.body);
         if (doc.isObject() && doc.find("error"))
             message = doc.str("error");
     } catch (const std::exception &) {
@@ -256,8 +256,8 @@ int
 cmdStatsTable(const std::string &body)
 {
     try {
-        const ctcp::json::Value doc = ctcp::json::parse(body);
-        const ctcp::json::Value *cache = doc.find("workloadCache");
+        const ctcp::json::Document doc = ctcp::json::parse(body);
+        const auto cache = doc.find("workloadCache");
         if (!doc.isObject() || !cache || !cache->isObject())
             throw std::runtime_error("not a stats object");
         const auto row = [](const char *name, double v) {
@@ -335,7 +335,7 @@ cmdSubmit(const std::vector<std::string> &args)
     if (resp.status != 201)
         return failFrom(resp);
     try {
-        const ctcp::json::Value doc = ctcp::json::parse(resp.body);
+        const ctcp::json::Document doc = ctcp::json::parse(resp.body);
         std::printf("%s\n", doc.str("id").c_str());
     } catch (const std::exception &) {
         die("malformed submit response: " + resp.body);
@@ -396,7 +396,7 @@ cmdWait(const std::string &id, double timeoutSeconds)
         if (resp.status != 200)
             return failFrom(resp);
         try {
-            const ctcp::json::Value doc = ctcp::json::parse(resp.body);
+            const ctcp::json::Document doc = ctcp::json::parse(resp.body);
             const std::string state = doc.str("state");
             if (state == "done") {
                 std::printf("%s\n", resp.body.c_str());

@@ -5,13 +5,17 @@
  *
  * Usage: quickstart [benchmark] [instructions]
  *   benchmark     any registered workload (default: gzip)
- *   instructions  instruction budget (default: 500000)
+ *   instructions  instruction budget in decimal digits (default:
+ *                 500000; 0 runs the workload to its halt)
+ *
+ * Exit status: 0 ok, 2 unknown benchmark or malformed budget.
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
+#include "common/parse_number.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
 #include "workload/workload.hh"
@@ -22,8 +26,15 @@ main(int argc, char **argv)
     using namespace ctcp;
 
     const std::string bench = argc > 1 ? argv[1] : "gzip";
-    const std::uint64_t insts =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 500'000;
+    std::uint64_t insts = 500'000;
+    if (argc > 2) {
+        try {
+            insts = parseUnsigned(argv[2], "instruction budget");
+        } catch (const std::invalid_argument &e) {
+            std::fprintf(stderr, "quickstart: %s\n", e.what());
+            return 2;
+        }
+    }
 
     if (!workloads::exists(bench)) {
         std::fprintf(stderr, "unknown benchmark '%s'; available:\n",
@@ -31,7 +42,7 @@ main(int argc, char **argv)
         for (const auto &info : workloads::all())
             std::fprintf(stderr, "  %-12s %s\n", info.name.c_str(),
                          info.description.c_str());
-        return 1;
+        return 2;
     }
 
     // Baseline machine (paper Table 7) with the paper's FDRT strategy.

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/json.hh"
+#include "common/parse_number.hh"
 #include "obs/accounting.hh"
 
 namespace ctcp::report {
@@ -260,9 +260,15 @@ intervalSeriesFromCsv(const std::string &label, const std::string &csv)
     series.label = label;
     std::istringstream in(csv);
     std::string line;
+    std::size_t line_no = 0;
     int cycle_col = -1, ipc_col = -1;
     bool header = true;
+    const auto fail = [&](const std::string &why) {
+        throw std::runtime_error("interval CSV for '" + label + "' line " +
+                                 std::to_string(line_no) + ": " + why);
+    };
     while (std::getline(in, line)) {
+        ++line_no;
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.empty())
@@ -284,20 +290,28 @@ intervalSeriesFromCsv(const std::string &label, const std::string &csv)
                     ipc_col = static_cast<int>(i);
             }
             if (cycle_col < 0 || ipc_col < 0)
-                throw std::runtime_error(
-                    "interval CSV for '" + label +
-                    "' has no cycle/ipc columns");
+                fail("no cycle/ipc columns");
             header = false;
             continue;
         }
         const std::size_t need = static_cast<std::size_t>(
             std::max(cycle_col, ipc_col));
-        if (cells.size() <= need)
-            continue;   // torn trailing row
-        series.cycles.push_back(
-            std::strtod(cells[cycle_col].c_str(), nullptr));
-        series.ipc.push_back(
-            std::strtod(cells[ipc_col].c_str(), nullptr));
+        if (cells.size() <= need) {
+            // getline hit the end before a newline: a row torn by a
+            // writer that stopped mid-line.
+            if (in.eof())
+                break;
+            fail("row has " + std::to_string(cells.size()) + " cells");
+        }
+        // The writer prints integer cycles and fixed-point values, so
+        // a cell that is not a plain decimal number is corruption.
+        try {
+            series.cycles.push_back(
+                parseDecimal(cells[cycle_col], "cycle"));
+            series.ipc.push_back(parseDecimal(cells[ipc_col], "ipc"));
+        } catch (const std::invalid_argument &e) {
+            fail(e.what());
+        }
     }
     return series;
 }

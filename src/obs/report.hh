@@ -67,8 +67,12 @@ ReportView fromJsonText(const std::string &text);
 
 /**
  * Decode one IntervalRecorder CSV (needs the "cycle" and "ipc"
- * columns; rows with neither are skipped).
- * @throws std::runtime_error when the CSV has no ipc column
+ * columns). Each of those cells must be a plain decimal number
+ * (ctcp::parseDecimal). A short last row without a newline is a row
+ * torn by a writer that stopped mid-line, and is skipped.
+ * @throws std::runtime_error naming @p label and the line when the
+ *         header lacks either column, a row is short, or a cell is not
+ *         a decimal number
  */
 IntervalSeries intervalSeriesFromCsv(const std::string &label,
                                      const std::string &csv);

@@ -6,14 +6,15 @@
  * well-formedness of the Chrome trace_event JSON, presence of every
  * event kind, per-instruction stage ordering, per-kind cycle
  * monotonicity, interval-CSV row count (exactly ceil(cycles / N)),
- * byte-identical reruns, and campaign telemetry determinism across
- * worker counts.
+ * the interval-CSV reader under seeded mutation, byte-identical
+ * reruns, and campaign telemetry determinism across worker counts.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
@@ -32,6 +33,8 @@
 #include "common/random.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
+#include "mutate.hh"
+#include "obs/report.hh"
 #include "obs/sink.hh"
 #include "obs/writers.hh"
 #include "tmp_dir.hh"
@@ -820,6 +823,40 @@ TEST(ObsTrace, IntervalCsvHasExactlyCeilRows)
     const auto rows = run.result.metrics.find("interval.rows");
     ASSERT_NE(rows, run.result.metrics.end());
     EXPECT_EQ(static_cast<std::uint64_t>(rows->second), expected);
+}
+
+TEST(IntervalCsvFuzz, MutatedCsvDecodesOrThrowsNamedError)
+{
+    // ctcp_report reads interval CSVs back for its sparklines: every
+    // mutant of a real one either decodes to finite values or fails
+    // with a runtime_error naming the label and the line.
+    const std::string csv = readFile(tracedRun().csvPath);
+    const report::IntervalSeries clean =
+        report::intervalSeriesFromCsv("gzip", csv);
+    ASSERT_EQ(clean.cycles.size(),
+              (tracedRun().result.cycles + kInterval - 1) / kInterval);
+    Rng rng(20261019);
+    std::size_t decoded = 0;
+    for (unsigned i = 0; i < 3'000; ++i) {
+        const std::string mutant = test::mutate(csv, rng);
+        try {
+            const report::IntervalSeries s =
+                report::intervalSeriesFromCsv("gzip", mutant);
+            ASSERT_EQ(s.cycles.size(), s.ipc.size());
+            for (std::size_t k = 0; k < s.ipc.size(); ++k)
+                ASSERT_TRUE(std::isfinite(s.cycles[k]) &&
+                            std::isfinite(s.ipc[k]))
+                    << mutant;
+            ++decoded;
+        } catch (const std::runtime_error &e) {
+            ASSERT_EQ(std::string(e.what()).rfind(
+                          "interval CSV for 'gzip' line ", 0),
+                      0u)
+                << e.what();
+        }
+    }
+    EXPECT_GT(decoded, 50u);
+    EXPECT_LT(decoded, 2'900u);
 }
 
 TEST(ObsTrace, RerunIsByteIdentical)

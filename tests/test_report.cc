@@ -156,6 +156,34 @@ TEST(ReportDecode, IntervalCsv)
     EXPECT_EQ(s.ipc[1], 1.75);
     EXPECT_THROW(report::intervalSeriesFromCsv("x", "a,b\n1,2\n"),
                  std::exception);
+    // A row torn by a writer that stopped mid-line is skipped.
+    EXPECT_EQ(report::intervalSeriesFromCsv(
+                  "gzip", "cycle,ipc,occupancy\n1000,1.5,3\n2000")
+                  .ipc.size(),
+              1u);
+}
+
+TEST(ReportDecode, IntervalCsvRejectsBadCells)
+{
+    // Each cell must be a plain decimal number: junk, a sign, an
+    // exponent, nan or inf would otherwise reach the sparkline.
+    for (const char *bad : {"abc", "nan", "inf", "-1", "1e3", "", "1.5x"}) {
+        const std::string csv = std::string("cycle,ipc\n1000,1.5\n") +
+            "2000," + bad + "\n3000,1.25\n";
+        try {
+            report::intervalSeriesFromCsv("gzip/fdrt", csv);
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "interval CSV for 'gzip/fdrt' line 3: "),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // A short row with rows after it is corruption, not a torn tail.
+    EXPECT_THROW(report::intervalSeriesFromCsv(
+                     "x", "cycle,ipc\n1000\n2000,1.5\n"),
+                 std::runtime_error);
 }
 
 // --- Rendering -------------------------------------------------------------

@@ -9,6 +9,8 @@
  *
  *  - two `ctcpsim --campaign ... --journal` halves, merged (and one
  *    half cut short and rerun on its journal, which resumes it);
+ *  - the same with --accounting: the merged JSON and CSV reports, and
+ *    a --run-missing merge, keep the accounting the journals carry;
  *  - two daemons' halves submitted with ctcpctl, merged in either
  *    order — and one trace id shared by both submits greps out of
  *    both daemons' logs;
@@ -148,6 +150,58 @@ TEST(ShardE2E, CtcpsimHalvesMergeByteForByte)
     const CommandResult resumed = merge(dir, kMatrix, journals);
     EXPECT_EQ(resumed.status, 0);
     EXPECT_EQ(resumed.output, batch);
+}
+
+TEST(ShardE2E, AccountedHalvesMergeWithTheirAccounting)
+{
+    // Halves run with --accounting journal each job's accounting
+    // block; the merged JSON and CSV reports carry it, as the unsliced
+    // `ctcpsim --campaign --accounting` reports do.
+    const std::string dir = daemonDir("accounted_halves");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const auto ctcpsim = [&](const std::string &spec,
+                             const std::string &args) {
+        EXPECT_EQ(run(std::string(CTCP_CTCPSIM_PATH) + " --campaign '" +
+                      spec + "' --jobs 2 " + args)
+                      .status,
+                  0);
+    };
+    ctcpsim(kMatrix, "--accounting --out " + dir + "/batch.json");
+    ctcpsim(kMatrix, "--accounting --out " + dir + "/batch.csv");
+    const std::string batch_json = slurp(dir + "/batch.json");
+    ASSERT_NE(batch_json.find("\"accounting\""), std::string::npos);
+
+    std::vector<std::string> journals;
+    for (int which = 0; which < 2; ++which) {
+        journals.push_back(dir + "/half" + std::to_string(which) +
+                           ".jsonl");
+        ctcpsim(half(kMatrix, which),
+                "--accounting --journal " + journals[which]);
+    }
+    const CommandResult json = merge(dir, kMatrix, journals);
+    EXPECT_EQ(json.status, 0);
+    EXPECT_EQ(json.output, batch_json);
+    const CommandResult csv = merge(dir, kMatrix, journals, "--csv");
+    EXPECT_EQ(csv.status, 0);
+    EXPECT_EQ(csv.output, slurp(dir + "/batch.csv"));
+
+    // The slot a lost host never finished runs here with accounting.
+    const std::string first = slurp(journals[1]);
+    {
+        std::ofstream cut(journals[1],
+                          std::ios::binary | std::ios::trunc);
+        cut << first.substr(0, first.find('\n') + 1);
+    }
+    const CommandResult missing =
+        merge(dir, kMatrix, journals, "--run-missing");
+    EXPECT_EQ(missing.status, 0);
+    EXPECT_EQ(missing.output, batch_json);
+
+    // An accounted half and a plain one do not make one report.
+    const std::string plain = dir + "/plain1.jsonl";
+    ctcpsim(half(kMatrix, 1), "--journal " + plain);
+    EXPECT_EQ(merge(dir, kMatrix, {journals[0], plain}).status, 2);
 }
 
 TEST(ShardE2E, MergeRejectsMalformedJobCounts)

@@ -16,6 +16,12 @@
  * locally with --run-missing. A host that was killed can instead be
  * rerun with its own journal, which resumes where it stopped.
  *
+ * Cycle accounting follows the journals: when their successful records
+ * carry an accounting block (the halves ran with --accounting), the
+ * report exports it and --run-missing runs with it, as `ctcpsim
+ * --campaign --accounting` would. Journals that mix accounted and
+ * unaccounted records are a config error.
+ *
  * Exit status: 0 report complete and every job ok, 1 jobs failed or
  * slots missing (unless --run-missing), 2 usage/config errors.
  */
@@ -43,6 +49,7 @@ usage(const char *prog)
         "\n"
         "Merge the journals of slots= subsets of one campaign into one\n"
         "resumable journal at FILE and print the aggregated report.\n"
+        "The report carries cycle accounting when the journals do.\n"
         "\n"
         "options:\n"
         "  --campaign SPEC   campaign matrix spec (required)\n"
@@ -126,6 +133,16 @@ main(int argc, char **argv)
                 ctcp::campaign::formatSlotRanges(merge.missingSlots)
                     .c_str(),
                 run_missing ? " (running locally)" : "");
+        std::size_t ok = 0, accounted = 0;
+        for (const ctcp::campaign::JournalRecord &rec :
+             ctcp::campaign::loadJournal(merged_path)) {
+            ok += rec.outcome.ok();
+            accounted += !rec.outcome.result.accounting.empty();
+        }
+        if (accounted != 0 && accounted != ok)
+            die("journals mix records with and without cycle accounting "
+                "(" + std::to_string(accounted) + " of " +
+                std::to_string(ok) + " ok records have it)");
         if (!merge.missingSlots.empty() && !run_missing)
             return 1;
 
@@ -133,11 +150,13 @@ main(int argc, char **argv)
         ctcp::campaign::Options options;
         options.journalPath = merged_path;
         options.jobs = jobs;
+        options.accounting = accounted != 0;
         const ctcp::campaign::Report report =
             ctcp::campaign::runCampaign(all, options);
 
-        const std::string body =
-            csv ? report.toCsv() : report.toJson();
+        const std::string body = csv
+            ? report.toCsv(options.accounting)
+            : report.toJson(false, options.accounting);
         if (out_path.empty() || out_path == "-") {
             std::fwrite(body.data(), 1, body.size(), stdout);
         } else {

@@ -42,18 +42,6 @@ BranchPredictor::chooserIndex(Addr pc) const
     return static_cast<unsigned>(pc & (cfg_.chooserEntries - 1));
 }
 
-BranchPredictor::BtbEntry *
-BranchPredictor::btbFind(Addr pc)
-{
-    const unsigned sets = cfg_.btbEntries / cfg_.btbAssoc;
-    const unsigned set = static_cast<unsigned>(pc) & (sets - 1);
-    BtbEntry *base = &btb_[static_cast<std::size_t>(set) * cfg_.btbAssoc];
-    for (unsigned w = 0; w < cfg_.btbAssoc; ++w)
-        if (base[w].valid && base[w].pc == pc)
-            return &base[w];
-    return nullptr;
-}
-
 void
 BranchPredictor::btbInsert(Addr pc, Addr target)
 {
@@ -112,42 +100,6 @@ BranchPredictor::peekBtb(Addr pc) const
     return {0, false};
 }
 
-BranchPrediction
-BranchPredictor::predict(Addr pc, bool is_cond, bool is_call,
-                         bool is_return, Addr fallthrough)
-{
-    BranchPrediction pred;
-
-    if (is_cond) {
-        ++condLookups_;
-        pred.taken = peekDirection(pc);
-    } else {
-        pred.taken = true;
-    }
-
-    if (pred.taken) {
-        if (is_return) {
-            auto [target, valid] = popRas();
-            pred.target = target;
-            pred.targetValid = valid;
-        } else {
-            ++btbLookups_;
-            if (BtbEntry *e = btbFind(pc)) {
-                e->lastUse = ++btbClock_;
-                pred.target = e->target;
-                pred.targetValid = true;
-            } else {
-                ++btbMisses_;
-            }
-        }
-    }
-
-    if (is_call)
-        pushRas(fallthrough);
-
-    return pred;
-}
-
 void
 BranchPredictor::update(Addr pc, bool is_cond, bool taken, Addr target)
 {
@@ -165,24 +117,6 @@ BranchPredictor::update(Addr pc, bool is_cond, bool taken, Addr target)
     }
     if (taken)
         btbInsert(pc, target);
-}
-
-void
-BranchPredictor::notePrediction(bool correct)
-{
-    if (!correct)
-        ++condWrong_;
-}
-
-void
-BranchPredictor::dumpStats(StatDump &out) const
-{
-    out.scalar("bpred.cond_lookups", condLookups_.value());
-    out.scalar("bpred.cond_mispredicts", condWrong_.value());
-    out.scalar("bpred.accuracy_pct",
-               100.0 - percent(condWrong_.value(), condLookups_.value()));
-    out.scalar("bpred.btb_lookups", btbLookups_.value());
-    out.scalar("bpred.btb_misses", btbMisses_.value());
 }
 
 } // namespace ctcp

@@ -18,7 +18,6 @@
 
 #include "config/sim_config.hh"
 #include "common/types.hh"
-#include "stats/stats.hh"
 
 namespace ctcp {
 
@@ -45,32 +44,11 @@ class TwoBitCounter
     std::uint8_t value_;
 };
 
-/** Prediction for one control-transfer instruction. */
-struct BranchPrediction
-{
-    bool taken = false;
-    /** Predicted target (valid when taken && targetValid). */
-    Addr target = 0;
-    /** False when a taken branch had no BTB/RAS target available. */
-    bool targetValid = false;
-};
-
 /** gshare/bimodal hybrid with chooser, BTB and RAS. */
 class BranchPredictor
 {
   public:
     explicit BranchPredictor(const BranchPredictorConfig &cfg);
-
-    /**
-     * Predict the branch at word PC @p pc.
-     *
-     * @param is_cond      conditional branch (direction predicted)?
-     * @param is_call      pushes a return address?
-     * @param is_return    pops the RAS?
-     * @param fallthrough  pc+1, pushed for calls
-     */
-    BranchPrediction predict(Addr pc, bool is_cond, bool is_call,
-                             bool is_return, Addr fallthrough);
 
     /**
      * Train on the resolved outcome.
@@ -80,9 +58,8 @@ class BranchPredictor
      */
     void update(Addr pc, bool is_cond, bool taken, Addr target);
 
-    // Fine-grained interface used by the trace-cache fetch engine,
-    // which needs to probe directions during path-associative lookup
-    // without disturbing predictor state.
+    // The trace-cache fetch engine probes directions during
+    // path-associative lookup without disturbing predictor state.
 
     /** Predicted direction for the conditional at @p pc (no update). */
     bool peekDirection(Addr pc) const;
@@ -98,14 +75,6 @@ class BranchPredictor
 
     /** BTB target for @p pc. @return (target, valid). */
     std::pair<Addr, bool> peekBtb(Addr pc) const;
-
-    /** Conditional-direction accuracy bookkeeping (for stats). */
-    void notePrediction(bool correct);
-
-    std::uint64_t condPredictions() const { return condLookups_.value(); }
-    std::uint64_t condMispredictions() const { return condWrong_.value(); }
-
-    void dumpStats(StatDump &out) const;
 
   private:
     unsigned gshareIndex(Addr pc) const;
@@ -133,12 +102,6 @@ class BranchPredictor
     std::size_t rasTop_ = 0;
     std::size_t rasDepth_ = 0;
 
-    Counter condLookups_;
-    Counter condWrong_;
-    Counter btbLookups_;
-    Counter btbMisses_;
-
-    BtbEntry *btbFind(Addr pc);
     void btbInsert(Addr pc, Addr target);
 };
 

@@ -92,8 +92,6 @@ jobFileStem(const std::string &label, std::size_t index)
 Program
 BenchmarkBuilder::operator()() const
 {
-    if (source)
-        return source();
     // workloads::build() fatal()s on unknown names, which would kill
     // the whole campaign; throw instead so only this job fails.
     if (!workloads::exists(benchmark))

@@ -71,11 +71,6 @@ struct Job
 struct BenchmarkBuilder
 {
     std::string benchmark;
-    /**
-     * Where the Program comes from when set (ctcpd's workload cache);
-     * it must return what workloads::build(benchmark) does.
-     */
-    std::function<Program()> source = {};
 
     /** @throws std::invalid_argument for an unknown benchmark */
     Program operator()() const;

@@ -95,17 +95,7 @@ parseStrategy(const std::string &value)
             parseNumber(value.substr(colon + 1), "issue-time latency", 0,
                         std::numeric_limits<unsigned>::max()));
     }
-    if (name == "base")
-        spec.strategy = AssignStrategy::BaseSlotOrder;
-    else if (name == "friendly")
-        spec.strategy = AssignStrategy::Friendly;
-    else if (name == "fdrt")
-        spec.strategy = AssignStrategy::Fdrt;
-    else if (name == "issue-time")
-        spec.strategy = AssignStrategy::IssueTime;
-    else if (name == "adaptive")
-        spec.strategy = AssignStrategy::Adaptive;
-    else
+    if (!parseAssignStrategy(name, spec.strategy))
         bad("unknown strategy '" + name + "'");
     return spec;
 }

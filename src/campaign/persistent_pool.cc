@@ -30,13 +30,10 @@ PersistentPool::workerLoop()
                 return; // stopping_ and drained
             task = tasks_.front();
             tasks_.pop_front();
-            ++busy_;
         }
         (*task.batch->body)(task.index);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            --busy_;
-            ++executed_;
             if (--task.batch->remaining == 0)
                 task.batch->done.notify_all();
         }
@@ -59,11 +56,8 @@ PersistentPool::run(std::size_t njobs,
             // Teardown fallback: run the batch inline rather than
             // queueing jobs no worker will ever pop.
             lock.unlock();
-            for (std::size_t i = 0; i < njobs; ++i) {
+            for (std::size_t i = 0; i < njobs; ++i)
                 body(i);
-                std::lock_guard<std::mutex> relock(mutex_);
-                ++executed_;
-            }
             return;
         }
         for (std::size_t i = 0; i < njobs; ++i)
@@ -73,18 +67,6 @@ PersistentPool::run(std::size_t njobs,
 
     std::unique_lock<std::mutex> lock(mutex_);
     batch.done.wait(lock, [&batch] { return batch.remaining == 0; });
-}
-
-PersistentPool::Snapshot
-PersistentPool::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Snapshot snap;
-    snap.workers = static_cast<unsigned>(threads_.size());
-    snap.busyWorkers = busy_;
-    snap.queuedTasks = tasks_.size();
-    snap.executedTasks = executed_;
-    return snap;
 }
 
 void

@@ -24,7 +24,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -49,21 +48,6 @@ class PersistentPool
     PersistentPool &operator=(const PersistentPool &) = delete;
 
     unsigned workers() const { return static_cast<unsigned>(threads_.size()); }
-
-    /**
-     * Point-in-time occupancy counters, maintained under the pool's
-     * own mutex so observers (the ctcpd /v1/metrics scrape) add no
-     * dependency and no new synchronization to the job path.
-     */
-    struct Snapshot
-    {
-        unsigned workers = 0;          ///< thread count
-        std::size_t busyWorkers = 0;   ///< currently executing a job
-        std::size_t queuedTasks = 0;   ///< enqueued, not yet started
-        std::uint64_t executedTasks = 0; ///< jobs completed, ever
-    };
-
-    Snapshot snapshot() const;
 
     /**
      * Run @p body(i) for every i in [0, njobs) on the pool's workers
@@ -98,12 +82,10 @@ class PersistentPool
 
     void workerLoop();
 
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::condition_variable wake_;
     std::deque<Task> tasks_;
     bool stopping_ = false;
-    std::size_t busy_ = 0;           ///< workers inside a job body
-    std::uint64_t executed_ = 0;     ///< jobs completed, ever
     std::vector<std::thread> threads_;
 };
 

@@ -23,6 +23,21 @@ assignStrategyName(AssignStrategy s)
     return "unknown";
 }
 
+bool
+parseAssignStrategy(const std::string &name, AssignStrategy &out)
+{
+    for (const AssignStrategy s :
+         {AssignStrategy::BaseSlotOrder, AssignStrategy::Friendly,
+          AssignStrategy::Fdrt, AssignStrategy::IssueTime,
+          AssignStrategy::Adaptive}) {
+        if (name == assignStrategyName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 const char *
 topologyName(Topology t)
 {

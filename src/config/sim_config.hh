@@ -37,6 +37,9 @@ enum class AssignStrategy : std::uint8_t
 /** Human-readable strategy name. */
 const char *assignStrategyName(AssignStrategy s);
 
+/** Parse a strategy name; returns false on an unknown name. */
+bool parseAssignStrategy(const std::string &name, AssignStrategy &out);
+
 /**
  * Inter-cluster forwarding-network topology. Every topology is
  * expressed as an NxN distance matrix (cluster hops) plus an NxN

@@ -1024,7 +1024,6 @@ CtcpSimulator::assemble()
     fetch_->dumpStats(dump);
     tc_->dumpStats(dump);
     fillUnit_->dumpStats(dump);
-    bpred_->dumpStats(dump);
     dmem_.dumpStats(dump);
 
     // ---- Structured run telemetry (SimResult::metrics) -----------------

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -46,6 +45,36 @@ makeDirs(const std::string &path)
         if (end == path.size())
             break;
         start = end + 1;
+    }
+}
+
+/** The id of the @p n-th submitted run: "r0001", ..., "r12345". */
+std::string
+runId(std::uint64_t n)
+{
+    char id[32];
+    std::snprintf(id, sizeof(id), "r%04llu",
+                  static_cast<unsigned long long>(n));
+    return id;
+}
+
+/**
+ * The number runId() made @p id from, or 0 when no submit could have
+ * minted it: not "r" and at least four digits, a leading zero beyond
+ * those four, 0, or a number whose successor would not fit.
+ */
+std::uint64_t
+mintedNumber(const std::string &id)
+{
+    if (id.empty() || id[0] != 'r')
+        return 0;
+    try {
+        const std::uint64_t n = parseUnsigned(
+            id.substr(1), "run id", 1,
+            std::numeric_limits<std::uint64_t>::max() - 1);
+        return runId(n) == id ? n : 0;
+    } catch (const std::invalid_argument &) {
+        return 0;
     }
 }
 
@@ -113,8 +142,7 @@ struct RunRegistry::Run
 };
 
 RunRegistry::RunRegistry(Config config)
-    : config_(std::move(config)), pool_(config_.workers),
-      cache_(config_.cacheEntries)
+    : config_(std::move(config)), pool_(config_.workers)
 {
     if (config_.stateDir.empty())
         throw SimError(ErrorCategory::Config,
@@ -147,26 +175,6 @@ RunRegistry::findLocked(const std::string &id) const
 }
 
 void
-RunRegistry::startLocked(Run &run)
-{
-    // Jobs pull their Programs from the shared cache; the copy keeps
-    // the engine's jobs-share-no-mutable-state guarantee, and the
-    // cache throws the exact error a batch builder would, so failure
-    // reports stay byte-identical too. The builder stays a
-    // BenchmarkBuilder, so jobs that compute the same simulation
-    // still share one run, as they do in the batch path.
-    for (campaign::Job &job : run.jobs) {
-        job.builder = campaign::BenchmarkBuilder{
-            job.benchmark,
-            [this, name = job.benchmark,
-             limit = job.config.instructionLimit] {
-                return Program(*cache_.get(name, limit));
-            }};
-    }
-    run.runner = std::thread(&RunRegistry::runnerMain, this, &run);
-}
-
-void
 RunRegistry::runnerMain(Run *run)
 {
     {
@@ -186,23 +194,13 @@ RunRegistry::runnerMain(Run *run)
         return run->cancel.load(std::memory_order_relaxed) ||
             shuttingDown_.load(std::memory_order_relaxed);
     };
-    options.onJobFinished = [this, run](std::size_t,
-                                        const campaign::JobOutcome &out) {
+    options.onJobFinished = [run](std::size_t,
+                                  const campaign::JobOutcome &out) {
         {
             std::lock_guard<std::mutex> lock(run->mutex);
             ++run->done;
             if (!out.ok())
                 ++run->failed;
-        }
-        jobStats_.completed.fetch_add(1, std::memory_order_relaxed);
-        if (out.attempts > 1)
-            jobStats_.retried.fetch_add(out.attempts - 1,
-                                        std::memory_order_relaxed);
-        if (!out.ok()) {
-            const auto bucket = static_cast<std::size_t>(out.category);
-            if (bucket < 7)
-                jobStats_.failed[bucket].fetch_add(
-                    1, std::memory_order_relaxed);
         }
         run->cv.notify_all();
     };
@@ -249,9 +247,9 @@ RunRegistry::submit(const std::string &spec, const SubmitOptions &options)
     run->slotMap = std::move(slot_map);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    char id[16];
-    std::snprintf(id, sizeof(id), "r%04u", nextId_++);
-    run->id = id;
+    do
+        run->id = runId(nextId_++);
+    while (runs_.count(run->id));
     run->journalPath = journalPath(run->id);
 
     // Persist the submission first: once submit() returns an id, a
@@ -274,7 +272,7 @@ RunRegistry::submit(const std::string &spec, const SubmitOptions &options)
 
     Run &ref = *run;
     runs_[ref.id] = std::move(run);
-    startLocked(ref);
+    ref.runner = std::thread(&RunRegistry::runnerMain, this, &ref);
     return ref.id;
 }
 
@@ -298,6 +296,18 @@ RunRegistry::resume()
 
     std::size_t resumed = 0;
     for (const std::string &id : ids) {
+        const std::uint64_t number = mintedNumber(id);
+        if (number == 0) {
+            ctcp_warn("state dir: %s is not a run id this daemon mints "
+                      "— skipped", specPath(id).c_str());
+            continue;
+        }
+        {
+            // Past every id on disk, also those skipped below: a new
+            // run must not take over a skipped run's files.
+            std::lock_guard<std::mutex> lock(mutex_);
+            nextId_ = std::max(nextId_, number + 1);
+        }
         const std::string text = slurp(specPath(id));
         SubmitOptions options;
         std::string spec;
@@ -335,59 +345,12 @@ RunRegistry::resume()
         std::lock_guard<std::mutex> lock(mutex_);
         if (runs_.count(id))
             continue;
-        if (id.size() > 1 && id[0] == 'r') {
-            const unsigned n = static_cast<unsigned>(
-                std::strtoul(id.c_str() + 1, nullptr, 10));
-            if (n >= nextId_)
-                nextId_ = n + 1;
-        }
         Run &ref = *run;
         runs_[id] = std::move(run);
-        // Scrape-visible resume accounting: how many runs came back
-        // and how many finished jobs their journals replay.
-        jobStats_.resumedRuns.fetch_add(1, std::memory_order_relaxed);
-        jobStats_.replayedJobs.fetch_add(
-            campaign::loadJournal(ref.journalPath).size(),
-            std::memory_order_relaxed);
-        startLocked(ref);
+        ref.runner = std::thread(&RunRegistry::runnerMain, this, &ref);
         ++resumed;
     }
     return resumed;
-}
-
-RunRegistry::JobStats
-RunRegistry::jobStats() const
-{
-    JobStats out;
-    out.completed = jobStats_.completed.load(std::memory_order_relaxed);
-    out.retried = jobStats_.retried.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < 7; ++i)
-        out.failed[i] =
-            jobStats_.failed[i].load(std::memory_order_relaxed);
-    out.resumedRuns =
-        jobStats_.resumedRuns.load(std::memory_order_relaxed);
-    out.replayedJobs =
-        jobStats_.replayedJobs.load(std::memory_order_relaxed);
-    return out;
-}
-
-std::uint64_t
-RunRegistry::journalBytes() const
-{
-    std::vector<std::string> paths;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        paths.reserve(runs_.size());
-        for (const auto &[id, run] : runs_)
-            paths.push_back(run->journalPath);
-    }
-    std::uint64_t total = 0;
-    for (const std::string &path : paths) {
-        struct stat st;
-        if (::stat(path.c_str(), &st) == 0)
-            total += static_cast<std::uint64_t>(st.st_size);
-    }
-    return total;
 }
 
 bool
@@ -452,13 +415,6 @@ RunRegistry::list() const
     for (const Run *run : runs)
         out.push_back(snapshot(*run));
     return out;
-}
-
-std::size_t
-RunRegistry::runCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return runs_.size();
 }
 
 bool

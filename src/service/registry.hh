@@ -19,8 +19,7 @@
  * Contract: a campaign submitted here must produce a final report
  * byte-identical to `ctcpsim --campaign` with the same spec — the
  * registry only composes existing campaign-engine pieces (parseMatrix
- * jobs, runCampaign, the journal) and a workload cache whose builders
- * are observationally identical to the batch path's.
+ * jobs and their builders, runCampaign, the journal).
  */
 
 #ifndef CTCPSIM_SERVICE_REGISTRY_HH
@@ -38,7 +37,6 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/persistent_pool.hh"
-#include "service/workload_cache.hh"
 
 namespace ctcp::service {
 
@@ -70,7 +68,7 @@ struct RunInfo
     std::string error; ///< diagnostic when state == Error
 };
 
-/** Owns the worker pool, the workload cache, and every run. */
+/** Owns the worker pool and every run. */
 class RunRegistry
 {
   public:
@@ -80,8 +78,6 @@ class RunRegistry
         std::string stateDir;
         /** Shared pool size; 0 = one per hardware thread. */
         unsigned workers = 0;
-        /** WorkloadCache capacity. */
-        std::size_t cacheEntries = 64;
     };
 
     struct SubmitOptions
@@ -166,35 +162,6 @@ class RunRegistry
     void shutdown();
 
     unsigned workers() const { return pool_.workers(); }
-    WorkloadCache::Stats cacheStats() const { return cache_.stats(); }
-    std::size_t runCount() const;
-
-    /**
-     * Monotonic job-lifecycle totals across every run, for the
-     * /v1/metrics scrape (synced into Prometheus counters with
-     * Counter::incTo). Plain atomics here so the campaign path gains
-     * no obs dependency and no extra locking.
-     */
-    struct JobStats
-    {
-        std::uint64_t completed = 0; ///< outcomes finalized (any status)
-        std::uint64_t retried = 0;   ///< extra attempts beyond the first
-        /** Failed outcomes, bucketed by ErrorCategory value. */
-        std::uint64_t failed[7] = {};
-        std::uint64_t resumedRuns = 0;   ///< runs re-submitted by resume()
-        std::uint64_t replayedJobs = 0;  ///< journal records resume() found
-    };
-
-    JobStats jobStats() const;
-
-    /** Total on-disk bytes of every run's journal right now. */
-    std::uint64_t journalBytes() const;
-
-    /** Pool occupancy for the metrics scrape. */
-    campaign::PersistentPool::Snapshot poolSnapshot() const
-    {
-        return pool_.snapshot();
-    }
 
   private:
     struct Run;
@@ -202,28 +169,16 @@ class RunRegistry
     void runnerMain(Run *run);
     std::string journalPath(const std::string &id) const;
     std::string specPath(const std::string &id) const;
-    void startLocked(Run &run);
     Run *findLocked(const std::string &id) const;
     RunInfo snapshot(const Run &run) const;
 
     Config config_;
     campaign::PersistentPool pool_;
-    WorkloadCache cache_;
     std::atomic<bool> shuttingDown_{false};
-
-    /** JobStats backing store (relaxed atomics; see jobStats()). */
-    struct
-    {
-        std::atomic<std::uint64_t> completed{0};
-        std::atomic<std::uint64_t> retried{0};
-        std::atomic<std::uint64_t> failed[7] = {};
-        std::atomic<std::uint64_t> resumedRuns{0};
-        std::atomic<std::uint64_t> replayedJobs{0};
-    } jobStats_;
 
     mutable std::mutex mutex_; ///< guards runs_ / nextId_
     std::map<std::string, std::unique_ptr<Run>> runs_;
-    unsigned nextId_ = 1;
+    std::uint64_t nextId_ = 1;
 };
 
 } // namespace ctcp::service

@@ -110,91 +110,11 @@ flagParam(const HttpRequest &req, const std::string &name)
     return v == "1" || v == "true" || v == "yes";
 }
 
-/**
- * Collapse a request path to a bounded endpoint label so the
- * per-endpoint metric families stay low-cardinality: run ids become
- * "{id}", anything unroutable becomes "other".
- */
-std::string
-normalizeEndpoint(const std::string &path)
-{
-    const std::vector<std::string> seg = pathSegments(path);
-    if (seg.size() < 2 || seg[0] != "v1")
-        return "other";
-    if (seg.size() == 2 &&
-        (seg[1] == "ping" || seg[1] == "stats" ||
-         seg[1] == "metrics" || seg[1] == "runs"))
-        return "/v1/" + seg[1];
-    if (seg[1] != "runs")
-        return "other";
-    if (seg.size() == 3)
-        return "/v1/runs/{id}";
-    if (seg.size() == 4 &&
-        (seg[3] == "events" || seg[3] == "cancel" ||
-         seg[3] == "report" || seg[3] == "html"))
-        return "/v1/runs/{id}/" + seg[3];
-    return "other";
-}
-
 } // namespace
 
 ServiceServer::ServiceServer(Config config)
     : config_(std::move(config)), registry_(config_.registry)
-{
-    // Declare every family up front so a fresh daemon's first scrape
-    // (and the CI family grep) sees the whole catalogue before any
-    // request or job exists.
-    metrics_.declareCounter("ctcpd_http_requests_total",
-                            "Requests answered, by endpoint, method "
-                            "and status.");
-    metrics_.declareHistogram(
-        "ctcpd_http_request_seconds",
-        "Wall time from parsed request to routed response.",
-        obs::MetricsRegistry::defaultLatencyBuckets());
-    metrics_.declareCounter("ctcpd_http_response_bytes_total",
-                            "Response body bytes written, by endpoint.");
-    metrics_.gauge("ctcpd_http_active_connections",
-                   "Connections currently being served.");
-    metrics_
-        .gauge("ctcpd_pool_workers",
-               "Worker threads in the shared pool.")
-        .set(static_cast<double>(registry_.workers()));
-    metrics_.gauge("ctcpd_pool_busy_workers",
-                   "Workers executing a job right now.");
-    metrics_.gauge("ctcpd_pool_queue_depth",
-                   "Jobs queued and not yet picked up.");
-    metrics_.counter("ctcpd_pool_jobs_executed_total",
-                     "Pool tasks fully executed.");
-    metrics_.counter("ctcpd_jobs_completed_total",
-                     "Campaign jobs with a finalized outcome.");
-    metrics_.counter("ctcpd_jobs_retried_total",
-                     "Extra attempts beyond each job's first.");
-    for (int c = 0; c <= static_cast<int>(ErrorCategory::Cancelled);
-         ++c)
-        metrics_.counter(
-            "ctcpd_jobs_failed_total",
-            "Failed campaign jobs, by error category.",
-            {{"category",
-              errorCategoryName(static_cast<ErrorCategory>(c))}});
-    for (int s = 0; s <= static_cast<int>(RunState::Error); ++s)
-        metrics_.gauge(
-            "ctcpd_runs", "Runs in the registry, by state.",
-            {{"state", runStateName(static_cast<RunState>(s))}});
-    metrics_.gauge("ctcpd_journal_bytes",
-                   "On-disk bytes across every run's journal.");
-    metrics_.counter("ctcpd_resumed_runs_total",
-                     "Runs re-submitted by startup resume.");
-    metrics_.counter("ctcpd_resume_replayed_jobs_total",
-                     "Journal outcomes replayed instead of re-run.");
-    metrics_.counter("ctcpd_workload_cache_hits_total",
-                     "Workload cache hits.");
-    metrics_.counter("ctcpd_workload_cache_misses_total",
-                     "Workload cache misses.");
-    metrics_.counter("ctcpd_workload_cache_evictions_total",
-                     "Workload cache evictions.");
-    metrics_.gauge("ctcpd_workload_cache_entries",
-                   "Workloads currently cached.");
-}
+{}
 
 ServiceServer::~ServiceServer() = default;
 
@@ -223,33 +143,6 @@ ServiceServer::route(const HttpRequest &req)
                 return errorResponse(405, "ping is GET-only");
             HttpResponse resp;
             resp.body = "{\"status\":\"ok\"}\n";
-            return resp;
-        }
-
-        if (seg[1] == "stats" && seg.size() == 2) {
-            if (req.method != "GET")
-                return errorResponse(405, "stats is GET-only");
-            const WorkloadCache::Stats cache = registry_.cacheStats();
-            HttpResponse resp;
-            resp.body = "{\"workers\":" +
-                std::to_string(registry_.workers()) +
-                ",\"runs\":" + std::to_string(registry_.runCount()) +
-                ",\"workloadCache\":{\"hits\":" +
-                std::to_string(cache.hits) +
-                ",\"misses\":" + std::to_string(cache.misses) +
-                ",\"evictions\":" + std::to_string(cache.evictions) +
-                ",\"entries\":" + std::to_string(cache.entries) +
-                "}}\n";
-            return resp;
-        }
-
-        if (seg[1] == "metrics" && seg.size() == 2) {
-            if (req.method != "GET")
-                return errorResponse(405, "metrics is GET-only");
-            HttpResponse resp;
-            resp.contentType =
-                "text/plain; version=0.0.4; charset=utf-8";
-            resp.body = metricsExposition();
             return resp;
         }
 
@@ -414,88 +307,6 @@ ServiceServer::route(const HttpRequest &req)
     }
 }
 
-std::string
-ServiceServer::metricsExposition()
-{
-    // Scrape-time sync: sources that already keep their own monotonic
-    // counts (pool, registry, workload cache) are mirrored into the
-    // metrics registry here via incTo()/set(), so the campaign layer
-    // never gains an obs dependency. Help strings live with the
-    // declarations in the constructor; "" on re-lookup is ignored.
-    const campaign::PersistentPool::Snapshot pool =
-        registry_.poolSnapshot();
-    metrics_.gauge("ctcpd_pool_workers", "")
-        .set(static_cast<double>(pool.workers));
-    metrics_.gauge("ctcpd_pool_busy_workers", "")
-        .set(static_cast<double>(pool.busyWorkers));
-    metrics_.gauge("ctcpd_pool_queue_depth", "")
-        .set(static_cast<double>(pool.queuedTasks));
-    metrics_.counter("ctcpd_pool_jobs_executed_total", "")
-        .incTo(pool.executedTasks);
-
-    const RunRegistry::JobStats jobs = registry_.jobStats();
-    metrics_.counter("ctcpd_jobs_completed_total", "")
-        .incTo(jobs.completed);
-    metrics_.counter("ctcpd_jobs_retried_total", "")
-        .incTo(jobs.retried);
-    for (int c = 0; c <= static_cast<int>(ErrorCategory::Cancelled);
-         ++c)
-        metrics_
-            .counter("ctcpd_jobs_failed_total", "",
-                     {{"category", errorCategoryName(
-                                       static_cast<ErrorCategory>(c))}})
-            .incTo(jobs.failed[c]);
-    metrics_.counter("ctcpd_resumed_runs_total", "")
-        .incTo(jobs.resumedRuns);
-    metrics_.counter("ctcpd_resume_replayed_jobs_total", "")
-        .incTo(jobs.replayedJobs);
-
-    std::size_t byState[static_cast<int>(RunState::Error) + 1] = {};
-    for (const RunInfo &info : registry_.list())
-        ++byState[static_cast<std::size_t>(info.state)];
-    for (int s = 0; s <= static_cast<int>(RunState::Error); ++s)
-        metrics_
-            .gauge("ctcpd_runs", "",
-                   {{"state", runStateName(static_cast<RunState>(s))}})
-            .set(static_cast<double>(byState[s]));
-    metrics_.gauge("ctcpd_journal_bytes", "")
-        .set(static_cast<double>(registry_.journalBytes()));
-
-    const WorkloadCache::Stats cache = registry_.cacheStats();
-    metrics_.counter("ctcpd_workload_cache_hits_total", "")
-        .incTo(cache.hits);
-    metrics_.counter("ctcpd_workload_cache_misses_total", "")
-        .incTo(cache.misses);
-    metrics_.counter("ctcpd_workload_cache_evictions_total", "")
-        .incTo(cache.evictions);
-    metrics_.gauge("ctcpd_workload_cache_entries", "")
-        .set(static_cast<double>(cache.entries));
-
-    return metrics_.exposition();
-}
-
-void
-ServiceServer::recordRequest(const HttpRequest &req,
-                             const HttpResponse &resp, double seconds)
-{
-    const std::string endpoint = normalizeEndpoint(req.path);
-    metrics_
-        .counter("ctcpd_http_requests_total", "",
-                 {{"endpoint", endpoint},
-                  {"method", req.method},
-                  {"status", std::to_string(resp.status)}})
-        .inc();
-    metrics_
-        .histogram("ctcpd_http_request_seconds", "",
-                   obs::MetricsRegistry::defaultLatencyBuckets(),
-                   {{"endpoint", endpoint}})
-        .observe(seconds);
-    metrics_
-        .counter("ctcpd_http_response_bytes_total", "",
-                 {{"endpoint", endpoint}})
-        .inc(resp.body.size());
-}
-
 void
 ServiceServer::handleConnection(int fd)
 {
@@ -514,7 +325,6 @@ ServiceServer::handleConnection(int fd)
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        recordRequest(req, resp, seconds);
         if (config_.verbose)
             std::fprintf(stderr, "ctcpd: %s %s -> %d\n",
                          req.method.c_str(), req.path.c_str(),
@@ -533,12 +343,6 @@ ServiceServer::handleConnection(int fd)
         }
     } else {
         resp = errorResponse(400, error);
-        metrics_
-            .counter("ctcpd_http_requests_total", "",
-                     {{"endpoint", "other"},
-                      {"method", "invalid"},
-                      {"status", "400"}})
-            .inc();
         logRecord(LogLevel::Warn, "http", "",
                   "unreadable request: " + error);
     }
@@ -581,14 +385,10 @@ ServiceServer::serve(const std::atomic<bool> &stop)
         {
             std::lock_guard<std::mutex> lock(connMutex_);
             ++activeConnections_;
-            metrics_.gauge("ctcpd_http_active_connections", "")
-                .set(static_cast<double>(activeConnections_));
         }
         std::thread([this, conn] {
             handleConnection(conn);
             std::lock_guard<std::mutex> lock(connMutex_);
-            metrics_.gauge("ctcpd_http_active_connections", "")
-                .set(static_cast<double>(activeConnections_ - 1));
             if (--activeConnections_ == 0)
                 connIdle_.notify_all();
         }).detach();

@@ -5,12 +5,6 @@
  * Endpoints (all JSON unless noted):
  *
  *   GET  /v1/ping                 liveness probe
- *   GET  /v1/stats                pool, runs, workload-cache counters
- *   GET  /v1/metrics              Prometheus text exposition: HTTP
- *                                 request counters + latency
- *                                 histograms, pool occupancy, runs by
- *                                 state, journal bytes, workload-cache
- *                                 counters (text/plain)
  *   POST /v1/runs                 body = matrix spec text; query:
  *                                 accounting=1, max_attempts=N,
  *                                 deadline=SECS. 201 + {"id": ...}
@@ -35,10 +29,9 @@
  * Correlation: every connection gets an X-Ctcp-Trace-Id (the client's
  * if supplied, generated otherwise), echoed in the response and
  * attached to the request's structured log record, so one campaign's
- * activity can be grepped across a whole daemon fleet's logs. Metrics,
- * logs, and trace ids are operational side channels only — they never
- * touch reports, journals, or the simulator hot path (DESIGN
- * decision 13).
+ * activity can be grepped across a whole daemon fleet's logs. Logs and
+ * trace ids are operational side channels only — they never touch
+ * reports, journals, or the simulator hot path (DESIGN decision 13).
  */
 
 #ifndef CTCPSIM_SERVICE_SERVER_HH
@@ -49,7 +42,6 @@
 #include <mutex>
 #include <string>
 
-#include "obs/metrics.hh"
 #include "service/http.hh"
 #include "service/registry.hh"
 
@@ -99,21 +91,14 @@ class ServiceServer
     int serve(const std::atomic<bool> &stop);
 
     RunRegistry &registry() { return registry_; }
-    obs::MetricsRegistry &metrics() { return metrics_; }
 
   private:
     void handleConnection(int fd);
     /** The routing switch handle() wraps with trace-id echoing. */
     HttpResponse route(const HttpRequest &req);
-    /** Sync scrape-time families and render the Prometheus text. */
-    std::string metricsExposition();
-    /** Request count/latency/bytes for one answered request. */
-    void recordRequest(const HttpRequest &req, const HttpResponse &resp,
-                       double seconds);
 
     Config config_;
     RunRegistry registry_;
-    obs::MetricsRegistry metrics_;
 
     std::mutex connMutex_;
     std::condition_variable connIdle_;

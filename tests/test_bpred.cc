@@ -129,25 +129,6 @@ TEST(Predictor, RasOverflowWraps)
     EXPECT_EQ(bp.popRas().first, 3u);
 }
 
-TEST(Predictor, PredictIntegratesRasForReturns)
-{
-    BranchPredictor bp(smallConfig());
-    bp.pushRas(777);
-    BranchPrediction pred = bp.predict(50, false, false, true, 51);
-    EXPECT_TRUE(pred.taken);
-    EXPECT_TRUE(pred.targetValid);
-    EXPECT_EQ(pred.target, 777u);
-}
-
-TEST(Predictor, PredictPushesOnCalls)
-{
-    BranchPredictor bp(smallConfig());
-    bp.update(60, false, true, 90);   // train BTB for the call
-    BranchPrediction pred = bp.predict(60, false, true, false, 61);
-    EXPECT_TRUE(pred.taken);
-    EXPECT_EQ(bp.popRas(), (std::pair<Addr, bool>{61, true}));
-}
-
 TEST(Predictor, PeekDoesNotTrain)
 {
     BranchPredictor bp(smallConfig());

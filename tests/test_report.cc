@@ -345,9 +345,15 @@ TEST(ReportTools, CtcpsimReportFlowAndCompareGate)
 
     // Usage errors: exit 2.
     EXPECT_EQ(runCmd(std::string(CTCP_COMPARE_PATH)), 2);
-    EXPECT_EQ(runCmd(std::string(CTCP_COMPARE_PATH) + " " + json_a +
-                     " " + json_b + " --tol nonsense"),
-              2);
+    // Tolerances are plain decimals: an infinite one would pass any
+    // drift, even reports of two different budgets.
+    for (const char *bad :
+         {"--tol nonsense", "--tol inf", "--tol nan", "--tol -0",
+          "--tol 1e3", "--tol 0x10", "--tol-metric ipc=inf"})
+        EXPECT_EQ(runCmd(std::string(CTCP_COMPARE_PATH) + " " + json_a +
+                         " " + json_b + " " + bad),
+                  2)
+            << bad;
     EXPECT_EQ(runCmd(std::string(CTCP_REPORT_PATH)), 2);
     // Unreadable input: exit 1.
     EXPECT_EQ(runCmd(std::string(CTCP_REPORT_PATH) + " " + dir +

@@ -2,8 +2,8 @@
  * @file
  * Service-layer unit tests, socket-free by design: HTTP parsing and
  * serialization round-trips, the journal-tail reader behind
- * GET /v1/runs/<id>/events, the workload setup cache, the persistent
- * worker pool, the campaign engine's cancellation/observer hooks, and
+ * GET /v1/runs/<id>/events, the persistent worker pool, run ids on
+ * resume, the campaign engine's cancellation/observer hooks, and
  * ServiceServer::handle() routing (a pure request -> response
  * function). The daemon's process-level behaviour lives in
  * test_service_e2e.cc.
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <set>
 #include <sstream>
 #include <string>
@@ -34,7 +35,6 @@
 #include "service/http.hh"
 #include "service/registry.hh"
 #include "service/server.hh"
-#include "service/workload_cache.hh"
 
 namespace ctcp {
 namespace {
@@ -238,134 +238,6 @@ TEST(JournalTail, MissingFileIsEmptyNotFatal)
                                         77, next),
               "");
     EXPECT_EQ(next, 77u);
-}
-
-// ---- Workload cache ----------------------------------------------------
-
-TEST(WorkloadCache, HitsMissesAndKeyedByBudget)
-{
-    service::WorkloadCache cache(8);
-    const auto a = cache.get("gzip", 10'000);
-    const auto b = cache.get("gzip", 10'000);
-    EXPECT_EQ(a.get(), b.get()); // same cached image
-    // A different instruction budget is a different key: builders
-    // honour instructionLimit, so images are not interchangeable.
-    const auto c = cache.get("gzip", 20'000);
-    EXPECT_NE(a.get(), c.get());
-
-    const service::WorkloadCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_EQ(stats.evictions, 0u);
-}
-
-TEST(WorkloadCache, EvictsLeastRecentlyUsed)
-{
-    service::WorkloadCache cache(2);
-    cache.get("gzip", 1'000);
-    cache.get("gzip", 2'000);
-    cache.get("gzip", 1'000);  // touch: 1'000 is now most recent
-    cache.get("gzip", 3'000);  // evicts 2'000
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    cache.get("gzip", 1'000); // still resident
-    EXPECT_EQ(cache.stats().hits, 2u);
-    cache.get("gzip", 2'000); // was evicted: a miss rebuilds it
-    EXPECT_EQ(cache.stats().misses, 4u);
-}
-
-TEST(WorkloadCache, UnknownBenchmarkMatchesCampaignError)
-{
-    // The cache must fail exactly like campaign::makeJob's builder so
-    // a daemon-side failure report is byte-identical to the batch one.
-    service::WorkloadCache cache(4);
-    try {
-        cache.get("no_such_bench", 1'000);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_EQ(std::string(e.what()),
-                  "unknown benchmark 'no_such_bench'");
-    }
-}
-
-/** What each racing caller got, and the cache's stats afterwards. */
-struct RaceOutcome
-{
-    std::vector<std::shared_ptr<const Program>> programs; ///< null: threw
-    std::vector<std::string> errors;                      ///< "": no throw
-    service::WorkloadCache::Stats stats;
-};
-
-/** @p threads callers miss @p benchmark in @p cache at once. */
-RaceOutcome
-raceOnColdCache(service::WorkloadCache &cache, const std::string &benchmark,
-                std::size_t threads)
-{
-    RaceOutcome out;
-    out.programs.resize(threads);
-    out.errors.resize(threads);
-    // A spinning barrier: a blocking one wakes its waiters one by one,
-    // often after the first caller's build has already finished.
-    std::atomic<std::size_t> arrived{0};
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < threads; ++t) {
-        pool.emplace_back([&, t] {
-            arrived.fetch_add(1);
-            while (arrived.load() < threads)
-                std::this_thread::yield();
-            try {
-                out.programs[t] = cache.get(benchmark, 20'000);
-            } catch (const std::exception &e) {
-                out.errors[t] = e.what();
-            }
-        });
-    }
-    for (std::thread &thread : pool)
-        thread.join();
-    out.stats = cache.stats();
-    return out;
-}
-
-TEST(WorkloadCache, ConcurrentMissesShareOneBuild)
-{
-    // Single-flight: however the callers interleave, one of them
-    // builds and the rest wait for that build.
-    constexpr std::size_t threads = 4;
-    for (int round = 0; round < 100; ++round) {
-        service::WorkloadCache cache(8);
-        const RaceOutcome out = raceOnColdCache(cache, "gzip", threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            ASSERT_EQ(out.errors[t], "") << "round " << round;
-            ASSERT_EQ(out.programs[t], out.programs[0])
-                << "round " << round;
-        }
-        ASSERT_EQ(out.stats.misses, 1u) << "round " << round;
-        ASSERT_EQ(out.stats.hits, threads - 1) << "round " << round;
-        ASSERT_EQ(out.stats.entries, 1u) << "round " << round;
-    }
-}
-
-TEST(WorkloadCache, FailedBuildReachesEveryCallerAndIsNotCached)
-{
-    constexpr std::size_t threads = 4;
-    for (int round = 0; round < 20; ++round) {
-        service::WorkloadCache cache(8);
-        const RaceOutcome out =
-            raceOnColdCache(cache, "no_such_bench", threads);
-        for (std::size_t t = 0; t < threads; ++t) {
-            EXPECT_EQ(out.programs[t], nullptr);
-            ASSERT_EQ(out.errors[t], "unknown benchmark 'no_such_bench'")
-                << "round " << round;
-        }
-        ASSERT_EQ(out.stats.hits + out.stats.misses, threads);
-        ASSERT_EQ(out.stats.entries, 0u);
-        // Nothing was cached: the next caller builds (and fails) anew.
-        EXPECT_THROW(cache.get("no_such_bench", 20'000),
-                     std::invalid_argument);
-        EXPECT_EQ(cache.stats().misses, out.stats.misses + 1);
-    }
 }
 
 // ---- Persistent pool ---------------------------------------------------
@@ -633,17 +505,19 @@ class ServerRouting : public ::testing::Test
 
 TEST_F(ServerRouting, PingAndStats)
 {
-    EXPECT_EQ(get("/v1/ping").status, 200);
-    const service::HttpResponse stats = get("/v1/stats");
-    EXPECT_EQ(stats.status, 200);
-    EXPECT_NE(stats.body.find("\"workers\":2"), std::string::npos)
-        << stats.body;
+    const service::HttpResponse ping = get("/v1/ping");
+    EXPECT_EQ(ping.status, 200);
+    EXPECT_EQ(ping.body, "{\"status\":\"ok\"}\n");
 }
 
 TEST_F(ServerRouting, UnknownRoutesAre404AndWrongMethods405)
 {
     EXPECT_EQ(get("/v2/ping").status, 404);
     EXPECT_EQ(get("/v1/runs/r9999").status, 404);
+    // There is no scrape endpoint: those paths are unknown too.
+    for (const char *retired : {"metrics", "stats"})
+        EXPECT_EQ(get(std::string("/v1/") + retired).status, 404)
+            << retired;
     EXPECT_EQ(post("/v1/ping", "").status, 405);
     EXPECT_EQ(get("/v1/runs/r9999/cancel").status, 405);
 }
@@ -702,6 +576,60 @@ TEST(RunRegistry, ResumeReadsMaxAttemptsAsARangedInteger)
         EXPECT_FALSE(registry.info("r000" + std::to_string(i), info)) << i;
 }
 
+/** A state dir holding one small gzip spec file per id in @p ids. */
+std::string
+stateDirWith(const std::string &name,
+             std::initializer_list<const char *> ids)
+{
+    const std::string dir = tempPath(name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const char *id : ids)
+        std::ofstream(dir + "/" + id + ".spec.json")
+            << "{\"spec\":\"bench=gzip;budget=1000\"}\n";
+    return dir;
+}
+
+TEST(RunRegistry, ResumedHighIdNeverWrapsTheNextId)
+{
+    // A resumed r4294967295 must not wrap the id counter to 0: the
+    // second submit would then mint r0001 over the live resumed run,
+    // whose runner thread is still joinable, and abort the process.
+    service::RunRegistry::Config config;
+    config.stateDir = stateDirWith("registry_ids", {"r0001", "r4294967295"});
+    config.workers = 1;
+    service::RunRegistry registry(config);
+    EXPECT_EQ(registry.resume(), 2u);
+    const std::string a = registry.submit("bench=gzip;budget=1000", {});
+    const std::string b = registry.submit("bench=gzip;budget=1000", {});
+    EXPECT_NE(a, b);
+    for (const std::string &id : {a, b}) {
+        EXPECT_NE(id, "r0001");
+        EXPECT_NE(id, "r4294967295");
+    }
+    EXPECT_EQ(registry.list().size(), 4u);
+    registry.shutdown();
+}
+
+TEST(RunRegistry, ResumeSkipsIdsNoSubmitMints)
+{
+    // Resume takes only ids a submit mints ("r" and a counter of at
+    // least four digits), and never mints a skipped run's id again.
+    service::RunRegistry::Config config;
+    config.stateDir = stateDirWith(
+        "registry_foreign_ids",
+        {"r0000", "r01", "r00002", "r+003", "r18446744073709551615",
+         "rx", "foo", "r0004"});
+    std::ofstream(config.stateDir + "/r0007.spec.json") << "{\"spec\":";
+    config.workers = 1;
+    service::RunRegistry registry(config);
+    EXPECT_EQ(registry.resume(), 1u);
+    const std::vector<service::RunInfo> runs = registry.list();
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].id, "r0004");
+    EXPECT_EQ(registry.submit("bench=gzip;budget=1000", {}), "r0008");
+}
+
 TEST_F(ServerRouting, MalformedQueryNumbersAre400)
 {
     // Every numeric query parameter is parsed strictly: junk, a sign,
@@ -735,7 +663,7 @@ TEST_F(ServerRouting, MalformedQueryNumbersAre400)
           std::string("1e999"), too_big_integer})
         expect400(get("/v1/runs/r0001/events?from=" + bad), "from", bad);
     // Nothing malformed was accepted as a run.
-    EXPECT_EQ(server_->registry().runCount(), 0u);
+    EXPECT_TRUE(server_->registry().list().empty());
 
     // Plain decimals still pass the parse (the run is unknown: 404).
     EXPECT_EQ(get("/v1/runs/r0001?wait=0.5").status, 404);
@@ -745,8 +673,8 @@ TEST_F(ServerRouting, MalformedQueryNumbersAre400)
 TEST_F(ServerRouting, SharedJobsStreamOneRecordEachAndBuildOnce)
 {
     // At 2 clusters all four topologies build one machine: the daemon
-    // runs it once, builds its program once, and still streams and
-    // reports four jobs, the three copies with host time 0.
+    // builds and runs it once, and still streams and reports four
+    // jobs, the three copies with host time 0.
     const std::string spec =
         "bench=gzip;topology=linear,ring,crossbar,hier;clusters=2;"
         "budget=5000";
@@ -767,11 +695,6 @@ TEST_F(ServerRouting, SharedJobsStreamOneRecordEachAndBuildOnce)
     }
     EXPECT_EQ(indices, (std::set<std::size_t>{0, 1, 2, 3}));
     EXPECT_EQ(zero_host, 3u);
-
-    const service::WorkloadCache::Stats cache =
-        server_->registry().cacheStats();
-    EXPECT_EQ(cache.misses, 1u);
-    EXPECT_EQ(cache.hits, 0u);
 
     EXPECT_EQ(get("/v1/runs/" + id + "/report").body,
               campaign::runCampaign(campaign::parseMatrix(spec)).toJson());
@@ -868,7 +791,7 @@ TEST_F(ServerRouting, SubmitOptionsFlowThroughQuery)
     EXPECT_NE(json.body.find("\"accounting\""), std::string::npos);
 }
 
-// ---- /v1/metrics and trace correlation ---------------------------------
+// ---- Trace correlation -------------------------------------------------
 
 TEST(TraceId, IdsAreUniqueSixteenHexDigits)
 {
@@ -882,55 +805,6 @@ TEST(TraceId, IdsAreUniqueSixteenHexDigits)
                         (c >= 'a' && c <= 'f'))
                 << id;
     }
-}
-
-TEST_F(ServerRouting, MetricsExposeEveryFamilyOnAFreshServer)
-{
-    const service::HttpResponse resp = get("/v1/metrics");
-    ASSERT_EQ(resp.status, 200);
-    EXPECT_EQ(resp.contentType,
-              "text/plain; version=0.0.4; charset=utf-8");
-    for (const char *family :
-         {"ctcpd_http_requests_total", "ctcpd_http_request_seconds",
-          "ctcpd_http_response_bytes_total",
-          "ctcpd_http_active_connections", "ctcpd_pool_workers",
-          "ctcpd_pool_busy_workers", "ctcpd_pool_queue_depth",
-          "ctcpd_pool_jobs_executed_total", "ctcpd_jobs_completed_total",
-          "ctcpd_jobs_retried_total", "ctcpd_jobs_failed_total",
-          "ctcpd_runs", "ctcpd_journal_bytes",
-          "ctcpd_resumed_runs_total", "ctcpd_resume_replayed_jobs_total",
-          "ctcpd_workload_cache_hits_total",
-          "ctcpd_workload_cache_misses_total",
-          "ctcpd_workload_cache_evictions_total",
-          "ctcpd_workload_cache_entries"})
-        EXPECT_NE(resp.body.find(std::string("# TYPE ") + family + " "),
-                  std::string::npos)
-            << family;
-    EXPECT_EQ(post("/v1/metrics", "").status, 405);
-}
-
-TEST_F(ServerRouting, MetricsTrackJobAndCacheCountersAfterARun)
-{
-    // Two jobs share one workload setup: one miss, one hit.
-    const std::string id =
-        submit("bench=gzip;strategy=base,fdrt;budget=5000");
-    waitDone(id);
-    const service::HttpResponse resp = get("/v1/metrics");
-    ASSERT_EQ(resp.status, 200);
-    EXPECT_NE(resp.body.find("ctcpd_jobs_completed_total 2\n"),
-              std::string::npos)
-        << resp.body;
-    EXPECT_NE(resp.body.find("ctcpd_pool_jobs_executed_total 2\n"),
-              std::string::npos);
-    EXPECT_NE(resp.body.find("ctcpd_runs{state=\"done\"} 1\n"),
-              std::string::npos);
-    EXPECT_NE(resp.body.find("ctcpd_workload_cache_hits_total 1\n"),
-              std::string::npos);
-    EXPECT_NE(resp.body.find("ctcpd_workload_cache_misses_total 1\n"),
-              std::string::npos);
-    EXPECT_EQ(resp.body.find("ctcpd_journal_bytes 0\n"),
-              std::string::npos)
-        << "journal bytes should be nonzero after a completed run";
 }
 
 TEST_F(ServerRouting, TraceIdEchoesOnlyWhenSupplied)

@@ -83,19 +83,6 @@ TEST(ServiceE2E, StreamedRunMatchesBatchByteForByte)
     const std::string html = daemon.dir() + "/live.html";
     EXPECT_EQ(daemon.ctl("html " + id + " --out " + html).status, 0);
     EXPECT_NE(slurp(html).find("<!DOCTYPE html>"), std::string::npos);
-
-    // Both benchmarks appeared twice: the workload cache hit once per
-    // (benchmark, budget) pair.
-    const CommandResult stats = daemon.ctl("stats --json");
-    EXPECT_EQ(stats.status, 0);
-    EXPECT_NE(stats.output.find("\"hits\":2"), std::string::npos)
-        << stats.output;
-
-    // The default rendering is an aligned table of the same counters.
-    const CommandResult table = daemon.ctl("stats");
-    EXPECT_EQ(table.status, 0);
-    EXPECT_NE(table.output.find("cache hits"), std::string::npos)
-        << table.output;
 }
 
 TEST(ServiceE2E, KilledDaemonResumesFromJournalByteForByte)
@@ -213,21 +200,6 @@ TEST(ServiceE2E, WorkerValidationIsSharedWithCtcpsim)
               2);
 }
 
-TEST(ServiceE2E, CacheEntriesRejectsMalformedNumbers)
-{
-    // Junk, a sign, an empty value and counts outside 1..4096 exit 2
-    // before the daemon starts (-1 once read as 2^64-1 entries).
-    const std::string cmd = std::string(CTCP_CTCPD_PATH) + " --socket " +
-        ctcp::test::tmpPath("ce.sock") + " --cache-entries ";
-    for (const char *bad :
-         {"-1", "''", "+4", "12abc", "18446744073709551616", "0", "4097"}) {
-        EXPECT_EQ(run(cmd + bad).status, 2) << bad;
-        const std::string msg = runStderr(cmd + bad);
-        EXPECT_NE(msg.find("--cache-entries"), std::string::npos)
-            << bad << ": " << msg;
-    }
-}
-
 TEST(ServiceE2E, IoDeadlineRejectsMalformedNumbers)
 {
     // --io-deadline takes a plain decimal like ctcpsim --deadline: NaN,
@@ -277,15 +249,28 @@ TEST(ServiceE2E, CtlRejectsMalformedNumbersBeforeConnecting)
     // would otherwise go on to dial (-1 once read as 4294967295).
     const std::string ctl = std::string(CTCP_CTCPCTL_PATH) +
         " --socket /nonexistent/ctcp.sock ";
-    const std::string top = runStderr(ctl + "top --iterations -1");
-    EXPECT_NE(top.find("invalid --iterations '-1'"), std::string::npos)
-        << top;
+    const std::string wait = runStderr(ctl + "wait r0001 --timeout -1");
+    EXPECT_NE(wait.find("invalid --timeout '-1'"), std::string::npos)
+        << wait;
     const std::string submit =
         runStderr(ctl + "submit spec.txt --max-attempts 12abc");
     EXPECT_NE(submit.find("invalid --max-attempts '12abc'"),
               std::string::npos)
         << submit;
-    EXPECT_EQ(run(ctl + "top --iterations banana").status, 2);
+    EXPECT_EQ(run(ctl + "wait r0001 --timeout banana").status, 2);
+}
+
+TEST(ServiceE2E, CtlRejectsUnknownCommandsBeforeConnecting)
+{
+    const std::string ctl = std::string(CTCP_CTCPCTL_PATH) +
+        " --socket /nonexistent/ctcp.sock ";
+    for (const char *command :
+         {"top", "stats", "stats --json", "bogus r0001"}) {
+        EXPECT_EQ(run(ctl + command).status, 2) << command;
+        const std::string msg = runStderr(ctl + command);
+        EXPECT_NE(msg.find("unknown command"), std::string::npos)
+            << command << ": " << msg;
+    }
 }
 
 } // namespace

@@ -11,11 +11,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "common/parse_number.hh"
 #include "obs/compare.hh"
 #include "obs/report.hh"
 
@@ -59,15 +60,16 @@ readFile(const std::string &path)
     return text.str();
 }
 
+/** A tolerance in percent: a plain decimal, so nan, inf, -0 and 1e3
+ *  exit 2 with @p flag named. */
 double
 parsePct(const std::string &text, const std::string &flag)
 {
-    char *end = nullptr;
-    const double pct = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || pct < 0.0)
-        die("invalid " + flag + " value '" + text +
-            "' (expected a non-negative percent)");
-    return pct;
+    try {
+        return ctcp::parseDecimal(text, flag + " value");
+    } catch (const std::invalid_argument &e) {
+        die(e.what());
+    }
 }
 
 } // namespace

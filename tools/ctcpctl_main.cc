@@ -5,14 +5,13 @@
  * Wraps the unix-socket HTTP API in subcommands: submit a campaign
  * spec, watch its event stream (the raw campaign journal), fetch the
  * final report (byte-identical to `ctcpsim --campaign`), render the
- * live HTML report, cancel, and poll daemon stats.
+ * live HTML report, and cancel.
  *
  * Exit status: 0 success, 1 daemon-side failure (HTTP error status,
  * run ended cancelled/errored), 2 usage or transport error.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,10 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/json.hh"
 #include "common/parse_number.hh"
@@ -46,12 +42,6 @@ usage(const char *prog)
         "\n"
         "commands:\n"
         "  ping                       check the daemon is alive\n"
-        "  stats [--json]             pool / run / cache counters as\n"
-        "                             an aligned table (--json: the\n"
-        "                             daemon's raw JSON)\n"
-        "  top [--interval S]         live metrics dashboard polling\n"
-        "      [--iterations N]       GET /v1/metrics every S seconds\n"
-        "                             (default 2; N=0 runs forever)\n"
         "  submit SPECFILE            submit a campaign matrix spec\n"
         "                             (- reads stdin); prints the run\n"
         "                             id. Options: --accounting,\n"
@@ -155,125 +145,6 @@ parseSeconds(const std::string &text, const std::string &what)
     } catch (const std::invalid_argument &e) {
         die(e.what());
     }
-}
-
-/**
- * Sum every sample of @p family in a Prometheus exposition,
- * optionally keeping only lines containing @p labelFilter (e.g.
- * "state=\"running\""). Histograms are not addressable this way —
- * their sample names carry _bucket/_sum/_count suffixes.
- */
-double
-metricSum(const std::string &text, const std::string &family,
-          const std::string &labelFilter = std::string())
-{
-    double total = 0.0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string::npos)
-            eol = text.size();
-        const std::string line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (line.compare(0, family.size(), family) != 0 ||
-            line.size() <= family.size())
-            continue;
-        const char next = line[family.size()];
-        if (next != ' ' && next != '{')
-            continue;
-        if (!labelFilter.empty() &&
-            line.find(labelFilter) == std::string::npos)
-            continue;
-        const std::size_t sp = line.rfind(' ');
-        if (sp == std::string::npos)
-            continue;
-        total += std::strtod(line.c_str() + sp + 1, nullptr);
-    }
-    return total;
-}
-
-/** Live dashboard over GET /v1/metrics. */
-int
-cmdTop(double intervalSeconds, unsigned iterations)
-{
-    // Only a real terminal gets the ANSI clear, so `top --iterations 1`
-    // stays greppable in scripts and CI.
-    const bool tty = ::isatty(STDOUT_FILENO) != 0;
-    for (unsigned frame = 0; iterations == 0 || frame < iterations;
-         ++frame) {
-        if (frame)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(intervalSeconds));
-        const HttpResponse resp = request("GET", "/v1/metrics");
-        if (resp.status != 200)
-            return failFrom(resp);
-        const std::string &m = resp.body;
-        if (tty)
-            std::printf("\033[H\033[2J");
-        std::printf("ctcpd @ %s\n", g_socket.c_str());
-        std::printf(
-            "  runs     queued %.0f  running %.0f  done %.0f  "
-            "cancelled %.0f  error %.0f\n",
-            metricSum(m, "ctcpd_runs", "state=\"queued\""),
-            metricSum(m, "ctcpd_runs", "state=\"running\""),
-            metricSum(m, "ctcpd_runs", "state=\"done\""),
-            metricSum(m, "ctcpd_runs", "state=\"cancelled\""),
-            metricSum(m, "ctcpd_runs", "state=\"error\""));
-        std::printf(
-            "  pool     %.0f/%.0f workers busy, %.0f queued, "
-            "%.0f tasks executed\n",
-            metricSum(m, "ctcpd_pool_busy_workers"),
-            metricSum(m, "ctcpd_pool_workers"),
-            metricSum(m, "ctcpd_pool_queue_depth"),
-            metricSum(m, "ctcpd_pool_jobs_executed_total"));
-        std::printf(
-            "  jobs     %.0f completed, %.0f retried, %.0f failed\n",
-            metricSum(m, "ctcpd_jobs_completed_total"),
-            metricSum(m, "ctcpd_jobs_retried_total"),
-            metricSum(m, "ctcpd_jobs_failed_total"));
-        std::printf(
-            "  cache    %.0f hits, %.0f misses, %.0f evictions, "
-            "%.0f entries\n",
-            metricSum(m, "ctcpd_workload_cache_hits_total"),
-            metricSum(m, "ctcpd_workload_cache_misses_total"),
-            metricSum(m, "ctcpd_workload_cache_evictions_total"),
-            metricSum(m, "ctcpd_workload_cache_entries"));
-        std::printf(
-            "  http     %.0f requests, %.0f active, %.0f body bytes "
-            "out\n",
-            metricSum(m, "ctcpd_http_requests_total"),
-            metricSum(m, "ctcpd_http_active_connections"),
-            metricSum(m, "ctcpd_http_response_bytes_total"));
-        std::printf("  journal  %.0f bytes\n",
-                    metricSum(m, "ctcpd_journal_bytes"));
-        std::fflush(stdout);
-    }
-    return 0;
-}
-
-/** `stats` as an aligned table (the default; --json = raw body). */
-int
-cmdStatsTable(const std::string &body)
-{
-    try {
-        const ctcp::json::Document doc = ctcp::json::parse(body);
-        const auto cache = doc.find("workloadCache");
-        if (!doc.isObject() || !cache || !cache->isObject())
-            throw std::runtime_error("not a stats object");
-        const auto row = [](const char *name, double v) {
-            std::printf("%-16s %llu\n", name,
-                        static_cast<unsigned long long>(v));
-        };
-        row("workers", doc.num("workers"));
-        row("runs", doc.num("runs"));
-        row("cache hits", cache->num("hits"));
-        row("cache misses", cache->num("misses"));
-        row("cache evictions", cache->num("evictions"));
-        row("cache entries", cache->num("entries"));
-    } catch (const std::exception &) {
-        die("malformed stats response: " + body);
-    }
-    return 0;
 }
 
 int
@@ -481,21 +352,6 @@ main(int argc, char **argv)
         std::printf("%s\n", resp.body.c_str());
         return 0;
     }
-    if (command == "stats") {
-        const HttpResponse resp = request("GET", "/v1/stats");
-        if (resp.status != 200)
-            return failFrom(resp);
-        if (flag("--json")) {
-            std::printf("%s\n", resp.body.c_str());
-            return 0;
-        }
-        return cmdStatsTable(resp.body);
-    }
-    if (command == "top")
-        return cmdTop(parseSeconds(value("--interval", "2"),
-                                   "--interval value"),
-                      unsignedArg(value("--iterations", "0"),
-                                  "--iterations"));
     if (command == "submit")
         return cmdSubmit(args);
     if (command == "list") {
@@ -507,6 +363,9 @@ main(int argc, char **argv)
     }
 
     // Everything below addresses one run.
+    if (command != "status" && command != "events" && command != "cancel" &&
+        command != "wait" && command != "report" && command != "html")
+        die("unknown command '" + command + "'");
     const std::string id = positional();
     if (id.empty())
         die(command + " needs a run id");
@@ -541,16 +400,12 @@ main(int argc, char **argv)
             return failFrom(resp);
         return writeOut(value("--out", "-"), resp.body) ? 0 : 2;
     }
-    if (command == "html") {
-        const std::string out = value("--out", "");
-        if (out.empty())
-            die("html needs --out FILE");
-        const HttpResponse resp =
-            request("GET", "/v1/runs/" + id + "/html");
-        if (resp.status != 200)
-            return failFrom(resp);
-        return writeOut(out, resp.body) ? 0 : 2;
-    }
-
-    die("unknown command '" + command + "'");
+    // html
+    const std::string out = value("--out", "");
+    if (out.empty())
+        die("html needs --out FILE");
+    const HttpResponse resp = request("GET", "/v1/runs/" + id + "/html");
+    if (resp.status != 200)
+        return failFrom(resp);
+    return writeOut(out, resp.body) ? 0 : 2;
 }

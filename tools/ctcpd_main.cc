@@ -33,12 +33,6 @@
 
 namespace {
 
-/**
- * Upper bound of --cache-entries. The registry holds ~26 programs and
- * each budget is its own cache key, so this is far above any real use.
- */
-constexpr std::uint64_t maxCacheEntries = 4096;
-
 std::atomic<bool> g_stop{false};
 
 void
@@ -65,8 +59,6 @@ usage(const char *prog)
         "                      run (default: one per hardware\n"
         "                      thread); accepts the same values as\n"
         "                      ctcpsim --jobs\n"
-        "  --cache-entries N   workload setup cache capacity,\n"
-        "                      1..4096 (default 64)\n"
         "  --io-deadline SECS  per-connection budget for reading one\n"
         "                      request and writing one response\n"
         "                      (default 30; 0 = unbounded). A stalled\n"
@@ -107,7 +99,6 @@ main(int argc, char **argv)
     using namespace ctcp;
 
     service::ServiceServer::Config config;
-    unsigned long cache_entries = 64;
     std::string log_file;
     LogLevel log_level = LogLevel::Info;
 
@@ -134,14 +125,6 @@ main(int argc, char **argv)
             try {
                 config.registry.workers =
                     campaign::parseWorkerCount(next_arg(i));
-            } catch (const std::invalid_argument &e) {
-                die(e.what());
-            }
-        } else if (arg == "--cache-entries") {
-            try {
-                cache_entries = parseUnsigned(next_arg(i),
-                                              "--cache-entries", 1,
-                                              maxCacheEntries);
             } catch (const std::invalid_argument &e) {
                 die(e.what());
             }
@@ -177,7 +160,6 @@ main(int argc, char **argv)
             die("socket directory '" + dir.string() + "' does not exist");
         config.registry.stateDir = config.socketPath + ".state";
     }
-    config.registry.cacheEntries = cache_entries;
     if (!log_file.empty()) {
         std::string log_error;
         if (!logOpen(log_file, log_level, log_error))
@@ -196,18 +178,16 @@ main(int argc, char **argv)
         const std::string state_dir = config.registry.stateDir;
         service::ServiceServer server(std::move(config));
         std::fprintf(stderr,
-                     "ctcpd %s: socket %s, state %s, %u workers, "
-                     "cache %lu\n",
+                     "ctcpd %s: socket %s, state %s, %u workers\n",
                      CTCP_VERSION, socket.c_str(), state_dir.c_str(),
-                     server.registry().workers(), cache_entries);
+                     server.registry().workers());
         logRecord(LogLevel::Info, "server", "",
                   std::string("ctcpd ") + CTCP_VERSION + " starting",
                   {{"version", CTCP_VERSION},
                    {"socket", socket},
                    {"stateDir", state_dir},
                    {"workers",
-                    std::to_string(server.registry().workers())},
-                   {"cacheEntries", std::to_string(cache_entries)}});
+                    std::to_string(server.registry().workers())}});
         const std::size_t resumed = server.registry().resume();
         if (resumed)
             std::fprintf(stderr,

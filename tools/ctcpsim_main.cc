@@ -370,17 +370,7 @@ main(int argc, char **argv)
             instructions = number_arg(i, 0, max_u64);
         } else if (arg == "--strategy") {
             const std::string s = next_arg(i);
-            if (s == "base")
-                cfg.assign.strategy = AssignStrategy::BaseSlotOrder;
-            else if (s == "friendly")
-                cfg.assign.strategy = AssignStrategy::Friendly;
-            else if (s == "fdrt")
-                cfg.assign.strategy = AssignStrategy::Fdrt;
-            else if (s == "issue-time")
-                cfg.assign.strategy = AssignStrategy::IssueTime;
-            else if (s == "adaptive")
-                cfg.assign.strategy = AssignStrategy::Adaptive;
-            else
+            if (!parseAssignStrategy(s, cfg.assign.strategy))
                 die("unknown strategy '" + s + "'");
         } else if (arg == "--adaptive-interval") {
             cfg.assign.adaptiveInterval = number_arg(i, 0, max_u64);

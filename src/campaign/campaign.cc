@@ -8,12 +8,12 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "campaign/journal.hh"
-#include "campaign/persistent_pool.hh"
-#include "campaign/work_queue.hh"
 #include "cluster/interconnect.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -67,6 +67,47 @@ parseWorkerCount(const std::string &text)
 {
     return static_cast<unsigned>(
         parseUnsigned(text, "worker count", 0, 4096));
+}
+
+unsigned
+resolveWorkers(unsigned workers)
+{
+    return workers ? workers
+                   : std::max(1u, std::thread::hardware_concurrency());
+}
+
+void
+runIndexed(std::size_t count, unsigned workers,
+           const std::function<void(std::size_t)> &body)
+{
+    const std::size_t threads =
+        std::min<std::size_t>(resolveWorkers(workers), count);
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            body(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        while (true) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= count)
+                return;
+            body(i);
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+        for (std::size_t t = 1; t < threads; ++t)
+            helpers.emplace_back(work);
+    } catch (const std::system_error &) {
+        // The system would start no more threads: the ones running,
+        // the caller included, take every index left.
+    }
+    work();
+    for (std::thread &t : helpers)
+        t.join();
 }
 
 std::string
@@ -229,8 +270,7 @@ void
 progressToStderr(const std::string &line)
 {
     // Cross-campaign serialization: each runCampaign() serializes its
-    // own progress calls, but the service runs several campaigns on
-    // one shared pool and their callbacks fire concurrently.
+    // own progress calls, but campaigns run side by side would not.
     static std::mutex mutex;
     std::lock_guard<std::mutex> lock(mutex);
     std::fprintf(stderr, "%s\n", line.c_str());
@@ -441,8 +481,8 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
     const unsigned max_attempts = options.maxAttempts ?
         options.maxAttempts : 1;
 
-    // One pool task per distinct simulation: its members in index
-    // order, the representative first.
+    // One task per distinct simulation: its members in index order,
+    // the representative first.
     std::vector<std::vector<std::size_t>> groups;
     {
         const std::vector<std::size_t> rep =
@@ -529,12 +569,7 @@ runCampaign(const std::vector<Job> &jobs, const Options &options)
         }
     };
 
-    if (options.pool) {
-        options.pool->run(groups.size(), body);
-    } else {
-        WorkStealingPool pool(options.jobs);
-        pool.run(groups.size(), body);
-    }
+    runIndexed(groups.size(), options.jobs, body);
     return report;
 }
 

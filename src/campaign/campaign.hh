@@ -1,8 +1,9 @@
 /**
  * @file
  * Campaign engine: run an arbitrary matrix of independent
- * (workload x configuration) simulations across a work-stealing thread
- * pool with deterministic aggregation.
+ * (workload x configuration) simulations on Options::jobs threads with
+ * deterministic aggregation. The caller's thread is one of them, and
+ * with one worker it runs every job itself, in index order.
  *
  * Guarantees:
  *  - Determinism: every simulation builds its own Program inside its
@@ -41,8 +42,6 @@
 #include "prog/program.hh"
 
 namespace ctcp::campaign {
-
-class PersistentPool;
 
 /** One independent simulation in a campaign. */
 struct Job
@@ -137,7 +136,10 @@ struct Report
 /** Execution knobs for runCampaign(). */
 struct Options
 {
-    /** Worker threads; 0 = one per hardware thread. */
+    /**
+     * Worker threads, the caller's included (see runIndexed()); 0 =
+     * one per hardware thread.
+     */
     unsigned jobs = 0;
     /**
      * Progress callback, invoked from worker threads as jobs finish
@@ -204,15 +206,6 @@ struct Options
 
     // ---- Service integration (src/service) -----------------------------
     /**
-     * External long-lived worker pool to run jobs on instead of a
-     * private WorkStealingPool; `jobs` is ignored when set. The ctcpd
-     * daemon shares one pool across every submitted campaign. Reports
-     * remain byte-identical either way: outcomes land in slots
-     * preassigned by submission index regardless of which threads run
-     * the jobs or in what order.
-     */
-    PersistentPool *pool = nullptr;
-    /**
      * Cooperative cancellation, polled before each not-yet-run job
      * starts. Once it returns true, pending jobs are recorded as
      * Failed with category Cancelled and are NOT journaled, so a later
@@ -240,6 +233,25 @@ struct Options
  */
 unsigned parseWorkerCount(const std::string &text);
 
+/** @p workers, or one per hardware thread when it is 0. */
+unsigned resolveWorkers(unsigned workers);
+
+/**
+ * Run @p body(i) for every i in [0, count) on min(@p workers, count)
+ * threads (@p workers 0 = resolveWorkers(0); fewer when the system
+ * starts no more) and return when every call has. The caller is one
+ * of the threads: each thread takes the next index from one shared
+ * counter until none is left, so a thread that finds none stops
+ * instead of waiting for work. With one thread the caller makes every
+ * call itself, in index order, and starts none.
+ *
+ * @p body must not throw: jobs are independent and a failure in one
+ * must not tear down its thread, so runCampaign() catches per job and
+ * records the error instead.
+ */
+void runIndexed(std::size_t count, unsigned workers,
+                const std::function<void(std::size_t)> &body);
+
 /** Filesystem-safe form of a job label ('/' and friends become '_'). */
 std::string sanitizeLabel(const std::string &label);
 
@@ -253,9 +265,10 @@ std::string jobFileStem(const std::string &label, std::size_t index);
 
 /**
  * Write "[k/n] label: ok" lines to stderr (an Options::progress).
- * Serialized by an internal mutex: runCampaign() serializes progress
- * calls within one campaign, but concurrent campaigns (ctcpd runs
- * many on one shared pool) would otherwise interleave their lines.
+ * runCampaign() serializes progress calls within one campaign; an
+ * internal mutex also keeps whole the lines of campaigns a caller runs
+ * concurrently. (The daemon sets no progress: its runs report through
+ * their journals.)
  */
 void progressToStderr(const std::string &line);
 

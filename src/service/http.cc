@@ -131,6 +131,26 @@ contentLength(const std::vector<std::pair<std::string, std::string>> &hs,
     return true;
 }
 
+/**
+ * The code of status line @p line ("HTTP/1.1 200 OK"): the decimal
+ * number between the first space and the next space or the line's
+ * end, in 100..599. 0 when @p line has no such code.
+ */
+int
+statusCode(const std::string &line)
+{
+    const std::size_t sp1 = line.find(' ');
+    if (line.compare(0, 5, "HTTP/") != 0 || sp1 == std::string::npos)
+        return 0;
+    const std::size_t sp2 = line.find(' ', sp1 + 1);
+    try {
+        return static_cast<int>(parseUnsigned(
+            line.substr(sp1 + 1, sp2 - sp1 - 1), "status", 100, 599));
+    } catch (const std::invalid_argument &) {
+        return 0;
+    }
+}
+
 } // namespace
 
 std::string
@@ -302,17 +322,9 @@ parseResponse(const std::string &raw, HttpResponse &resp,
     const std::string head = raw.substr(0, head_end + 2);
     const std::size_t line_end = head.find("\r\n");
     const std::string status_line = head.substr(0, line_end);
-    const std::size_t sp1 = status_line.find(' ');
-    if (status_line.compare(0, 5, "HTTP/") != 0 ||
-        sp1 == std::string::npos) {
-        error = "malformed status line '" + status_line + "'";
-        return false;
-    }
     HttpResponse parsed;
-    parsed.status =
-        static_cast<int>(std::strtol(status_line.c_str() + sp1 + 1,
-                                     nullptr, 10));
-    if (parsed.status < 100 || parsed.status > 599) {
+    parsed.status = statusCode(status_line);
+    if (parsed.status == 0) {
         error = "malformed status line '" + status_line + "'";
         return false;
     }
@@ -444,12 +456,6 @@ listenUnix(const std::string &path, std::string &error)
 }
 
 int
-connectUnix(const std::string &path, std::string &error)
-{
-    return connectUnix(path, 0.0, error);
-}
-
-int
 connectUnix(const std::string &path, double timeoutSeconds,
             std::string &error)
 {
@@ -498,12 +504,6 @@ connectUnix(const std::string &path, double timeoutSeconds,
     // The fd stays non-blocking; readRequest/writeAll/readAll all go
     // through poll() and handle EAGAIN.
     return fd;
-}
-
-bool
-readRequest(int fd, HttpRequest &req, std::string &error)
-{
-    return readRequest(fd, req, 0.0, error);
 }
 
 bool
@@ -570,13 +570,6 @@ readRequest(int fd, HttpRequest &req, double timeoutSeconds,
 }
 
 bool
-writeAll(int fd, const std::string &bytes)
-{
-    std::string ignored;
-    return writeAll(fd, bytes, 0.0, ignored);
-}
-
-bool
 writeAll(int fd, const std::string &bytes, double timeoutSeconds,
          std::string &error)
 {
@@ -605,15 +598,6 @@ writeAll(int fd, const std::string &bytes, double timeoutSeconds,
         off += static_cast<std::size_t>(n);
     }
     return true;
-}
-
-std::string
-readAll(int fd)
-{
-    std::string out;
-    std::string ignored;
-    readAll(fd, 0.0, out, ignored);
-    return out;
 }
 
 bool

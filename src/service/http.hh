@@ -111,27 +111,19 @@ inline constexpr const char *traceIdHeader = "X-Ctcp-Trace-Id";
 int listenUnix(const std::string &path, std::string &error);
 
 /**
- * Connect to the daemon's socket.
+ * Connect to the daemon's socket, giving up after @p timeoutSeconds.
  * @return the connected fd, or -1 with a diagnostic in @p error
  */
-int connectUnix(const std::string &path, std::string &error);
-
-/** As above, but give up after @p timeoutSeconds. */
 int connectUnix(const std::string &path, double timeoutSeconds,
                 std::string &error);
 
 /**
  * Read one complete request from @p fd (headers, then Content-Length
- * body bytes). @return false on EOF, I/O error, or malformed input.
+ * body bytes), failing once @p timeoutSeconds elapse mid-read.
+ * @return false on EOF, I/O error, timeout, or malformed input.
  */
-bool readRequest(int fd, HttpRequest &req, std::string &error);
-
-/** As above, but fail once @p timeoutSeconds elapse mid-read. */
 bool readRequest(int fd, HttpRequest &req, double timeoutSeconds,
                  std::string &error);
-
-/** Write all of @p bytes to @p fd. @return false on error. */
-bool writeAll(int fd, const std::string &bytes);
 
 /**
  * Write all of @p bytes, failing once @p timeoutSeconds elapse — a
@@ -140,12 +132,10 @@ bool writeAll(int fd, const std::string &bytes);
 bool writeAll(int fd, const std::string &bytes, double timeoutSeconds,
               std::string &error);
 
-/** Read until EOF (the peer closes after one response). */
-std::string readAll(int fd);
-
 /**
- * Read until EOF with a deadline. @return false (with partial bytes
- * in @p out) on timeout or I/O error.
+ * Read until EOF (the peer closes after one response), with a
+ * deadline. @return false (with partial bytes in @p out) on timeout or
+ * I/O error.
  */
 bool readAll(int fd, double timeoutSeconds, std::string &out,
              std::string &error);

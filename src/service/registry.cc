@@ -142,8 +142,9 @@ struct RunRegistry::Run
 };
 
 RunRegistry::RunRegistry(Config config)
-    : config_(std::move(config)), pool_(config_.workers)
+    : config_(std::move(config))
 {
+    config_.workers = campaign::resolveWorkers(config_.workers);
     if (config_.stateDir.empty())
         throw SimError(ErrorCategory::Config,
                        "run registry needs a state directory");
@@ -184,7 +185,7 @@ RunRegistry::runnerMain(Run *run)
     run->cv.notify_all();
 
     campaign::Options options;
-    options.pool = &pool_;
+    options.jobs = config_.workers;
     options.journalPath = run->journalPath;
     options.slotIndexMap = run->slotMap;
     options.accounting = run->options.accounting;
@@ -443,8 +444,9 @@ RunRegistry::events(const std::string &id, std::uint64_t offset,
             shuttingDown_.load() || clock::now() >= deadline)
             return true;
         // Re-check the file at least every 200ms even without a
-        // notification: journal appends come from pool workers that
-        // only notify this run's cv, not the tail readers of others.
+        // notification: journal appends come from this run's workers,
+        // which only notify this run's cv, not the tail readers of
+        // others.
         run->cv.wait_until(
             lock, std::min(deadline,
                            clock::now() +
@@ -576,7 +578,6 @@ RunRegistry::shutdown()
     for (Run *run : runs)
         if (run->runner.joinable())
             run->runner.join();
-    pool_.shutdown();
 }
 
 } // namespace ctcp::service

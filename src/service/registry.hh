@@ -3,8 +3,9 @@
  * Run registry: the ctcpd daemon's campaign lifecycle manager.
  *
  * Every submitted matrix spec becomes a Run: a journaled campaign
- * executing on the registry's one persistent worker pool, shared by
- * all runs. The registry persists two files per run under its state
+ * executed by runCampaign() on the run's own runner thread plus
+ * Config::workers - 1 more, as `ctcpsim --campaign --jobs N` runs it.
+ * The registry persists two files per run under its state
  * directory —
  *
  *   <id>.spec.json       what was submitted (spec + options)
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
-#include "campaign/persistent_pool.hh"
 
 namespace ctcp::service {
 
@@ -44,7 +44,7 @@ namespace ctcp::service {
 enum class RunState : std::uint8_t
 {
     Queued,    ///< accepted, jobs not yet dispatched
-    Running,   ///< jobs executing on the shared pool
+    Running,   ///< jobs executing on the run's threads
     Done,      ///< every job has a final outcome
     Cancelled, ///< cancelled before completion; journal keeps finished jobs
     Error,     ///< the campaign itself failed (e.g. unopenable journal)
@@ -68,7 +68,7 @@ struct RunInfo
     std::string error; ///< diagnostic when state == Error
 };
 
-/** Owns the worker pool and every run. */
+/** Owns every run and its runner thread. */
 class RunRegistry
 {
   public:
@@ -76,7 +76,11 @@ class RunRegistry
     {
         /** Journals + spec files live here; created if missing. */
         std::string stateDir;
-        /** Shared pool size; 0 = one per hardware thread. */
+        /**
+         * Threads per run, its runner included (campaign::Options::
+         * jobs); 0 = one per hardware thread. Runs submitted together
+         * use up to this many each.
+         */
         unsigned workers = 0;
     };
 
@@ -95,8 +99,8 @@ class RunRegistry
     RunRegistry &operator=(const RunRegistry &) = delete;
 
     /**
-     * Validate @p spec (parseMatrix), persist it, and start it on the
-     * pool. @return the new run id ("r0001", ...).
+     * Validate @p spec (parseMatrix), persist it, and start its
+     * runner thread. @return the new run id ("r0001", ...).
      * @throws std::invalid_argument on a malformed spec
      * @throws SimError when the registry is shutting down or the spec
      *         cannot be persisted
@@ -156,12 +160,13 @@ class RunRegistry
 
     /**
      * Graceful shutdown: cancel every active run (in-flight jobs
-     * finish and are journaled; queued jobs are skipped), join the
-     * runner threads, and drain the pool. Idempotent.
+     * finish and are journaled; queued jobs are skipped) and join the
+     * runner threads. Idempotent.
      */
     void shutdown();
 
-    unsigned workers() const { return pool_.workers(); }
+    /** Threads per run, 0 resolved to the hardware thread count. */
+    unsigned workers() const { return config_.workers; }
 
   private:
     struct Run;
@@ -173,7 +178,6 @@ class RunRegistry
     RunInfo snapshot(const Run &run) const;
 
     Config config_;
-    campaign::PersistentPool pool_;
     std::atomic<bool> shuttingDown_{false};
 
     mutable std::mutex mutex_; ///< guards runs_ / nextId_

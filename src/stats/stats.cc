@@ -4,6 +4,8 @@
 #include <charconv>
 #include <numeric>
 
+#include "common/logging.hh"
+
 namespace ctcp {
 
 void
@@ -74,58 +76,6 @@ StatDump::end(std::size_t start, std::size_t name_len)
 {
     entries_.push_back({name_len, text_.size() - start - name_len});
     width_ = std::max(width_, name_len);
-}
-
-void
-StatGroup::addCounter(const std::string &name, const Counter &counter)
-{
-    Item item;
-    item.name = name;
-    item.counter = &counter;
-    items_.push_back(std::move(item));
-}
-
-void
-StatGroup::addHistogram(const std::string &name, const Histogram &histogram)
-{
-    Item item;
-    item.name = name;
-    item.histogram = &histogram;
-    items_.push_back(std::move(item));
-}
-
-void
-StatGroup::addFormula(const std::string &name, std::function<double()> formula)
-{
-    Item item;
-    item.name = name;
-    item.formula = std::move(formula);
-    items_.push_back(std::move(item));
-}
-
-void
-StatGroup::dump(StatDump &out) const
-{
-    for (const Item &item : items_) {
-        const std::string full = name_ + "." + item.name;
-        if (item.counter) {
-            out.scalar(full, item.counter->value());
-        } else if (item.histogram) {
-            out.scalar(full + ".samples", item.histogram->samples());
-            out.scalar(full + ".mean", item.histogram->mean());
-            out.scalar(full + ".overflow", item.histogram->overflow());
-        } else if (item.formula) {
-            out.scalar(full, item.formula());
-        }
-    }
-}
-
-std::string
-StatGroup::render() const
-{
-    StatDump dump;
-    this->dump(dump);
-    return dump.render();
 }
 
 std::string

@@ -2,24 +2,20 @@
  * @file
  * Lightweight statistics package used by every simulated structure.
  *
- * Models register named scalar counters, ratio formulas and bounded
- * histograms into a StatGroup; benches and examples render groups as
- * aligned text tables. The design intentionally mirrors the shape (not
- * the implementation) of the gem5/SimpleScalar stats packages: stats are
- * owned by the model that increments them, and groups provide uniform
- * dumping.
+ * Models own Counters and list them, with derived ratios, into a
+ * StatDump, which renders aligned "name  value" text; the helpers
+ * below compute percentages, ratios and the paper's means. The design
+ * mirrors the shape (not the implementation) of the gem5/SimpleScalar
+ * stats packages: stats are owned by the model that increments them.
  */
 
 #ifndef CTCPSIM_STATS_STATS_HH
 #define CTCPSIM_STATS_STATS_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "common/logging.hh"
 
 namespace ctcp {
 
@@ -37,60 +33,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Bounded histogram with fixed-width buckets plus an overflow bucket. */
-class Histogram
-{
-  public:
-    /**
-     * @param buckets  number of regular buckets
-     * @param bucket_width  width of each bucket in sample units
-     */
-    Histogram(std::size_t buckets, std::uint64_t bucket_width)
-        : counts_(buckets + 1, 0), width_(bucket_width)
-    {
-        ctcp_assert(buckets > 0 && bucket_width > 0,
-                    "Histogram needs positive geometry");
-    }
-
-    void
-    sample(std::uint64_t value, std::uint64_t count = 1)
-    {
-        std::size_t idx = value / width_;
-        if (idx >= counts_.size() - 1)
-            idx = counts_.size() - 1;
-        counts_[idx] += count;
-        total_ += count;
-        sum_ += value * count;
-    }
-
-    std::uint64_t bucketCount(std::size_t i) const { return counts_.at(i); }
-    std::size_t buckets() const { return counts_.size() - 1; }
-    std::uint64_t overflow() const { return counts_.back(); }
-    std::uint64_t samples() const { return total_; }
-
-    /** Arithmetic mean of all samples; 0 when empty. */
-    double
-    mean() const
-    {
-        return total_ ? static_cast<double>(sum_) / static_cast<double>(total_)
-                      : 0.0;
-    }
-
-    void
-    reset()
-    {
-        std::fill(counts_.begin(), counts_.end(), 0);
-        total_ = 0;
-        sum_ = 0;
-    }
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t width_;
-    std::uint64_t total_ = 0;
-    std::uint64_t sum_ = 0;
 };
 
 /** Percentage of @p num over @p den; 0 when the denominator is zero. */
@@ -151,44 +93,6 @@ class StatDump
     std::string text_;
     std::vector<Entry> entries_;
     std::size_t width_ = 0;   ///< longest name
-};
-
-/**
- * A named collection of registered statistics that dumps with a common
- * prefix. Stats remain owned by the model that increments them; the
- * group only holds pointers, so registration costs nothing on the hot
- * path. Histograms render as samples/mean/overflow and are safe to
- * render while empty.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void addCounter(const std::string &name, const Counter &counter);
-    void addHistogram(const std::string &name, const Histogram &histogram);
-    /** Derived value computed at dump time (e.g. a hit rate). */
-    void addFormula(const std::string &name, std::function<double()> formula);
-
-    const std::string &name() const { return name_; }
-
-    /** Append every registered stat to @p out as "<group>.<stat>". */
-    void dump(StatDump &out) const;
-
-    /** Convenience: dump into a fresh StatDump and render it. */
-    std::string render() const;
-
-  private:
-    struct Item
-    {
-        std::string name;
-        const Counter *counter = nullptr;
-        const Histogram *histogram = nullptr;
-        std::function<double()> formula;
-    };
-
-    std::string name_;
-    std::vector<Item> items_;
 };
 
 } // namespace ctcp

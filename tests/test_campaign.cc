@@ -1,6 +1,6 @@
 /**
  * @file
- * Campaign-engine tests: work-stealing pool correctness, bit-identical
+ * Campaign-engine tests: runIndexed()'s thread loop, bit-identical
  * determinism of repeated runs, worker-count independence of the
  * aggregated report, per-job failure isolation, matrix-spec parsing,
  * and the sharing contract: jobs that compute the same simulation
@@ -10,16 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "campaign/campaign.hh"
 #include "campaign/matrix.hh"
-#include "campaign/work_queue.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
 #include "tmp_dir.hh"
@@ -50,43 +53,68 @@ tinyProgram()
     return b.build();
 }
 
-TEST(WorkStealingPool, RunsEveryJobExactlyOnce)
+TEST(RunIndexed, RunsEveryJobExactlyOnce)
 {
     constexpr std::size_t njobs = 64;
     std::vector<std::atomic<int>> hits(njobs);
     for (auto &h : hits)
         h = 0;
-    campaign::WorkStealingPool pool(4);
-    pool.run(njobs, [&](std::size_t i) { ++hits[i]; });
+    campaign::runIndexed(njobs, 4, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < njobs; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "job " << i;
 }
 
-TEST(WorkStealingPool, MoreWorkersThanJobs)
+TEST(RunIndexed, MoreWorkersThanJobs)
 {
     std::vector<std::atomic<int>> hits(3);
     for (auto &h : hits)
         h = 0;
-    campaign::WorkStealingPool pool(16);
-    pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    campaign::runIndexed(hits.size(), 16,
+                         [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(WorkStealingPool, SerialPathPreservesSubmissionOrder)
+TEST(RunIndexed, SerialPathPreservesSubmissionOrder)
 {
     std::vector<std::size_t> order;
-    campaign::WorkStealingPool pool(1);
-    pool.run(8, [&](std::size_t i) { order.push_back(i); });
+    campaign::runIndexed(8, 1, [&](std::size_t i) { order.push_back(i); });
     ASSERT_EQ(order.size(), 8u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(WorkStealingPool, ZeroJobsIsANoop)
+TEST(RunIndexed, ZeroJobsIsANoop)
 {
-    campaign::WorkStealingPool pool(4);
-    pool.run(0, [](std::size_t) { FAIL() << "no job should run"; });
+    campaign::runIndexed(0, 4,
+                         [](std::size_t) { FAIL() << "no job should run"; });
+}
+
+/** CPU time this process has used, user and system, in seconds. */
+double
+processCpuSeconds()
+{
+    rusage usage{};
+    ::getrusage(RUSAGE_SELF, &usage);
+    const auto seconds = [](const timeval &t) {
+        return static_cast<double>(t.tv_sec) +
+            static_cast<double>(t.tv_usec) * 1e-6;
+    };
+    return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+TEST(RunIndexed, IdleWorkersDoNotSpin)
+{
+    // Job 0 returns at once and job 1 sleeps: the thread that ran job
+    // 0 finds no index left and stops, so the call costs almost no CPU
+    // while job 1 sleeps. A worker that polled for work would burn
+    // about the whole 300 ms.
+    const double before = processCpuSeconds();
+    campaign::runIndexed(2, 2, [](std::size_t i) {
+        if (i == 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    });
+    EXPECT_LT(processCpuSeconds() - before, 0.1);
 }
 
 TEST(Campaign, SameRunTwiceIsBitIdentical)
@@ -550,7 +578,7 @@ TEST(CampaignSharing, SweepMatchesEveryJobRunAlone)
     // Reference: every job alone, in its own single-job campaign.
     campaign::Report alone;
     alone.jobs.resize(jobs.size());
-    campaign::WorkStealingPool(4).run(jobs.size(), [&](std::size_t i) {
+    campaign::runIndexed(jobs.size(), 4, [&](std::size_t i) {
         campaign::Options one;
         one.jobs = 1;
         alone.jobs[i] = campaign::runCampaign({jobs[i]}, one).jobs[0];

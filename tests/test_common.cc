@@ -247,30 +247,6 @@ TEST(Stats, HarmonicMean)
     EXPECT_DOUBLE_EQ(harmonicMean({}), 0.0);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h(4, 10);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    h.sample(40);    // overflow bucket
-    h.sample(1000);  // overflow bucket
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.samples(), 6u);
-}
-
-TEST(Stats, HistogramMean)
-{
-    Histogram h(4, 10);
-    h.sample(10, 3);
-    h.sample(20, 1);
-    EXPECT_DOUBLE_EQ(h.mean(), 12.5);
-}
-
 TEST(Table, RendersAligned)
 {
     TextTable t({"bench", "value"});

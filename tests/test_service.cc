@@ -1,17 +1,16 @@
 /**
  * @file
  * Service-layer unit tests, socket-free by design: HTTP parsing and
- * serialization round-trips, the journal-tail reader behind
- * GET /v1/runs/<id>/events, the persistent worker pool, run ids on
- * resume, the campaign engine's cancellation/observer hooks, and
- * ServiceServer::handle() routing (a pure request -> response
- * function). The daemon's process-level behaviour lives in
+ * serialization round-trips, seeded mutation fuzzing of both HTTP
+ * parsers, the journal-tail reader behind GET /v1/runs/<id>/events,
+ * run ids on resume, the campaign engine's cancellation/observer
+ * hooks, and ServiceServer::handle() routing (a pure request ->
+ * response function). The daemon's process-level behaviour lives in
  * test_service_e2e.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -28,9 +27,11 @@
 #include "campaign/campaign.hh"
 #include "campaign/journal.hh"
 #include "campaign/matrix.hh"
-#include "campaign/persistent_pool.hh"
 #include "common/json.hh"
+#include "common/parse_number.hh"
+#include "common/random.hh"
 #include "config/presets.hh"
+#include "mutate.hh"
 #include "tmp_dir.hh"
 #include "service/http.hh"
 #include "service/registry.hh"
@@ -189,6 +190,106 @@ TEST(Http, ResponseRoundTripsThroughClientParser)
     EXPECT_TRUE(found);
 }
 
+TEST(Http, RejectsMalformedStatusLines)
+{
+    // The code is the text between the first space and the next space
+    // or the line's end, read as a decimal in 100..599. A strtol read
+    // took each of the first four as 200.
+    for (const char *line :
+         {"HTTP/1.1 4294967496 OK", "HTTP/1.1 200junk", "HTTP/1.1 +200",
+          "HTTP/1.1 -4294967096", "HTTP/1.1 99 X", "HTTP/1.1 600 X"}) {
+        service::HttpResponse resp;
+        std::string error;
+        EXPECT_FALSE(service::parseResponse(std::string(line) + "\r\n\r\n",
+                                            resp, error))
+            << line << " read as " << resp.status;
+        EXPECT_NE(error.find("malformed status line"), std::string::npos)
+            << error;
+    }
+    for (const auto &[line, status] :
+         {std::pair<const char *, int>{"HTTP/1.1 200 OK", 200},
+          {"HTTP/1.1 404", 404}}) {
+        service::HttpResponse resp;
+        std::string error;
+        ASSERT_TRUE(service::parseResponse(
+            std::string(line) + "\r\nContent-Length: 2\r\n\r\n{}", resp,
+            error))
+            << line << ": " << error;
+        EXPECT_EQ(resp.status, status);
+        EXPECT_EQ(resp.body, "{}");
+    }
+}
+
+TEST(Http, MutatedRequestsFailCleanly)
+{
+    const std::string spec = "bench=gzip;budget=1000";
+    const std::vector<std::string> seeds = {
+        "POST /v1/runs?accounting=1&max_attempts=2 HTTP/1.1\r\n"
+        "Host: ctcpd\r\n"
+        "X-Ctcp-Trace-Id: 0123456789abcdef\r\n"
+        "Content-Length: " +
+            std::to_string(spec.size()) + "\r\n\r\n" + spec,
+        "GET /v1/runs/r0001/events?from=0&wait=5 HTTP/1.1\r\n"
+        "Host: ctcpd\r\n\r\n",
+    };
+    Rng rng(20261020);
+    std::size_t accepted = 0;
+    for (unsigned i = 0; i < 20'000; ++i) {
+        const std::string raw =
+            test::mutate(seeds[rng.below(seeds.size())], rng);
+        service::HttpRequest req;
+        std::string error;
+        if (!service::parseRequest(raw, req, error)) {
+            ASSERT_FALSE(error.empty()) << raw;
+            continue;
+        }
+        ++accepted;
+        // The body is exactly the Content-Length bytes after the head.
+        const std::string length = req.header("content-length");
+        const std::uint64_t want =
+            length.empty() ? 0 : parseUnsigned(length, "Content-Length");
+        ASSERT_EQ(req.body.size(), want) << raw;
+        ASSERT_EQ(raw.compare(raw.find("\r\n\r\n") + 4, want, req.body), 0)
+            << raw;
+    }
+    // Both outcomes occur, so neither property was vacuous.
+    EXPECT_GT(accepted, 1'000u);
+    EXPECT_LT(accepted, 19'000u);
+}
+
+TEST(Http, MutatedResponsesFailCleanly)
+{
+    service::HttpResponse events;
+    events.contentType = "application/x-ndjson";
+    events.headers = {{"X-Ctcp-Next-Offset", "4096"},
+                      {"X-Ctcp-Run-State", "running"}};
+    events.body = "{\"index\":0,\"label\":\"gzip/base\"}\n";
+    service::HttpResponse missing;
+    missing.status = 404;
+    missing.body = "{\"error\":\"unknown run 'r0009'\"}\n";
+    const std::vector<std::string> seeds = {
+        service::serializeResponse(events),
+        service::serializeResponse(missing),
+    };
+    Rng rng(20261021);
+    std::size_t accepted = 0;
+    for (unsigned i = 0; i < 20'000; ++i) {
+        const std::string raw =
+            test::mutate(seeds[rng.below(seeds.size())], rng);
+        service::HttpResponse resp;
+        std::string error;
+        if (!service::parseResponse(raw, resp, error)) {
+            ASSERT_FALSE(error.empty()) << raw;
+            continue;
+        }
+        ++accepted;
+        ASSERT_GE(resp.status, 100) << raw;
+        ASSERT_LE(resp.status, 599) << raw;
+    }
+    EXPECT_GT(accepted, 1'000u);
+    EXPECT_LT(accepted, 19'000u);
+}
+
 TEST(Http, JsonEscapeHandlesControlCharacters)
 {
     EXPECT_EQ(json::escape("plain"), "plain");
@@ -238,80 +339,6 @@ TEST(JournalTail, MissingFileIsEmptyNotFatal)
                                         77, next),
               "");
     EXPECT_EQ(next, 77u);
-}
-
-// ---- Persistent pool ---------------------------------------------------
-
-TEST(PersistentPool, RunsEveryJobExactlyOnce)
-{
-    constexpr std::size_t njobs = 64;
-    std::vector<std::atomic<int>> hits(njobs);
-    for (auto &h : hits)
-        h = 0;
-    campaign::PersistentPool pool(4);
-    pool.run(njobs, [&](std::size_t i) { ++hits[i]; });
-    for (std::size_t i = 0; i < njobs; ++i)
-        EXPECT_EQ(hits[i].load(), 1) << "job " << i;
-}
-
-TEST(PersistentPool, ConcurrentBatchesShareTheWorkers)
-{
-    // The daemon's shape: several runner threads blocking in run()
-    // while their jobs interleave on one worker set. Every batch must
-    // see all of its own jobs and only its own jobs.
-    campaign::PersistentPool pool(3);
-    constexpr std::size_t batches = 4;
-    constexpr std::size_t per_batch = 32;
-    std::vector<std::vector<std::atomic<int>>> hits(batches);
-    for (auto &batch : hits) {
-        std::vector<std::atomic<int>> fresh(per_batch);
-        batch.swap(fresh);
-        for (auto &h : batch)
-            h = 0;
-    }
-    std::vector<std::thread> submitters;
-    for (std::size_t b = 0; b < batches; ++b)
-        submitters.emplace_back([&, b] {
-            pool.run(per_batch,
-                     [&, b](std::size_t i) { ++hits[b][i]; });
-        });
-    for (auto &t : submitters)
-        t.join();
-    for (std::size_t b = 0; b < batches; ++b)
-        for (std::size_t i = 0; i < per_batch; ++i)
-            EXPECT_EQ(hits[b][i].load(), 1)
-                << "batch " << b << " job " << i;
-}
-
-TEST(PersistentPool, RunAfterShutdownFallsBackToInline)
-{
-    campaign::PersistentPool pool(2);
-    pool.shutdown();
-    std::vector<std::size_t> order;
-    pool.run(4, [&](std::size_t i) { order.push_back(i); });
-    ASSERT_EQ(order.size(), 4u);
-    for (std::size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
-}
-
-TEST(PersistentPool, CampaignOnExternalPoolMatchesPrivatePool)
-{
-    // Options::pool must not change any outcome: same jobs, same
-    // aggregated JSON, whether the engine spins its own workers or
-    // borrows the daemon's.
-    const std::vector<campaign::Job> jobs = {
-        campaign::makeJob("a", "gzip", quickConfig(10'000)),
-        campaign::makeJob("b", "adpcm_enc", quickConfig(10'000)),
-    };
-    campaign::Options pooled;
-    campaign::PersistentPool pool(2);
-    pooled.pool = &pool;
-    const campaign::Report on_pool = campaign::runCampaign(jobs, pooled);
-
-    campaign::Options priv;
-    priv.jobs = 2;
-    const campaign::Report on_private = campaign::runCampaign(jobs, priv);
-    EXPECT_EQ(on_pool.toJson(), on_private.toJson());
 }
 
 // ---- Campaign cancellation + observer hooks ----------------------------
@@ -383,9 +410,9 @@ TEST(Campaign, OnJobFinishedSeesEveryOutcomeWithItsIndex)
 
 TEST(Campaign, ProgressToStderrKeepsConcurrentLinesIntact)
 {
-    // Two threads log through progressToStderr at once (the daemon
-    // runs concurrent campaigns over one stderr); every captured line
-    // must come out whole, never interleaved mid-line.
+    // Two threads log through progressToStderr at once, as two
+    // campaigns run side by side in one process would; every captured
+    // line must come out whole, never interleaved mid-line.
     const std::string path = tempPath("ctcp_progress.txt");
     std::remove(path.c_str());
 

@@ -131,11 +131,13 @@ TEST(ShardE2E, StalledClientCannotWedgeGracefulShutdown)
     Daemon daemon("stall", 2, {"--io-deadline", "1"});
 
     // Open a connection, send half a request line, and go silent.
+    // A deadline of 0 is none.
     std::string error;
     const int fd =
-        ctcp::service::connectUnix(daemon.socketPath(), error);
+        ctcp::service::connectUnix(daemon.socketPath(), 0.0, error);
     ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(ctcp::service::writeAll(fd, "GET /v1/pi"));
+    ASSERT_TRUE(ctcp::service::writeAll(fd, "GET /v1/pi", 0.0, error))
+        << error;
 
     // Graceful shutdown waits for active connections; the per-
     // connection read deadline must cut the stalled one loose long

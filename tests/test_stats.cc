@@ -1,9 +1,8 @@
 /**
  * @file
- * Statistics package tests: Histogram edge cases (overflow bucket,
- * zero-width geometry rejection), StatGroup rendering — including a
- * group holding a histogram that never received a sample — and the
- * IntervalRecorder time-series maths and serialization.
+ * Statistics package tests: fixed-point formatting against printf,
+ * StatDump's aligned rendering, and the IntervalRecorder time-series
+ * maths and serialization.
  */
 
 #include <gtest/gtest.h>
@@ -22,138 +21,6 @@
 
 namespace ctcp {
 namespace {
-
-// ---------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------
-
-TEST(Histogram, BucketsValuesByWidth)
-{
-    Histogram h(4, 10);
-    h.sample(0);
-    h.sample(9);
-    h.sample(10);
-    h.sample(39);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(3), 1u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.samples(), 4u);
-}
-
-TEST(Histogram, OutOfRangeSamplesLandInOverflowBucket)
-{
-    Histogram h(4, 10);
-    h.sample(40);              // first value past the last bucket
-    h.sample(41);
-    h.sample(1'000'000);       // far past the last bucket
-    h.sample(55, 5);           // weighted overflow
-    EXPECT_EQ(h.overflow(), 8u);
-    EXPECT_EQ(h.samples(), 8u);
-    for (std::size_t i = 0; i < h.buckets(); ++i)
-        EXPECT_EQ(h.bucketCount(i), 0u) << "bucket " << i;
-    // Overflow samples still contribute their true value to the mean.
-    EXPECT_DOUBLE_EQ(h.mean(), (40.0 + 41.0 + 1'000'000.0 + 55.0 * 5) / 8.0);
-}
-
-TEST(Histogram, BoundaryValueGoesToOverflowNotLastBucket)
-{
-    Histogram h(2, 5);         // regular buckets cover [0,5) and [5,10)
-    h.sample(9);
-    h.sample(10);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(HistogramDeathTest, RejectsZeroWidthBuckets)
-{
-    EXPECT_DEATH(Histogram(4, 0), "positive geometry");
-}
-
-TEST(HistogramDeathTest, RejectsZeroBucketCount)
-{
-    EXPECT_DEATH(Histogram(0, 10), "positive geometry");
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h(2, 10);
-    h.sample(5);
-    h.sample(100);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-// ---------------------------------------------------------------------
-// StatGroup
-// ---------------------------------------------------------------------
-
-TEST(StatGroup, DumpsWithGroupPrefix)
-{
-    Counter hits;
-    Counter misses;
-    ++hits;
-    ++hits;
-    ++misses;
-    StatGroup group("tc");
-    group.addCounter("hits", hits);
-    group.addCounter("misses", misses);
-    group.addFormula("hit_rate", [&] {
-        return ratio(hits.value(), hits.value() + misses.value());
-    });
-
-    const std::string text = group.render();
-    EXPECT_NE(text.find("tc.hits"), std::string::npos);
-    EXPECT_NE(text.find("tc.misses"), std::string::npos);
-    EXPECT_NE(text.find("tc.hit_rate"), std::string::npos);
-    EXPECT_NE(text.find("2"), std::string::npos);
-}
-
-TEST(StatGroup, FormulasEvaluateAtDumpTime)
-{
-    Counter c;
-    StatGroup group("g");
-    group.addFormula("doubled", [&] { return 2.0 * c.value(); });
-    c += 21;
-    StatDump dump;
-    group.dump(dump);
-    EXPECT_NE(dump.render().find("42"), std::string::npos);
-}
-
-TEST(StatGroup, RendersEmptyHistogramSafely)
-{
-    // A histogram that never sampled anything must render (as zero
-    // samples / zero mean / zero overflow) rather than divide by zero.
-    Histogram empty(8, 4);
-    StatGroup group("fwd");
-    group.addHistogram("distance", empty);
-    const std::string text = group.render();
-    EXPECT_NE(text.find("fwd.distance.samples"), std::string::npos);
-    EXPECT_NE(text.find("fwd.distance.mean"), std::string::npos);
-    EXPECT_NE(text.find("fwd.distance.overflow"), std::string::npos);
-    EXPECT_EQ(text.find("nan"), std::string::npos);
-    EXPECT_EQ(text.find("inf"), std::string::npos);
-}
-
-TEST(StatGroup, MixedGroupWithPopulatedHistogram)
-{
-    Counter forwards;
-    forwards += 3;
-    Histogram distance(4, 1);
-    distance.sample(1);
-    distance.sample(1);
-    distance.sample(2);
-    StatGroup group("net");
-    group.addCounter("forwards", forwards);
-    group.addHistogram("hops", distance);
-    StatDump dump;
-    group.dump(dump);
-    const std::string text = dump.render();
-    EXPECT_NE(text.find("net.forwards"), std::string::npos);
-    EXPECT_NE(text.find("net.hops.samples"), std::string::npos);
-}
 
 // ---------------------------------------------------------------------
 // Fixed-point formatting (StatDump, interval CSVs)

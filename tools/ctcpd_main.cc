@@ -3,10 +3,11 @@
  * ctcpd — the simulation-as-a-service daemon.
  *
  * Listens on a unix-domain socket (HTTP/1.1, see src/service/server),
- * accepts campaign matrix specs, runs them on one persistent worker
- * pool shared across submissions, streams per-job results as they
- * finish (the campaign journal is the wire format), and serves final
- * reports byte-identical to `ctcpsim --campaign` with the same spec.
+ * accepts campaign matrix specs, runs each on its own --workers
+ * threads as `ctcpsim --campaign --jobs N` would, streams per-job
+ * results as they finish (the campaign journal is the wire format),
+ * and serves final reports byte-identical to `ctcpsim --campaign`
+ * with the same spec.
  *
  * SIGTERM/SIGINT trigger a graceful shutdown: the daemon stops
  * accepting, in-flight jobs finish and are checkpointed to their
@@ -55,10 +56,12 @@ usage(const char *prog)
         "                      must exist). Restarting with the\n"
         "                      same directory resumes interrupted\n"
         "                      runs from their journals\n"
-        "  --workers N         persistent pool size shared by every\n"
-        "                      run (default: one per hardware\n"
-        "                      thread); accepts the same values as\n"
-        "                      ctcpsim --jobs\n"
+        "  --workers N         worker threads per run (default: one\n"
+        "                      per hardware thread); accepts the\n"
+        "                      same values as ctcpsim --jobs. Runs\n"
+        "                      submitted together use up to N threads\n"
+        "                      each, as separate ctcpsim --jobs N\n"
+        "                      processes would\n"
         "  --io-deadline SECS  per-connection budget for reading one\n"
         "                      request and writing one response\n"
         "                      (default 30; 0 = unbounded). A stalled\n"

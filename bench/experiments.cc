@@ -541,8 +541,8 @@ experiments()
     }
     list.push_back(std::move(fig9));
 
-    // Design-space sweep: every topology x strategy, then 2/4/8
-    // four-wide clusters on the linear chain.
+    // Design-space sweep: every topology x strategy, then 2 and 8
+    // four-wide clusters on the linear chain (4 is "topology: linear").
     Experiment sweep{
         .name = "sweep_topology",
         .title = "Design Space: Topology x Assignment Strategy",
@@ -569,7 +569,7 @@ experiments()
              .columns = speedupColumns(prefix, sweep_strategies),
              .spaced = true});
     }
-    for (const unsigned n : {2u, 4u, 8u}) {
+    for (const unsigned n : {2u, 8u}) {
         const std::string prefix = "c" + std::to_string(n) + "/";
         SimConfig machine = baseConfig();
         applyMachineScale(machine, n, machine.cluster.clusterWidth);

@@ -53,7 +53,7 @@ Interconnect::Interconnect(const ClusterConfig &cfg)
             switch (topo_) {
               case Topology::Bus:
                 // Uniform broadcast latency; the bandwidth limit is
-                // modelled by the simulator's InOrderPortSchedule.
+                // modelled by the simulator's bus PortSchedule.
                 cycles = busLatency_;
                 break;
               case Topology::Hierarchical:

@@ -264,11 +264,8 @@ class CtcpSimulator
                         CompareComplete> completions_;
     /** One cycle's due completions (sorted oldest first on the bus). */
     std::vector<PendingComplete> dueScratch_;
-    /**
-     * Shared result-bus broadcast slots (bus interconnect mode only).
-     * doCompletions books them in non-decreasing cycle order.
-     */
-    std::unique_ptr<InOrderPortSchedule> busSchedule_;
+    /** Shared result-bus broadcast slots (bus interconnect mode only). */
+    std::unique_ptr<PortSchedule> busSchedule_;
 
     Cycle cycle_ = 0;
     std::uint64_t retired_ = 0;

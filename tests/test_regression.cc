@@ -34,9 +34,9 @@ struct Golden
 // Baseline machine, 50k-instruction budget, default knobs.
 constexpr Golden goldens[] = {
     {"gzip", 0, 45474ull, 50002ull},
-    {"gzip", 1, 36248ull, 50002ull},
-    {"gzip", 2, 34538ull, 50004ull},
-    {"gzip", 3, 36972ull, 50002ull},
+    {"gzip", 1, 36266ull, 50002ull},
+    {"gzip", 2, 34584ull, 50004ull},
+    {"gzip", 3, 36996ull, 50002ull},
     {"twolf", 0, 57932ull, 50000ull},
     {"twolf", 1, 51154ull, 50000ull},
     {"twolf", 2, 52381ull, 50001ull},

@@ -119,6 +119,25 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli("--journal " + ctcp::test::tmpPath("usage.jsonl") +
                      " --bench gzip --instructions 1000"),
               2);
+    // Each mode rejects the flags only the other reads, naming the
+    // flag and the matrix clause that does its job, and writes nothing.
+    const std::string trace = ctcp::test::tmpPath("usage_trace.txt");
+    const std::string report = ctcp::test::tmpPath("usage_report.json");
+    const std::string single_in_campaign =
+        "--campaign 'bench=gzip;budget=2000' --strategy fdrt --clusters 8 "
+        "--instructions 5 --preset bus --zero-fwd --trace-text " +
+        trace + " --json";
+    EXPECT_EQ(runCli(single_in_campaign), 2);
+    const std::string message = cliStderr(single_in_campaign);
+    EXPECT_NE(message.find("--strategy"), std::string::npos) << message;
+    EXPECT_NE(message.find("strategy="), std::string::npos) << message;
+    const std::string campaign_in_single =
+        "--bench gzip --instructions 1000 --out " + report;
+    EXPECT_EQ(runCli(campaign_in_single), 2);
+    EXPECT_NE(cliStderr(campaign_in_single).find("--out"),
+              std::string::npos);
+    EXPECT_NE(::access(trace.c_str(), F_OK), 0) << trace;
+    EXPECT_NE(::access(report.c_str(), F_OK), 0) << report;
     // slots= bounds are checked before a range is expanded: a huge
     // range is a config error, not an allocation abort, and a range
     // ending at SIZE_MAX cannot wrap into an endless loop.

@@ -115,6 +115,12 @@ usage(const char *prog)
         "  --out FILE            write aggregated results to FILE\n"
         "                        (CSV when FILE ends in .csv, else\n"
         "                        JSON)\n"
+        "  Each mode rejects the flags only the other reads (exit 2).\n"
+        "  With --campaign, the workload, cluster assignment, machine\n"
+        "  and ablation flags, --json and --trace-text are errors: set\n"
+        "  bench=, budget=, strategy=, clusters=, topology= or preset=\n"
+        "  in MATRIX instead. Without it, --jobs, --out,\n"
+        "  --max-attempts and --journal are errors.\n"
         "\n"
         "robustness:\n"
         "  --check-invariants    revalidate pipeline invariants every\n"
@@ -152,6 +158,43 @@ usage(const char *prog)
         "  2  usage or configuration error\n",
         prog, ctcp::campaign::matrixSyntaxHelp());
 }
+
+/**
+ * A flag that only a single run reads, with the matrix clause that
+ * does its job in a campaign (null when none does).
+ */
+struct SingleRunFlag
+{
+    const char *flag;
+    const char *clause;
+};
+
+constexpr SingleRunFlag singleRunFlags[] = {
+    {"--bench", "bench="},
+    {"--instructions", "budget="},
+    {"--strategy", "strategy="},
+    {"--adaptive-interval", nullptr},
+    {"--issue-latency", "strategy=issue-time:N"},
+    {"--no-pinning", nullptr},
+    {"--no-chains", nullptr},
+    {"--middle-bias", nullptr},
+    {"--clusters", "clusters="},
+    {"--cluster-width", nullptr},
+    {"--hop-latency", nullptr},
+    {"--topology", "topology="},
+    {"--preset", "preset="},
+    {"--json", nullptr},
+    {"--trace-text", nullptr},
+    {"--zero-fwd", nullptr},
+    {"--zero-crit-fwd", nullptr},
+    {"--zero-intra-fwd", nullptr},
+    {"--zero-inter-fwd", nullptr},
+    {"--zero-rf", nullptr},
+};
+
+/** Flags that only campaign mode reads. */
+constexpr const char *campaignFlags[] = {"--jobs", "--out",
+                                         "--max-attempts", "--journal"};
 
 /** Usage / configuration error: exit status 2. */
 [[noreturn]] void
@@ -349,8 +392,18 @@ main(int argc, char **argv)
         }
     };
 
+    // The first flag given that only one mode reads: the other mode
+    // rejects it rather than ignore it.
+    const SingleRunFlag *single_run_flag = nullptr;
+    const char *campaign_flag = nullptr;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        for (const SingleRunFlag &f : singleRunFlags)
+            if (!single_run_flag && arg == f.flag)
+                single_run_flag = &f;
+        for (const char *f : campaignFlags)
+            if (!campaign_flag && arg == f)
+                campaign_flag = f;
         if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -478,6 +531,16 @@ main(int argc, char **argv)
         }
     }
 
+    if (campaign_set && single_run_flag)
+        die(std::string(single_run_flag->flag) +
+            " is a single-run flag, not read with --campaign" +
+            (single_run_flag->clause
+                 ? std::string("; use the matrix clause ") +
+                       single_run_flag->clause
+                 : std::string()));
+    if (!campaign_set && campaign_flag)
+        die(std::string(campaign_flag) + " requires --campaign");
+
     if (campaign_set) {
         campaign::Options options;
         options.jobs = campaign_jobs;
@@ -493,9 +556,6 @@ main(int argc, char **argv)
         return runCampaignMode(campaign_matrix, options, out_path,
                                report_path, host_timing, robust);
     }
-    if (!journal_path.empty())
-        die("--journal requires --campaign");
-
     if (clusters_set || cluster_width_set)
         applyMachineScale(
             cfg, clusters_set ? clusters : cfg.cluster.numClusters,

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include <fcntl.h>
@@ -108,14 +109,15 @@ parseHeaderLines(const std::string &head, std::size_t first_line_end,
 }
 
 /**
- * The declared body length into @p length: 0 without a Content-Length
- * header. A value that is not a decimal number fails with @p error.
+ * The declared body length into @p length: empty without a
+ * Content-Length header. A value that is not a decimal number fails
+ * with @p error.
  */
 bool
 contentLength(const std::vector<std::pair<std::string, std::string>> &hs,
-              std::size_t &length, std::string &error)
+              std::optional<std::size_t> &length, std::string &error)
 {
-    length = 0;
+    length.reset();
     for (const auto &[name, value] : hs) {
         if (name != "content-length")
             continue;
@@ -279,9 +281,10 @@ parseRequest(const std::string &raw, HttpRequest &req, std::string &error)
     if (!parseHeaderLines(head, line_end + 2, parsed.headers, error))
         return false;
 
-    std::size_t length = 0;
-    if (!contentLength(parsed.headers, length, error))
+    std::optional<std::size_t> declared;
+    if (!contentLength(parsed.headers, declared, error))
         return false;
+    const std::size_t length = declared.value_or(0);
     if (length > maxBodyBytes) {
         error = "request body too large";
         return false;
@@ -333,15 +336,19 @@ parseResponse(const std::string &raw, HttpResponse &resp,
     for (const auto &[name, value] : parsed.headers)
         if (name == "content-type")
             parsed.contentType = value;
-    // Trust Content-Length when present (and sane); fall back to
-    // everything-until-EOF, which is what Connection: close implies.
-    std::size_t length = 0;
-    std::string ignored;
-    contentLength(parsed.headers, length, ignored);
+    // A Content-Length must parse, and the body must hold that many
+    // bytes. Only a response without one reads to EOF, which is what
+    // Connection: close implies.
+    std::optional<std::size_t> length;
+    if (!contentLength(parsed.headers, length, error))
+        return false;
     const std::size_t available = raw.size() - (head_end + 4);
-    parsed.body = raw.substr(head_end + 4,
-                             length && length <= available ? length
-                                                           : available);
+    if (length && *length > available) {
+        error = "truncated response body (" + std::to_string(available) +
+            " of " + std::to_string(*length) + " bytes)";
+        return false;
+    }
+    parsed.body = raw.substr(head_end + 4, length.value_or(available));
     resp = std::move(parsed);
     return true;
 }
@@ -528,14 +535,14 @@ readRequest(int fd, HttpRequest &req, double timeoutSeconds,
                 const std::size_t line_end = raw.find("\r\n");
                 parseHeaderLines(raw.substr(0, head_end + 2),
                                  line_end + 2, hs, ignored);
-                std::size_t length = 0;
+                std::optional<std::size_t> length;
                 if (!contentLength(hs, length, error))
                     return false;
-                if (length > maxBodyBytes) {
+                if (length.value_or(0) > maxBodyBytes) {
                     error = "request body too large";
                     return false;
                 }
-                want = head_end + 4 + length;
+                want = head_end + 4 + length.value_or(0);
             } else if (raw.size() > maxHeaderBytes) {
                 error = "request head too large";
                 return false;

@@ -75,8 +75,10 @@ bool parseRequest(const std::string &raw, HttpRequest &req,
 std::string serializeResponse(const HttpResponse &resp);
 
 /**
- * Parse a serialized response (the client half).
- * @return false with a diagnostic in @p error on malformed input
+ * Parse a serialized response (the client half). Without a
+ * Content-Length the body is everything after the head.
+ * @return false with a diagnostic in @p error on malformed input, a
+ *         malformed Content-Length, or a body shorter than it
  */
 bool parseResponse(const std::string &raw, HttpResponse &resp,
                    std::string &error);

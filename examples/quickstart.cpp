@@ -66,6 +66,6 @@ main(int argc, char **argv)
     std::printf("intra-cluster : %.2f%%\n", r.pctIntraClusterFwd);
     std::printf("fwd distance  : %.3f\n", r.meanFwdDistance);
     std::printf("bpred accuracy: %.2f%%\n", r.bpredAccuracy);
-    std::printf("\nFull statistics:\n%s", r.statsText.c_str());
+    std::printf("\nFull statistics:\n%s", sim.statsText().c_str());
     return 0;
 }

@@ -2,6 +2,21 @@
 
 namespace ctcp {
 
+namespace {
+
+// Decision thresholds, in per-mille of the interval's attributed
+// slot-cycles. Integer so every comparison is exact 64-bit arithmetic
+// (DESIGN decision 9). wait_fwd share >= Hi: forwarding-bound, steer
+// at issue time (clean phases) or with FDRT (redirect-heavy phases);
+// in [Lo, Hi): FDRT; in [Min, Lo): Friendly; below Min: base.
+constexpr std::uint64_t fwdHiPermille = 220;
+constexpr std::uint64_t fwdLoPermille = 60;
+constexpr std::uint64_t fwdMinPermille = 15;
+/** Redirect share above which issue-time's extra stages hurt. */
+constexpr std::uint64_t redirectHiPermille = 80;
+
+} // namespace
+
 AdaptiveSteeringController::AdaptiveSteeringController(
     const AssignConfig &cfg, const CycleAccounting &acct)
     : cfg_(cfg), acct_(acct), nextEval_(cfg.adaptiveInterval)
@@ -39,13 +54,13 @@ AdaptiveSteeringController::evaluate(Cycle now)
     // rung, an exact tie resolves to the earlier (more specialized)
     // rung, giving a deterministic total order over outcomes.
     AssignStrategy want;
-    if (fwd * 1000 >= cfg_.adaptiveFwdHiPermille * total) {
-        want = redirect * 1000 > cfg_.adaptiveRedirectHiPermille * total
+    if (fwd * 1000 >= fwdHiPermille * total) {
+        want = redirect * 1000 > redirectHiPermille * total
                    ? AssignStrategy::Fdrt
                    : AssignStrategy::IssueTime;
-    } else if (fwd * 1000 >= cfg_.adaptiveFwdLoPermille * total) {
+    } else if (fwd * 1000 >= fwdLoPermille * total) {
         want = AssignStrategy::Fdrt;
-    } else if (fwd * 1000 >= cfg_.adaptiveFwdMinPermille * total) {
+    } else if (fwd * 1000 >= fwdMinPermille * total) {
         want = AssignStrategy::Friendly;
     } else {
         want = AssignStrategy::BaseSlotOrder;

@@ -19,8 +19,6 @@
 #include "common/logging.hh"
 #include "common/parse_number.hh"
 #include "core/simulator.hh"
-#include "obs/accounting.hh"
-#include "stats/stats.hh"
 #include "workload/workload.hh"
 
 namespace ctcp::campaign {
@@ -41,22 +39,6 @@ indentBlock(std::string block, const std::string &indent)
         if (c == '\n')
             out += indent;
     }
-    return out;
-}
-
-/** CSV field quoting: wrap when the text contains , " or newline. */
-std::string
-csvField(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
-    for (const char c : s) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
     return out;
 }
 
@@ -215,57 +197,6 @@ Report::toJson(bool include_host_timing, bool include_accounting) const
     return out;
 }
 
-std::string
-Report::toCsv(bool include_accounting) const
-{
-    std::string out =
-        "label,benchmark,strategy,status,error,cycles,instructions,ipc,"
-        "pct_from_trace_cache,tc_hit_rate,pct_intra_cluster_fwd,"
-        "mean_fwd_distance,bpred_accuracy,mispredicts";
-    if (include_accounting) {
-        for (unsigned k = 0; k < numSlotCats; ++k)
-            out += std::string(",slots_") +
-                   slotCatName(static_cast<SlotCat>(k)) + "_pct";
-    }
-    out += '\n';
-    for (const JobOutcome &job : jobs) {
-        out += csvField(job.label) + ',' + csvField(job.benchmark) + ',';
-        if (job.ok()) {
-            const SimResult &r = job.result;
-            out += csvField(r.strategy) + ",ok,,";
-            out += std::to_string(r.cycles) + ',';
-            out += std::to_string(r.instructions) + ',';
-            for (const double v :
-                 {r.ipc(), r.pctFromTraceCache, r.tcHitRate,
-                  r.pctIntraClusterFwd, r.meanFwdDistance,
-                  r.bpredAccuracy}) {
-                appendFixed(out, v, 6);
-                out += ',';
-            }
-            out += std::to_string(r.mispredicts);
-            if (include_accounting) {
-                const auto total_it = r.accounting.find("slots.total");
-                const double total = total_it != r.accounting.end()
-                    ? total_it->second : 0.0;
-                for (unsigned k = 0; k < numSlotCats; ++k) {
-                    out += ',';
-                    const auto it = r.accounting.find(
-                        std::string("slots.") +
-                        slotCatName(static_cast<SlotCat>(k)));
-                    if (it != r.accounting.end() && total > 0.0)
-                        appendFixed(out, 100.0 * it->second / total, 6);
-                }
-            }
-        } else {
-            out += ",failed," + csvField(job.error) + ",,,,,,,,,";
-            if (include_accounting)
-                out.append(numSlotCats, ',');
-        }
-        out += '\n';
-    }
-    return out;
-}
-
 void
 progressToStderr(const std::string &line)
 {
@@ -401,7 +332,6 @@ representatives(const std::vector<Job> &jobs, const Options &options)
             continue;
         SimConfig config = runConfig(jobs[i], i, options);
         if (!config.obs.traceEventsPath.empty() ||
-            !config.obs.traceTextPath.empty() ||
             !config.obs.intervalPath.empty())
             continue;
         SimConfig canonical = canonicalTopology(std::move(config));

@@ -10,8 +10,8 @@
  *    worker (workload builders seed their own Rng locally, so no RNG
  *    state is shared between jobs) and runs its own CtcpSimulator.
  *    Results are written into a slot preassigned by submission index,
- *    so the aggregated report — including its JSON/CSV serializations
- *    — is byte-identical for any worker count.
+ *    so the aggregated report and its JSON are byte-identical for any
+ *    worker count.
  *  - One run per distinct simulation: jobs that would compute the same
  *    result (see representatives()) share the run of the lowest-index
  *    one. Every other member gets a copy of its outcome under its own
@@ -124,13 +124,6 @@ struct Report
      */
     std::string toJson(bool include_host_timing = false,
                        bool include_accounting = false) const;
-
-    /**
-     * CSV with one row per job (headline metrics; empty on failure).
-     * With @p include_accounting, appends one percentage column per
-     * slot-accounting category (share of attributed slot-cycles).
-     */
-    std::string toCsv(bool include_accounting = false) const;
 };
 
 /** Execution knobs for runCampaign(). */

@@ -101,7 +101,6 @@ const std::pair<const char *, Field> resultFields[] = {
     {"tcHitRate", &SimResult::tcHitRate},
     {"mispredicts", &SimResult::mispredicts},
     {"hostSeconds", &SimResult::hostSeconds},
-    {"statsText", &SimResult::statsText},
 };
 
 std::string

@@ -45,7 +45,9 @@ std::string encodeJournalRecord(std::size_t index,
                                 const JobOutcome &outcome);
 
 /**
- * Parse one journal line. @return false (leaving @p record
+ * Parse one journal line. Members it does not read are ignored, so
+ * records from older builds, which also carried the run's stats text
+ * as "statsText", still decode. @return false (leaving @p record
  * untouched) when the line is truncated or corrupt.
  */
 bool decodeJournalRecord(const std::string &line, JournalRecord &record);

@@ -103,11 +103,6 @@ SimConfig::validate() const
             config_error("adaptive strategy needs a positive interval");
         if (assign.adaptiveHysteresis == 0)
             config_error("adaptive hysteresis must be at least one");
-        if (assign.adaptiveFwdHiPermille > 1000 ||
-            assign.adaptiveFwdLoPermille > assign.adaptiveFwdHiPermille ||
-            assign.adaptiveFwdMinPermille > assign.adaptiveFwdLoPermille)
-            config_error("adaptive thresholds must satisfy "
-                         "min <= lo <= hi <= 1000 per-mille");
     }
     if (frontEnd.fetchWidth != machineWidth())
         config_error("fetchWidth (%u) must equal numClusters*clusterWidth (%u)",
@@ -217,10 +212,6 @@ forEachField(const SimConfig &cfg, F &&f)
     f("assign.friendlyMiddleBias", a.friendlyMiddleBias);
     f("assign.adaptiveInterval", a.adaptiveInterval);
     f("assign.adaptiveHysteresis", a.adaptiveHysteresis);
-    f("assign.adaptiveFwdHiPermille", a.adaptiveFwdHiPermille);
-    f("assign.adaptiveFwdLoPermille", a.adaptiveFwdLoPermille);
-    f("assign.adaptiveFwdMinPermille", a.adaptiveFwdMinPermille);
-    f("assign.adaptiveRedirectHiPermille", a.adaptiveRedirectHiPermille);
 
     const AblationConfig &ab = cfg.ablation;
     f("ablation.zeroAllForwardLatency", ab.zeroAllForwardLatency);
@@ -235,7 +226,6 @@ forEachField(const SimConfig &cfg, F &&f)
 
     const ObsConfig &o = cfg.obs;
     f("obs.traceEventsPath", o.traceEventsPath);
-    f("obs.traceTextPath", o.traceTextPath);
     f("obs.traceFilter", o.traceFilter);
     f("obs.intervalPath", o.intervalPath);
     f("obs.intervalCycles", o.intervalCycles);

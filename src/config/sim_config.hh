@@ -225,19 +225,6 @@ struct AssignConfig
      * chooser actually switches (hysteresis against phase jitter).
      */
     unsigned adaptiveHysteresis = 2;
-    /**
-     * Decision thresholds, in per-mille of the interval's attributed
-     * slot-cycles. Integer so every comparison is exact 64-bit
-     * arithmetic — the determinism contract (DESIGN decision 9).
-     * wait_fwd share >= Hi: forwarding-bound, steer at issue time
-     * (clean phases) or with FDRT (redirect-heavy phases);
-     * in [Lo, Hi): FDRT; in [Min, Lo): Friendly; below Min: base.
-     */
-    unsigned adaptiveFwdHiPermille = 220;
-    unsigned adaptiveFwdLoPermille = 60;
-    unsigned adaptiveFwdMinPermille = 15;
-    /** Redirect share above which issue-time's extra stages hurt. */
-    unsigned adaptiveRedirectHiPermille = 80;
 
     bool operator==(const AssignConfig &) const = default;
 };
@@ -281,11 +268,9 @@ struct ObsConfig
 {
     /** Chrome trace_event JSON output path ("" = off). */
     std::string traceEventsPath;
-    /** Compact per-event text output path ("" = off). */
-    std::string traceTextPath;
     /** Event-kind filter spec for ObsSink::parseFilter ("" = all). */
     std::string traceFilter;
-    /** Interval time-series output path ("" = off; .json for JSON). */
+    /** Interval time-series CSV output path ("" = off). */
     std::string intervalPath;
     /** Interval sampling period in cycles (0 = off). */
     std::uint64_t intervalCycles = 0;
@@ -296,13 +281,6 @@ struct ObsConfig
      * changes timing or the default (golden) exports.
      */
     bool accounting = false;
-
-    /** Is any event tracing requested? */
-    bool
-    tracingEnabled() const
-    {
-        return !traceEventsPath.empty() || !traceTextPath.empty();
-    }
 
     /** Is interval recording requested? */
     bool

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/json.hh"
+
 namespace ctcp {
 
 namespace {
@@ -48,8 +50,8 @@ SimResult::toJson(bool include_host_timing, bool include_accounting) const
     const bool emit_acct = include_accounting && !accounting.empty();
 
     std::string out = "{\n";
-    out += "  \"benchmark\": \"" + benchmark + "\",\n";
-    out += "  \"strategy\": \"" + strategy + "\",\n";
+    out += "  \"benchmark\": \"" + json::escape(benchmark) + "\",\n";
+    out += "  \"strategy\": \"" + json::escape(strategy) + "\",\n";
     field(out, "cycles", cycles);
     field(out, "instructions", instructions);
     field(out, "ipc", ipc());

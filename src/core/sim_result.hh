@@ -1,7 +1,8 @@
 /**
  * @file
  * Aggregated results of one simulation run: everything the paper's
- * tables and figures need, plus the full raw stats dump.
+ * tables and figures need, plus named metrics. The full stats text is
+ * CtcpSimulator::statsText().
  */
 
 #ifndef CTCPSIM_CORE_SIM_RESULT_HH
@@ -81,9 +82,6 @@ struct SimResult
         return hostSeconds > 0.0
             ? static_cast<double>(instructions) / hostSeconds : 0.0;
     }
-
-    /** Full aligned-text dump of every component's statistics. */
-    std::string statsText;
 
     /**
      * Structured run telemetry: every named metric the run produced,

@@ -66,6 +66,11 @@ recordForwardEvent(ObsSink &obs, Cycle cycle, const TimedInst &inst,
     obs.record(ev);
 }
 
+/** The modes the adaptive chooser counts intervals in, in export order. */
+constexpr AssignStrategy adaptiveModes[] = {
+    AssignStrategy::BaseSlotOrder, AssignStrategy::Friendly,
+    AssignStrategy::Fdrt, AssignStrategy::IssueTime};
+
 } // namespace
 
 CtcpSimulator::CtcpSimulator(const SimConfig &cfg, const Program &program,
@@ -153,15 +158,10 @@ void
 CtcpSimulator::setupObservability()
 {
     const ObsConfig &oc = cfg_.obs;
-    if (oc.tracingEnabled()) {
-        obs_ = std::make_unique<ObsSink>();
+    if (!oc.traceEventsPath.empty()) {
+        obs_ = std::make_unique<ObsSink>(
+            std::make_unique<ChromeTraceWriter>(oc.traceEventsPath));
         obs_->setFilter(ObsSink::parseFilter(oc.traceFilter));
-        if (!oc.traceEventsPath.empty())
-            obs_->addWriter(
-                std::make_unique<ChromeTraceWriter>(oc.traceEventsPath));
-        if (!oc.traceTextPath.empty())
-            obs_->addWriter(
-                std::make_unique<ObsTextWriter>(oc.traceTextPath));
 
         ObsSink *sink = obs_.get();
         fetch_->setObs(sink);
@@ -942,11 +942,22 @@ CtcpSimulator::run()
     }
     hostSeconds_ = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - host_start).count();
+
+    // ---- Observability wrap-up -----------------------------------------
+    if (interval_) {
+        // Trailing partial interval: a run of C cycles sampled every N
+        // dumps exactly ceil(C / N) rows (sample() dedups the boundary
+        // case where C is a multiple of N).
+        interval_->sample(cycle_);
+        interval_->writeFile(cfg_.obs.intervalPath);
+    }
+    if (obs_)
+        obs_->finish();
     return assemble();
 }
 
 SimResult
-CtcpSimulator::assemble()
+CtcpSimulator::assemble() const
 {
     SimResult r;
     r.benchmark = program_.name();
@@ -993,41 +1004,6 @@ CtcpSimulator::assemble()
     r.tcHitRate = percent(tc_->hits(), tc_->hits() + tc_->misses());
     r.mispredicts = condMispredicted_.value() + indirectMispredicted_.value();
 
-    StatDump dump;
-    dump.note("benchmark", r.benchmark);
-    dump.note("strategy", r.strategy);
-    dump.scalar("cycles", r.cycles);
-    dump.scalar("instructions", r.instructions);
-    dump.scalar("ipc", r.ipc());
-    dump.scalar("cond_resolved", condResolved_.value());
-    dump.scalar("cond_mispredicted", condMispredicted_.value());
-    dump.scalar("indirect_resolved", indirectResolved_.value());
-    dump.scalar("indirect_mispredicted", indirectMispredicted_.value());
-    dump.scalar("rob_stalls", robStalls_.value());
-    dump.scalar("issue_stalls", issueStalls_.value());
-    dump.scalar("store_retire_stalls", storeRetireStalls_.value());
-    for (std::size_t c = 0; c < clusters_.size(); ++c)
-        dump.scalar("cluster" + std::to_string(c) + ".dispatched",
-                    clusters_[c].dispatched());
-    if (fdrt_) {
-        dump.scalar("fdrt.option_a_pct", r.pctOptionA);
-        dump.scalar("fdrt.option_b_pct", r.pctOptionB);
-        dump.scalar("fdrt.option_c_pct", r.pctOptionC);
-        dump.scalar("fdrt.option_d_pct", r.pctOptionD);
-        dump.scalar("fdrt.option_e_pct", r.pctOptionE);
-        dump.scalar("fdrt.skipped_pct", r.pctSkipped);
-        dump.scalar("fdrt.promotions", fdrt_->promotions());
-        dump.scalar("fdrt.pins", static_cast<std::uint64_t>(
-            fdrt_->pinCount()));
-    }
-    dump.scalar("fwd.total", fwdTotal_.value());
-    dump.scalar("fwd.inter_cluster", fwdInterCluster_.value());
-    profiler_.dumpStats(dump);
-    fetch_->dumpStats(dump);
-    tc_->dumpStats(dump);
-    fillUnit_->dumpStats(dump);
-    dmem_.dumpStats(dump);
-
     // ---- Structured run telemetry (SimResult::metrics) -----------------
     r.metrics["fwd.total"] = static_cast<double>(fwdTotal_.value());
     r.metrics["fwd.inter_cluster"] =
@@ -1066,6 +1042,80 @@ CtcpSimulator::assemble()
             static_cast<double>(profiler_.chainRevisits());
         r.accounting["migration.chain_migrated"] =
             static_cast<double>(profiler_.chainMigrated());
+    }
+
+    // ---- Adaptive chooser telemetry (strategy Adaptive only) -----------
+    if (adaptive_) {
+        r.metrics["adaptive.switches"] =
+            static_cast<double>(adaptive_->switches());
+        r.metrics["adaptive.intervals"] =
+            static_cast<double>(adaptive_->intervals());
+        for (const AssignStrategy mode : adaptiveModes)
+            r.metrics[std::string("adaptive.intervals.") +
+                      assignStrategyName(mode)] =
+                static_cast<double>(adaptive_->intervalsIn(mode));
+    }
+
+    // Host-side throughput. Non-deterministic by nature, so these are
+    // excluded from the default JSON serialization (the golden-stats
+    // contract) and only exported when explicitly requested.
+    r.hostSeconds = hostSeconds_;
+    r.metrics["host.seconds"] = hostSeconds_;
+    r.metrics["host.sim_insts_per_sec"] = r.simInstsPerHostSecond();
+
+    if (interval_)
+        r.metrics["interval.rows"] =
+            static_cast<double>(interval_->rows());
+    if (obs_) {
+        for (unsigned k = 0; k < numObsKinds; ++k) {
+            const auto kind = static_cast<ObsKind>(k);
+            r.metrics[std::string("obs.events.") + obsKindName(kind)] =
+                static_cast<double>(obs_->recorded(kind));
+        }
+    }
+    return r;
+}
+
+std::string
+CtcpSimulator::statsText() const
+{
+    const SimResult r = assemble();
+    StatDump dump;
+    dump.note("benchmark", r.benchmark);
+    dump.note("strategy", r.strategy);
+    dump.scalar("cycles", r.cycles);
+    dump.scalar("instructions", r.instructions);
+    dump.scalar("ipc", r.ipc());
+    dump.scalar("cond_resolved", condResolved_.value());
+    dump.scalar("cond_mispredicted", condMispredicted_.value());
+    dump.scalar("indirect_resolved", indirectResolved_.value());
+    dump.scalar("indirect_mispredicted", indirectMispredicted_.value());
+    dump.scalar("rob_stalls", robStalls_.value());
+    dump.scalar("issue_stalls", issueStalls_.value());
+    dump.scalar("store_retire_stalls", storeRetireStalls_.value());
+    for (std::size_t c = 0; c < clusters_.size(); ++c)
+        dump.scalar("cluster" + std::to_string(c) + ".dispatched",
+                    clusters_[c].dispatched());
+    if (fdrt_) {
+        dump.scalar("fdrt.option_a_pct", r.pctOptionA);
+        dump.scalar("fdrt.option_b_pct", r.pctOptionB);
+        dump.scalar("fdrt.option_c_pct", r.pctOptionC);
+        dump.scalar("fdrt.option_d_pct", r.pctOptionD);
+        dump.scalar("fdrt.option_e_pct", r.pctOptionE);
+        dump.scalar("fdrt.skipped_pct", r.pctSkipped);
+        dump.scalar("fdrt.promotions", fdrt_->promotions());
+        dump.scalar("fdrt.pins", static_cast<std::uint64_t>(
+            fdrt_->pinCount()));
+    }
+    dump.scalar("fwd.total", fwdTotal_.value());
+    dump.scalar("fwd.inter_cluster", fwdInterCluster_.value());
+    profiler_.dumpStats(dump);
+    fetch_->dumpStats(dump);
+    tc_->dumpStats(dump);
+    fillUnit_->dumpStats(dump);
+    dmem_.dumpStats(dump);
+
+    if (acct_ && cfg_.obs.accounting) {
         dump.scalar("acct.slots.total", acct_->machineSlotsTotal());
         for (unsigned k = 0; k < numSlotCats; ++k) {
             const SlotCat cat = static_cast<SlotCat>(k);
@@ -1074,25 +1124,15 @@ CtcpSimulator::assemble()
         }
     }
 
-    // ---- Adaptive chooser telemetry (strategy Adaptive only) -----------
     if (adaptive_) {
         dump.note("adaptive.final_mode",
                   assignStrategyName(adaptive_->mode()));
         dump.scalar("adaptive.switches", adaptive_->switches());
         dump.scalar("adaptive.intervals", adaptive_->intervals());
-        r.metrics["adaptive.switches"] =
-            static_cast<double>(adaptive_->switches());
-        r.metrics["adaptive.intervals"] =
-            static_cast<double>(adaptive_->intervals());
-        for (const AssignStrategy mode :
-             {AssignStrategy::BaseSlotOrder, AssignStrategy::Friendly,
-              AssignStrategy::Fdrt, AssignStrategy::IssueTime}) {
-            const std::string key = std::string("adaptive.intervals.") +
-                                    assignStrategyName(mode);
-            dump.scalar(key, adaptive_->intervalsIn(mode));
-            r.metrics[key] =
-                static_cast<double>(adaptive_->intervalsIn(mode));
-        }
+        for (const AssignStrategy mode : adaptiveModes)
+            dump.scalar(std::string("adaptive.intervals.") +
+                            assignStrategyName(mode),
+                        adaptive_->intervalsIn(mode));
         // The phase trajectory itself, one "cycle:mode" token per
         // switch — small (bounded by switches()) and deterministic.
         if (!adaptive_->phaseTrace().empty()) {
@@ -1107,35 +1147,9 @@ CtcpSimulator::assemble()
         }
     }
 
-    // Host-side throughput. Non-deterministic by nature, so these are
-    // excluded from the default JSON serialization (the golden-stats
-    // contract) and only exported when explicitly requested.
-    r.hostSeconds = hostSeconds_;
-    r.metrics["host.seconds"] = hostSeconds_;
-    r.metrics["host.sim_insts_per_sec"] = r.simInstsPerHostSecond();
-
-    // ---- Observability wrap-up -----------------------------------------
-    if (interval_) {
-        // Trailing partial interval: a run of C cycles sampled every N
-        // dumps exactly ceil(C / N) rows (sample() dedups the boundary
-        // case where C is a multiple of N).
-        interval_->sample(cycle_);
-        interval_->writeFile(cfg_.obs.intervalPath);
-        r.metrics["interval.rows"] =
-            static_cast<double>(interval_->rows());
-    }
-    if (obs_) {
-        obs_->finish();
+    if (obs_)
         dump.scalar("obs.events", obs_->recorded());
-        for (unsigned k = 0; k < numObsKinds; ++k) {
-            const auto kind = static_cast<ObsKind>(k);
-            r.metrics[std::string("obs.events.") + obsKindName(kind)] =
-                static_cast<double>(obs_->recorded(kind));
-        }
-    }
-
-    r.statsText = dump.render();
-    return r;
+    return dump.render();
 }
 
 } // namespace ctcp

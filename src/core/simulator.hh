@@ -24,6 +24,7 @@
 #include <deque>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "assign/issue_time_steering.hh"
@@ -81,6 +82,13 @@ class CtcpSimulator
 
     /** Run to the instruction limit (or program end) and report. */
     SimResult run();
+
+    /**
+     * Every component's statistics as aligned "name  value" lines,
+     * rendered from the simulator's state on each call (after run()
+     * for the full run).
+     */
+    std::string statsText() const;
 
     /** Advance exactly one cycle (exposed for tests). */
     void step();
@@ -312,7 +320,7 @@ class CtcpSimulator
     /** Subset that crossed a cluster boundary. */
     Counter fwdInterCluster_;
 
-    SimResult assemble();
+    SimResult assemble() const;
 };
 
 } // namespace ctcp

@@ -6,8 +6,8 @@
  * assignment policy, clusters, memory system, retire logic) describes
  * what happened as an ObsEvent and hands it to the ObsSink. Events are
  * plain data: a cycle stamp, a kind, the instruction identity when one
- * is involved, and a small kind-specific payload. Writers (Chrome
- * trace_event JSON, compact text) interpret the payload per kind.
+ * is involved, and a small kind-specific payload. The Chrome trace
+ * writer (obs/writers.hh) interprets the payload per kind.
  *
  * Payload conventions:
  *   Fetch       seq/pc/label; arg0 = 1 when fetched from the trace cache

@@ -30,6 +30,12 @@ obsKindName(ObsKind kind)
     return "unknown";
 }
 
+ObsSink::ObsSink(std::unique_ptr<ObsWriter> writer)
+    : writer_(std::move(writer))
+{
+    writer_->begin();
+}
+
 ObsSink::~ObsSink()
 {
     // Reached without finish() when the run threw. A destructor must
@@ -40,13 +46,6 @@ ObsSink::~ObsSink()
     } catch (const std::exception &e) {
         ctcp_warn("event trace not published: %s", e.what());
     }
-}
-
-void
-ObsSink::addWriter(std::unique_ptr<ObsWriter> writer)
-{
-    writer->begin();
-    writers_.push_back(std::move(writer));
 }
 
 std::uint32_t
@@ -95,8 +94,7 @@ ObsSink::finish()
     if (finished_)
         return;
     finished_ = true;
-    for (const auto &writer : writers_)
-        writer->end();
+    writer_->end();
 }
 
 std::uint64_t

@@ -1,8 +1,10 @@
 /**
  * @file
- * The event sink: a runtime kind filter in front of pluggable writers.
- * Each recorded event goes straight to every writer, in record order;
- * the writers buffer their own output bytes.
+ * The event sink: a runtime kind filter in front of one writer. Each
+ * recorded event goes straight to the writer, in record order; the
+ * writer buffers its own output bytes. The simulator's writer is the
+ * Chrome trace (obs/writers.hh); tests plug in their own to capture
+ * events.
  *
  * Overhead contract: every instrumented component holds a raw
  * `ObsSink *` that is null when observability is off, and each emission
@@ -21,13 +23,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "obs/event.hh"
 
 namespace ctcp {
 
-/** Destination for recorded events (one per output format). */
+/** Destination for recorded events. */
 class ObsWriter
 {
   public:
@@ -44,14 +45,12 @@ class ObsWriter
 class ObsSink
 {
   public:
-    ObsSink() = default;
+    /** Take ownership of @p writer and begin() it. */
+    explicit ObsSink(std::unique_ptr<ObsWriter> writer);
     ~ObsSink();
 
     ObsSink(const ObsSink &) = delete;
     ObsSink &operator=(const ObsSink &) = delete;
-
-    /** Attach a writer (sink takes ownership; begin() is called now). */
-    void addWriter(std::unique_ptr<ObsWriter> writer);
 
     /** Bitmask with every kind enabled. */
     static constexpr std::uint32_t
@@ -83,11 +82,10 @@ class ObsSink
         if (!enabled(event.kind))
             return;
         ++recordedPerKind_[static_cast<std::size_t>(event.kind)];
-        for (const auto &writer : writers_)
-            writer->write(event);
+        writer_->write(event);
     }
 
-    /** end() every writer; idempotent. */
+    /** end() the writer; idempotent. */
     void finish();
 
     /** Total events recorded (post-filter). */
@@ -101,7 +99,7 @@ class ObsSink
     }
 
   private:
-    std::vector<std::unique_ptr<ObsWriter>> writers_;
+    std::unique_ptr<ObsWriter> writer_;
     std::uint32_t mask_ = allKinds();
     std::uint64_t recordedPerKind_[numObsKinds] = {};
     bool finished_ = false;

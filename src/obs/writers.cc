@@ -184,6 +184,10 @@ ChromeTraceWriter::write(const ObsEvent &event)
         field("\"arg1\":");
         out_.dec(event.arg1);
     }
+    if (event.kind == ObsKind::Mem) {
+        field("\"lat\":");
+        out_.dec(event.dur);
+    }
     if (!event.label.empty() && event.kind != ObsKind::Execute) {
         field("\"op\":\"");
         out_.put(event.label);
@@ -199,98 +203,6 @@ ChromeTraceWriter::end()
         return;
     ended_ = true;
     out_.put("\n]}\n");
-    out_.commit();
-}
-
-ObsTextWriter::ObsTextWriter(const std::string &path) : out_(path)
-{
-}
-
-ObsTextWriter::~ObsTextWriter()
-{
-    try {
-        end();
-    } catch (...) {
-        // Commit failure during unwind: keep the previous trace.
-    }
-}
-
-void
-ObsTextWriter::write(const ObsEvent &event)
-{
-    out_.dec(event.cycle);
-    out_.put(' ');
-    out_.put(kindName(event.kind));
-    if (event.seq != invalidSeqNum) {
-        out_.put(" seq=");
-        out_.dec(event.seq);
-    }
-    if (event.pc) {
-        out_.put(" pc=0x");
-        out_.hex(event.pc);
-    }
-    if (event.cluster != invalidCluster) {
-        out_.put(" cl=");
-        out_.dec(static_cast<int>(event.cluster));
-    }
-    if (event.opt) {
-        out_.put(" opt=");
-        out_.put(event.opt);
-    }
-    if (!event.label.empty()) {
-        out_.put(" op=");
-        out_.put(event.label);
-    }
-    switch (event.kind) {
-      case ObsKind::Fetch:
-        if (event.arg0)
-            out_.put(" from=tc");
-        break;
-      case ObsKind::TcHit:
-      case ObsKind::TraceBuild:
-        out_.put(" insts=");
-        out_.dec(event.arg0);
-        if (event.kind == ObsKind::TraceBuild) {
-            out_.put(" blocks=");
-            out_.dec(event.arg1);
-        }
-        break;
-      case ObsKind::Execute:
-        out_.put(" begin=");
-        out_.dec(event.begin);
-        out_.put(" dur=");
-        out_.dec(event.dur);
-        break;
-      case ObsKind::Forward:
-        out_.put(" hops=");
-        out_.dec(event.arg0);
-        out_.put(" from_cl=");
-        out_.dec(event.arg1);
-        break;
-      case ObsKind::Flush:
-        out_.put(" resume=");
-        out_.dec(event.arg0);
-        break;
-      case ObsKind::Mem:
-        out_.put(" addr=0x");
-        out_.hex(static_cast<std::uint64_t>(event.arg0));
-        out_.put(" level=");
-        out_.dec(event.arg1);
-        out_.put(" lat=");
-        out_.dec(event.dur);
-        break;
-      default:
-        break;
-    }
-    out_.put('\n');
-}
-
-void
-ObsTextWriter::end()
-{
-    if (ended_)
-        return;
-    ended_ = true;
     out_.commit();
 }
 

@@ -8,23 +8,21 @@
  * (fetch, trace cache, fill unit, assignment, rename, flush), tid 1 is
  * commit (complete/retire), tid 2 is the data memory system, and tid
  * 10+c is execution cluster c (issue/execute/forward). Execute events
- * are duration ("X") slices; everything else is an instant.
+ * are duration ("X") slices; everything else is an instant. Each
+ * event sits on a line of its own, so `grep '"cat":"tc-miss"'` lists
+ * one kind.
  *
- * ObsTextWriter emits one compact line per event:
- *
- *     <cycle> <kind> seq=<n> pc=<n> cl=<c> <kind-specific fields>
- *
- * Both open their file on construction and throw std::runtime_error on
- * failure (a campaign job with an unwritable telemetry path fails in
- * isolation instead of killing the process).
+ * The writer opens its file on construction and throws
+ * std::runtime_error on failure (a campaign job with an unwritable
+ * telemetry path fails in isolation instead of killing the process).
  *
  * Output is crash-safe: events are staged in "<path>.tmp" and the
  * file is renamed over the target only when end() finishes writing
  * the trailer. A process killed mid-run leaves any previous trace at
  * the target path intact instead of a truncated, unloadable one.
  *
- * The bytes of both formats are a contract (DESIGN decision 13),
- * pinned by tests/test_obs.cc against a printf reference.
+ * The bytes are a contract (DESIGN decision 13), pinned by
+ * tests/test_obs.cc against a printf reference.
  */
 
 #ifndef CTCPSIM_OBS_WRITERS_HH
@@ -84,15 +82,6 @@ class TraceBuffer
         cur_ = std::to_chars(cur_, end_, value).ptr;
     }
 
-    /** Lowercase hex without prefix, as printf's PRIx64. */
-    void
-    hex(std::uint64_t value)
-    {
-        if (room() < maxDigits)
-            drain();
-        cur_ = std::to_chars(cur_, end_, value, 16).ptr;
-    }
-
     /** Drain the rest and publish the file (see AtomicFile::commit). */
     void commit();
 
@@ -132,21 +121,6 @@ class ChromeTraceWriter : public ObsWriter
      * is a unique index.
      */
     std::array<bool, 256> namedTids_{};
-};
-
-/** Compact one-line-per-event text writer. */
-class ObsTextWriter : public ObsWriter
-{
-  public:
-    explicit ObsTextWriter(const std::string &path);
-    ~ObsTextWriter() override;
-
-    void write(const ObsEvent &event) override;
-    void end() override;
-
-  private:
-    TraceBuffer out_;
-    bool ended_ = false;
 };
 
 } // namespace ctcp

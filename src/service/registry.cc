@@ -455,9 +455,8 @@ RunRegistry::events(const std::string &id, std::uint64_t offset,
 }
 
 bool
-RunRegistry::finalReport(const std::string &id, bool csv,
-                         bool host_timing, std::string &out,
-                         std::string &error) const
+RunRegistry::finalReport(const std::string &id, bool host_timing,
+                         std::string &out, std::string &error) const
 {
     Run *run;
     {
@@ -474,9 +473,7 @@ RunRegistry::finalReport(const std::string &id, bool csv,
             "; the final report requires state done";
         return false;
     }
-    out = csv ? run->report.toCsv(run->options.accounting)
-              : run->report.toJson(host_timing,
-                                   run->options.accounting);
+    out = run->report.toJson(host_timing, run->options.accounting);
     return true;
 }
 

@@ -141,7 +141,7 @@ class RunRegistry
      * Only available once the run is Done; @return false otherwise
      * (with a diagnostic in @p error).
      */
-    bool finalReport(const std::string &id, bool csv, bool host_timing,
+    bool finalReport(const std::string &id, bool host_timing,
                      std::string &out, std::string &error) const;
 
     /**

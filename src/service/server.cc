@@ -268,21 +268,18 @@ ServiceServer::route(const HttpRequest &req)
                 return errorResponse(405, "report is GET-only");
             const std::string format =
                 req.queryParam("format", "json");
-            if (format != "json" && format != "csv")
+            if (format != "json")
                 return errorResponse(400, "unknown format '" + format +
-                                              "' (json or csv)");
+                                              "' (the report is json)");
             std::string out, error;
-            if (!registry_.finalReport(id, format == "csv",
-                                       flagParam(req, "host_timing"),
+            if (!registry_.finalReport(id, flagParam(req, "host_timing"),
                                        out, error)) {
                 const bool missing =
                     error.compare(0, 11, "no such run") == 0;
                 return errorResponse(missing ? 404 : 409, error);
             }
             HttpResponse resp;
-            resp.contentType = format == "csv"
-                ? "text/csv"
-                : "application/json";
+            resp.contentType = "application/json";
             resp.body = std::move(out);
             return resp;
         }

@@ -16,8 +16,9 @@
  *                                 X-Ctcp-Next-Offset names the next
  *                                 ?from to pass
  *   POST /v1/runs/<id>/cancel     request cancellation
- *   GET  /v1/runs/<id>/report     final report, ?format=json|csv,
- *                                 ?host_timing=1; 409 until done.
+ *   GET  /v1/runs/<id>/report     final report JSON (?format=json
+ *                                 is the only format; any other is
+ *                                 400), ?host_timing=1; 409 until done.
  *                                 Byte-identical to the batch path.
  *   GET  /v1/runs/<id>/html       live HTML report (text/html)
  *

@@ -95,34 +95,12 @@ IntervalRecorder::toCsv() const
     return out;
 }
 
-std::string
-IntervalRecorder::toJson() const
-{
-    std::string out = "{\n  \"interval\": " + std::to_string(interval_) +
-        ",\n  \"columns\": [\"cycle\"";
-    for (const Column &col : columns_)
-        out += ", \"" + col.name + "\"";
-    out += "],\n  \"rows\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-        out += "    [" + std::to_string(rows_[i].cycle);
-        for (double v : rows_[i].values) {
-            out += ", ";
-            appendFixed(out, v, 6);
-        }
-        out += i + 1 < rows_.size() ? "],\n" : "]\n";
-    }
-    out += "  ]\n}\n";
-    return out;
-}
-
 void
 IntervalRecorder::writeFile(const std::string &path) const
 {
-    const bool json = path.size() >= 5 &&
-        path.compare(path.size() - 5, 5, ".json") == 0;
     // Staged + renamed: an interrupted run never leaves a truncated
     // stats file at the target path.
-    atomicWriteFile(path, json ? toJson() : toCsv());
+    atomicWriteFile(path, toCsv());
 }
 
 } // namespace ctcp

@@ -14,7 +14,7 @@
  *   - ratio columns report delta(numerator) / delta(denominator)
  *     (e.g. trace-cache hit rate, forwards per instruction).
  *
- * Rows accumulate in memory and render as CSV or JSON at end of run.
+ * Rows accumulate in memory and render as CSV at end of run.
  * A run of C cycles sampled every N produces exactly ceil(C / N) rows:
  * one per full interval plus one trailing partial row. Output is
  * deterministic: identical runs produce byte-identical files.
@@ -40,7 +40,7 @@ namespace ctcp {
  */
 Cycle parseIntervalCycles(const std::string &text);
 
-/** Fixed-cadence counter snapshotter producing a CSV/JSON time series. */
+/** Fixed-cadence counter snapshotter producing a CSV time series. */
 class IntervalRecorder
 {
   public:
@@ -76,12 +76,9 @@ class IntervalRecorder
     /** Header plus one line per row. */
     std::string toCsv() const;
 
-    /** {"interval":N,"columns":[...],"rows":[[cycle,...],...]} */
-    std::string toJson() const;
-
     /**
-     * Render to @p path — JSON when the path ends in ".json", CSV
-     * otherwise. @throws std::runtime_error if the file cannot open.
+     * Write toCsv() to @p path.
+     * @throws std::runtime_error if the file cannot open
      */
     void writeFile(const std::string &path) const;
 

@@ -288,19 +288,16 @@ TEST(Accounting, DefaultSerializationsByteIdenticalEitherWay)
     ASSERT_EQ(off.failed(), 0u);
     ASSERT_EQ(on.failed(), 0u);
 
-    // The golden contract: default JSON and CSV do not change when
+    // The golden contract: default JSON does not change when
     // accounting runs — neither from perturbed simulation nor from
     // leaked keys.
     EXPECT_EQ(off.toJson(), on.toJson());
-    EXPECT_EQ(off.toCsv(), on.toCsv());
 
     // And the opt-in flag is the only way the taxonomy surfaces.
     EXPECT_EQ(on.toJson().find("\"accounting\""), std::string::npos);
     EXPECT_NE(on.toJson(false, true).find("\"accounting\""),
               std::string::npos);
     EXPECT_NE(on.toJson(false, true).find("slots.useful"),
-              std::string::npos);
-    EXPECT_NE(on.toCsv(true).find("slots_useful_pct"),
               std::string::npos);
     // Accounting-off jobs have nothing to export even when asked.
     EXPECT_EQ(off.toJson(false, true).find("\"accounting\""),

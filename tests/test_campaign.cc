@@ -23,6 +23,7 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/matrix.hh"
+#include "common/json.hh"
 #include "config/presets.hh"
 #include "prog/builder.hh"
 #include "tmp_dir.hh"
@@ -121,7 +122,7 @@ TEST(Campaign, SameRunTwiceIsBitIdentical)
 {
     // The determinism contract underlying every cached, shared or
     // parallel result: identical (config, workload, budget) =>
-    // identical full stat dump, not just headline numbers. Two
+    // identical results, the whole metrics map included. Two
     // campaigns, because one campaign runs the pair once.
     const campaign::Job job = campaign::makeJob("a", "gzip", quickConfig());
     const campaign::Report first = campaign::runCampaign({job});
@@ -134,15 +135,14 @@ TEST(Campaign, SameRunTwiceIsBitIdentical)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.instructions, b.instructions);
     EXPECT_EQ(a.toJson(), b.toJson());
-    EXPECT_EQ(a.statsText, b.statsText);
-    EXPECT_FALSE(a.statsText.empty());
+    EXPECT_GT(a.metrics.size(), 10u);
 }
 
 TEST(Campaign, AggregationIndependentOfWorkerCount)
 {
     // A 3-workload x 4-strategy campaign (every scheduler path,
     // including issue-time steering) must aggregate to byte-identical
-    // JSON and CSV whether run on 1 worker or 4.
+    // JSON whether run on 1 worker or 4.
     std::vector<campaign::Job> jobs;
     for (const char *bench : {"gzip", "twolf", "adpcm_enc"}) {
         for (AssignStrategy s :
@@ -168,12 +168,8 @@ TEST(Campaign, AggregationIndependentOfWorkerCount)
     ASSERT_EQ(r1.failed(), 0u);
     ASSERT_EQ(r4.failed(), 0u);
     EXPECT_EQ(r1.toJson(), r4.toJson());
-    EXPECT_EQ(r1.toCsv(), r4.toCsv());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(r1.jobs[i].label, jobs[i].label);
-        EXPECT_EQ(r1.jobs[i].result.statsText,
-                  r4.jobs[i].result.statsText);
-    }
 }
 
 TEST(Campaign, HostTimingExcludedFromDefaultExport)
@@ -229,15 +225,11 @@ TEST(Campaign, ThrowingBuilderFailsOnlyItsJob)
     EXPECT_NE(failed.error.find("workload builder exploded"),
               std::string::npos);
 
-    // The failure is visible in both export formats.
+    // The failure is visible in the report.
     const std::string json = report.toJson();
     EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
     EXPECT_NE(json.find("workload builder exploded"), std::string::npos);
     EXPECT_NE(json.find("\"failed\": 1"), std::string::npos);
-    const std::string csv = report.toCsv();
-    EXPECT_NE(csv.find("bomb,synthetic,,failed,workload builder "
-                       "exploded"),
-              std::string::npos);
 }
 
 TEST(Campaign, UnknownBenchmarkFailsJobNotProcess)
@@ -420,11 +412,8 @@ TEST(CampaignAdaptive, DeterministicAcrossWorkerCounts)
     ASSERT_EQ(r1.failed(), 0u);
     ASSERT_EQ(r8.failed(), 0u);
     EXPECT_EQ(r1.toJson(), r8.toJson());
-    EXPECT_EQ(r1.toCsv(), r8.toCsv());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(r1.jobs[i].result.strategy, "adaptive");
-        EXPECT_EQ(r1.jobs[i].result.statsText,
-                  r8.jobs[i].result.statsText);
         ASSERT_TRUE(r1.jobs[i].result.metrics.count("adaptive.intervals"))
             << jobs[i].label;
         EXPECT_GT(r1.jobs[i].result.metrics.at("adaptive.intervals"), 0.0)
@@ -518,23 +507,45 @@ TEST(CampaignWorkers, ParseWorkerCountRejectsBadValues)
                  std::invalid_argument);
 }
 
-TEST(CampaignReport, CsvQuotesAwkwardFields)
+TEST(CampaignReport, JsonKeepsAwkwardNamesIntact)
 {
-    campaign::Job bomb;
-    bomb.label = "a,\"b\"";
-    bomb.benchmark = "x";
-    bomb.config = quickConfig(1'000);
-    bomb.builder = []() -> Program {
-        throw std::runtime_error("line1\nline2, with comma");
+    // A caller's builder may name its program anything, and a label or
+    // error may hold quotes and newlines: both documents still parse,
+    // and every string reads back as it was.
+    const std::string name = "my\"prog\\\n";
+    campaign::Job named;
+    named.label = "a,\"b\"";
+    named.benchmark = name;
+    named.config = quickConfig(1'000);
+    named.builder = [name] {
+        ProgramBuilder b(name);
+        b.movi(intReg(1), 1);
+        b.halt();
+        return b.build();
     };
-    const campaign::Report report = campaign::runCampaign({bomb});
-    const std::string csv = report.toCsv();
-    EXPECT_NE(csv.find("\"a,\"\"b\"\"\""), std::string::npos);
-    EXPECT_NE(csv.find("\"line1\nline2, with comma\""),
-              std::string::npos);
-    // JSON escapes the newline instead.
-    const std::string json = report.toJson();
-    EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
+    campaign::Job bomb = named;
+    bomb.label = "bomb";
+    bomb.builder = []() -> Program {
+        throw std::runtime_error("line1\nline2, with \"comma\"");
+    };
+    const campaign::Report report = campaign::runCampaign({named, bomb});
+    ASSERT_TRUE(report.jobs[0].ok()) << report.jobs[0].error;
+    ASSERT_EQ(report.jobs[0].result.benchmark, name);
+
+    const json::Document result =
+        json::parse(report.jobs[0].result.toJson());
+    EXPECT_EQ(result.str("benchmark"), name);
+    EXPECT_EQ(result.str("strategy"), "base");
+
+    const json::Document doc = json::parse(report.toJson());
+    std::vector<json::Value> entries;
+    for (const json::Value entry : doc.find("results")->items())
+        entries.push_back(entry);
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].str("label"), "a,\"b\"");
+    EXPECT_EQ(entries[0].str("benchmark"), name);
+    EXPECT_EQ(entries[0].find("metrics")->str("benchmark"), name);
+    EXPECT_EQ(entries[1].str("error"), "line1\nline2, with \"comma\"");
 }
 
 // ---- One run per distinct simulation ------------------------------------
@@ -591,7 +602,6 @@ TEST(CampaignSharing, SweepMatchesEveryJobRunAlone)
         const campaign::Report shared =
             campaign::runCampaign(jobs, options);
         EXPECT_EQ(shared.toJson(), alone.toJson()) << workers;
-        EXPECT_EQ(shared.toCsv(), alone.toCsv()) << workers;
     }
 }
 
@@ -639,7 +649,6 @@ TEST(CampaignSharing, SharedJobsReportZeroHostTimeAndProgress)
         EXPECT_NE(out.result.toJson(true).find("\"host.seconds\": 0.000000,"),
                   std::string::npos);
         EXPECT_EQ(out.result.toJson(), run.toJson());
-        EXPECT_EQ(out.result.statsText, run.statsText);
     }
 }
 
@@ -707,13 +716,13 @@ TEST(CampaignSharing, JobsThatWriteFilesAreNeverShared)
     // when both name the same one.
     std::vector<campaign::Job> named = jobs;
     for (campaign::Job &job : named)
-        job.config.obs.traceTextPath = (dir / "own.txt").string();
+        job.config.obs.traceEventsPath = (dir / "own.json").string();
     EXPECT_EQ(campaign::representatives(named),
               (std::vector<std::size_t>{0, 1}));
     campaign::Options serial;   // two jobs, one file: one at a time
     serial.jobs = 1;
     ASSERT_EQ(campaign::runCampaign(named, serial).failed(), 0u);
-    EXPECT_TRUE(std::filesystem::exists(dir / "own.txt"));
+    EXPECT_TRUE(std::filesystem::exists(dir / "own.json"));
     std::filesystem::remove_all(dir);
 }
 

@@ -125,8 +125,7 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     const std::string report = ctcp::test::tmpPath("usage_report.json");
     const std::string single_in_campaign =
         "--campaign 'bench=gzip;budget=2000' --strategy fdrt --clusters 8 "
-        "--instructions 5 --preset bus --zero-fwd --trace-text " +
-        trace + " --json";
+        "--instructions 5 --preset bus --zero-fwd --json";
     EXPECT_EQ(runCli(single_in_campaign), 2);
     const std::string message = cliStderr(single_in_campaign);
     EXPECT_NE(message.find("--strategy"), std::string::npos) << message;
@@ -136,6 +135,25 @@ TEST(CliExitCodes, UsageErrorsReturnTwo)
     EXPECT_EQ(runCli(campaign_in_single), 2);
     EXPECT_NE(cliStderr(campaign_in_single).find("--out"),
               std::string::npos);
+    // In both modes a flag that tunes an output needs that output, and
+    // --trace-text and --report are not options: the Chrome trace and
+    // ctcp_report do their jobs.
+    for (const std::string mode :
+         {"--bench gzip --instructions 1000",
+          "--campaign 'bench=gzip;budget=1000' --jobs 1"}) {
+        const std::string interval = mode + " --interval 500";
+        EXPECT_EQ(runCli(interval), 2) << mode;
+        EXPECT_NE(cliStderr(interval).find("--interval-stats"),
+                  std::string::npos)
+            << mode;
+        const std::string filter = mode + " --trace-filter retire";
+        EXPECT_EQ(runCli(filter), 2) << mode;
+        EXPECT_NE(cliStderr(filter).find("--trace-events"),
+                  std::string::npos)
+            << mode;
+        EXPECT_EQ(runCli(mode + " --trace-text " + trace), 2) << mode;
+        EXPECT_EQ(runCli(mode + " --report " + report), 2) << mode;
+    }
     EXPECT_NE(::access(trace.c_str(), F_OK), 0) << trace;
     EXPECT_NE(::access(report.c_str(), F_OK), 0) << report;
     // slots= bounds are checked before a range is expanded: a huge

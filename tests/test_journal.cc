@@ -30,6 +30,7 @@
 #include "prog/builder.hh"
 #include "tmp_dir.hh"
 #include "verify/fault.hh"
+#include "workload/workload.hh"
 
 namespace ctcp {
 namespace {
@@ -122,7 +123,9 @@ sampleOkOutcome()
     out.benchmark = "gzip";
     out.status = campaign::JobStatus::Ok;
     out.attempts = 2;
-    out.result.benchmark = "gzip";
+    // Awkward bytes in a string field, to exercise the escaping.
+    out.result.benchmark =
+        "line one\nline \"two\"\twith tab\nand a , comma\n";
     out.result.strategy = "fdrt";
     out.result.cycles = 1234567;
     out.result.instructions = 2000000;
@@ -131,8 +134,6 @@ sampleOkOutcome()
     out.result.bpredAccuracy = 0.1 + 0.2; // famously not 0.3
     out.result.mispredicts = 4242;
     out.result.hostSeconds = 0.25;
-    out.result.statsText =
-        "line one\nline \"two\"\twith tab\nand a , comma\n";
     out.result.metrics["forward.total"] = 1.0 / 3.0;
     out.result.metrics["host.seconds"] = 0.25;
     return out;
@@ -156,7 +157,7 @@ TEST(JournalRecord, OkOutcomeRoundTripsExactly)
     // Exact double round-trip (%.17g): the replayed result serializes
     // to the same bytes, which is what resume byte-identity rests on.
     EXPECT_EQ(rec.outcome.result.toJson(true), out.result.toJson(true));
-    EXPECT_EQ(rec.outcome.result.statsText, out.result.statsText);
+    EXPECT_EQ(rec.outcome.result.benchmark, out.result.benchmark);
     EXPECT_EQ(rec.outcome.result.cycles, out.result.cycles);
     EXPECT_EQ(rec.outcome.result.mispredicts, out.result.mispredicts);
 
@@ -392,7 +393,109 @@ TEST(CampaignJournal, ResumeSkipsCompletedJobs)
         campaign::runCampaign(makeJobs(), options);
     EXPECT_EQ(builds.load(), 3) << "a completed job was re-run";
     EXPECT_EQ(first.toJson(), second.toJson());
-    EXPECT_EQ(first.toCsv(), second.toCsv());
+    std::remove(path.c_str());
+}
+
+TEST(CampaignJournal, RecordWithStatsTextFromOlderBuildsReplays)
+{
+    // A record exactly as builds that journaled the stats text wrote it
+    // (`ctcpsim --campaign "bench=gzip;strategy=fdrt;budget=2000"
+    // --journal`): a resume replays it instead of re-running the job,
+    // appends nothing, and reports what a fresh run reports.
+    const std::string record =
+        R"({"index":0,"label":"gzip/base/fdrt","benchmark":"gzip","status":"o)"
+        R"(k","category":"internal","attempts":1,"error":"","result":{"benchm)"
+        R"(ark":"gzip","strategy":"fdrt","cycles":2693,"instructions":2010,"p)"
+        R"(ctFromTraceCache":90.945273631840791,"meanTraceSize":13.2185430463)"
+        R"(57615,"pctCritFromRF":1.4954172696575012,"pctCritFromRs1":90.15918)"
+        R"(9580318383,"pctCritFromRs2":8.345393150024119,"pctDepsCritical":82)"
+        R"(.106956172094897,"pctCritInterTrace":44.857982370225272,"repeatRs1)"
+        R"(":95.090819833087878,"repeatRs2":95.111111111111114,"repeatRs1Crit)"
+        R"(Inter":88.819095477386938,"repeatRs2CritInter":89.166666666666671,)"
+        R"("pctIntraClusterFwd":60.088148873653282,"meanFwdDistance":0.697845)"
+        R"(24975514206,"pctOptionA":36.350000000000001,"pctOptionB":31.75,"pc)"
+        R"(tOptionC":18.449999999999999,"pctOptionD":8,"pctOptionE":2.2000000)"
+        R"(000000002,"pctSkipped":3.25,"migrationAllPct":21.607515657620041,")"
+        R"(migrationChainPct":17.875383043922369,"bpredAccuracy":91.379310344)"
+        R"(827587,"tcHitRate":75.879396984924625,"mispredicts":5,"hostSeconds)"
+        R"(":0.0012660460000000001,"statsText":"benchmark                    )"
+        R"(       gzip\nstrategy                            fdrt\ncycles     )"
+        R"(                         2693\ninstructions                       )"
+        R"( 2010\nipc                                 0.7464\ncond_resolved  )"
+        R"(                     58\ncond_mispredicted                   5\nin)"
+        R"(direct_resolved                   0\nindirect_mispredicted        )"
+        R"(       0\nrob_stalls                          1678\nissue_stalls  )"
+        R"(                      478\nstore_retire_stalls                 0\n)"
+        R"(cluster0.dispatched                 663\ncluster1.dispatched      )"
+        R"(           478\ncluster2.dispatched                 499\ncluster3.)"
+        R"(dispatched                 466\nfdrt.option_a_pct                 )"
+        R"(  36.3500\nfdrt.option_b_pct                   31.7500\nfdrt.optio)"
+        R"(n_c_pct                   18.4500\nfdrt.option_d_pct              )"
+        R"(     8.0000\nfdrt.option_e_pct                   2.2000\nfdrt.skip)"
+        R"(ped_pct                    3.2500\nfdrt.promotions                )"
+        R"(     916\nfdrt.pins                           76\nfwd.total       )"
+        R"(                    2487\nfwd.inter_cluster                   993\)"
+        R"(nprof.retired                        2010\nprof.pct_from_tc       )"
+        R"(             90.9453\nprof.pct_crit_rf                    1.4954\n)"
+        R"(prof.pct_crit_rs1                   90.1592\nprof.pct_crit_rs2    )"
+        R"(               8.3454\nprof.pct_deps_critical              82.1070)"
+        R"(\nprof.pct_crit_inter_trace           44.8580\nprof.repeat_rs1    )"
+        R"(                 95.0908\nprof.repeat_rs2                     95.1)"
+        R"(111\nprof.repeat_rs1_crit_inter          88.8191\nprof.repeat_rs2_)"
+        R"(crit_inter          89.1667\nprof.pct_intra_cluster_fwd          6)"
+        R"(0.0881\nprof.mean_fwd_distance              0.6978\nprof.mean_inte)"
+        R"(r_trace_distance      0.8876\nprof.mean_intra_trace_distance      )"
+        R"(0.5435\nprof.inter_trace_intra_cluster_pct  55.0218\nprof.migratio)"
+        R"(n_all_pct              21.6075\nprof.migration_chain_pct          )"
+        R"(  17.8754\nfetch.from_tc                       1996\nfetch.from_ic)"
+        R"(                       182\nfetch.tc_lines                      15)"
+        R"(1\nfetch.mean_tc_line_insts            13.2185\nfetch.mispredict_g)"
+        R"(ates              5\ntc.hits                             151\ntc.m)"
+        R"(isses                           48\ntc.hit_rate_pct               )"
+        R"(      75.8794\ntc.insertions                       16\ntc.updates )"
+        R"(                         133\ntc.evictions                        )"
+        R"(0\ntc.profile_updates                  58\nfill.traces_built      )"
+        R"(             149\nfill.mean_trace_size                13.4228\ndme)"
+        R"(m.loads                          470\ndmem.stores                 )"
+        R"(        96\ndmem.store_forwards                 0\ndmem.l1d_hits  )"
+        R"(                     447\ndmem.l1d_misses                     119\)"
+        R"(ndmem.l2_hits                        0\ndmem.l2_misses            )"
+        R"(          131\ndmem.dtlb_misses                    10\ndmem.mshr_m)"
+        R"(erges                    9\ndmem.load_queue_stalls              0\)"
+        R"(ndmem.store_buffer_stalls            0\n","metrics":{"cluster0.dis)"
+        R"(patched":663,"cluster1.dispatched":478,"cluster2.dispatched":499,")"
+        R"(cluster3.dispatched":466,"dmem.loads":470,"dmem.stores":96,"fetch.)"
+        R"(from_ic":182,"fetch.from_tc":1996,"fill.traces_built":149,"fwd.int)"
+        R"(er_cluster":993,"fwd.inter_cluster_per_instr":0.49402985074626865,)"
+        R"("fwd.total":2487,"host.seconds":0.0012660460000000001,"host.sim_in)"
+        R"(sts_per_sec":1587620.0390823081,"issue_stalls":478,"rob_stalls":16)"
+        R"(78,"tc.hits":151,"tc.misses":48}}})";
+    const std::string spec = "bench=gzip;strategy=fdrt;budget=2000";
+    const std::string path = tempPath("ctcp_journal_stats_text.jsonl");
+    std::ofstream(path, std::ios::binary) << record << '\n';
+
+    std::vector<campaign::Job> jobs = campaign::parseMatrix(spec);
+    ASSERT_EQ(jobs.size(), 1u);
+    std::atomic<int> builds{0};
+    jobs[0].builder = [&builds] {
+        ++builds;
+        return workloads::build("gzip");
+    };
+    campaign::Options options;
+    options.jobs = 1;
+    options.journalPath = path;
+    std::vector<std::string> progress;
+    options.progress = [&](const std::string &line) {
+        progress.push_back(line);
+    };
+    const campaign::Report resumed = campaign::runCampaign(jobs, options);
+    EXPECT_EQ(builds.load(), 0) << "the journaled job was re-run";
+    ASSERT_EQ(progress.size(), 1u);
+    EXPECT_NE(progress[0].find("ok (journal)"), std::string::npos)
+        << progress[0];
+    EXPECT_EQ(readFile(path), record + "\n");
+    EXPECT_EQ(resumed.toJson(),
+              campaign::runCampaign(campaign::parseMatrix(spec)).toJson());
     std::remove(path.c_str());
 }
 
@@ -523,7 +626,7 @@ TEST(CampaignJournal, KilledCampaignResumesByteIdentical)
             campaign::runCampaign(jobs, options);
         EXPECT_EQ(fresh.toJson(), resumed.toJson())
             << "resume with " << workers << " workers diverged";
-        EXPECT_EQ(fresh.toCsv(), resumed.toCsv());
+
         std::remove(partial.c_str());
     }
     std::remove(full.c_str());
@@ -579,7 +682,6 @@ TEST(CampaignJournal, AdaptiveTopologyJobsResumeByteIdentical)
     options.journalPath = partial;
     const campaign::Report resumed = campaign::runCampaign(jobs, options);
     EXPECT_EQ(fresh.toJson(), resumed.toJson());
-    EXPECT_EQ(fresh.toCsv(), resumed.toCsv());
     std::remove(partial.c_str());
     std::remove(full.c_str());
 }
@@ -1056,7 +1158,6 @@ TEST(CampaignSharing, JournalCutBeforeTheMembersResumesByteIdentical)
                 campaign::runCampaign(jobs, options);
             EXPECT_EQ(resumed.toJson(), fresh.toJson())
                 << "kept " << kept << ", " << workers << " workers";
-            EXPECT_EQ(resumed.toCsv(), fresh.toCsv());
             // Nothing re-ran the journaled group: the other job of it
             // is a copy, with no host time.
             EXPECT_EQ(resumed.jobs[1 - kept].result.hostSeconds, 0.0);
@@ -1100,8 +1201,6 @@ TEST(CampaignSharing, SlotHalvesMergeToTheWhole)
     replay.journalPath = merged;
     const campaign::Report report = campaign::runCampaign(all, replay);
     EXPECT_EQ(report.toJson(), referenceJson(kSharedSpec));
-    EXPECT_EQ(report.toCsv(),
-              campaign::runCampaign(all).toCsv());
 }
 
 TEST(JournalFuzz, MutatedRecordsDecodeOrReturnFalse)

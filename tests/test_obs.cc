@@ -2,7 +2,8 @@
  * @file
  * Observability subsystem tests: sink filtering and delivery, writer
  * failure modes, writer bytes against a printf reference of the
- * format, and — against a real 100k-instruction gzip/FDRT run —
+ * format, every field of the retired text trace read back from the
+ * Chrome events, and — against a real 100k-instruction gzip/FDRT run —
  * well-formedness of the Chrome trace_event JSON, presence of every
  * event kind, per-instruction stage ordering, per-kind cycle
  * monotonicity, interval-CSV row count (exactly ceil(cycles / N)),
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "campaign/campaign.hh"
+#include "common/json.hh"
 #include "common/random.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
@@ -250,7 +252,6 @@ constexpr std::uint64_t kInterval = 1'000;
 struct TraceRun
 {
     std::string jsonPath;
-    std::string textPath;
     std::string csvPath;
     SimResult result;
 };
@@ -265,11 +266,9 @@ tracedRun()
         // several of them rebuild this run concurrently: the temporary
         // directory is per-process, so they never share a file.
         r.jsonPath = test::tmpPath("obs_run.trace.json");
-        r.textPath = test::tmpPath("obs_run.trace.txt");
         r.csvPath = test::tmpPath("obs_run.intervals.csv");
         SimConfig cfg = tracedConfig();
         cfg.obs.traceEventsPath = r.jsonPath;
-        cfg.obs.traceTextPath = r.textPath;
         cfg.obs.intervalPath = r.csvPath;
         cfg.obs.intervalCycles = kInterval;
         const Program program = workloads::build("gzip");
@@ -280,31 +279,85 @@ tracedRun()
     return run;
 }
 
-/** One parsed line of ObsTextWriter output. */
-struct TextEvent
+/** @p value's number text as an unsigned 64-bit integer. */
+std::uint64_t
+u64(const json::Value &value)
 {
-    std::uint64_t cycle = 0;
-    std::string kind;
-    std::uint64_t seq = invalidSeqNum;
-};
+    return std::stoull(std::string(value.text()));
+}
 
-std::vector<TextEvent>
-parseTextTrace(const std::string &path)
+/** @p value's number text as a signed 64-bit integer. */
+std::int64_t
+i64(const json::Value &value)
 {
-    std::vector<TextEvent> events;
+    return std::stoll(std::string(value.text()));
+}
+
+/**
+ * One line of a Chrome trace, decoded back into the event the writer
+ * was given: a field the writer leaves out is the event's default.
+ * Execute slices start at their emission cycle, so "ts" is both.
+ */
+ObsEvent
+decodeChromeEvent(const std::string &line)
+{
+    const std::string object =
+        !line.empty() && line.back() == ',' ? line.substr(0, line.size() - 1)
+                                            : line;
+    const json::Document doc = json::parse(object);
+    ObsEvent ev;
+    const std::string cat = doc.str("cat");
+    bool known = false;
+    for (unsigned k = 0; k < numObsKinds; ++k) {
+        if (cat == obsKindName(static_cast<ObsKind>(k))) {
+            ev.kind = static_cast<ObsKind>(k);
+            known = true;
+        }
+    }
+    EXPECT_TRUE(known) << line;
+    ev.cycle = u64(*doc.find("ts"));
+    const json::Value args = *doc.find("args");
+    if (const auto v = args.find("seq"))
+        ev.seq = u64(*v);
+    if (const auto v = args.find("pc"))
+        ev.pc = u64(*v);
+    if (const auto v = args.find("cluster"))
+        ev.cluster = static_cast<ClusterId>(i64(*v));
+    if (const auto v = args.find("option"))
+        ev.opt = v->text().at(0);
+    if (const auto v = args.find("arg0"))
+        ev.arg0 = i64(*v);
+    if (const auto v = args.find("arg1"))
+        ev.arg1 = i64(*v);
+    // Labels point at static storage: keep the decoded ones alive.
+    static std::set<std::string> labels;
+    if (ev.kind == ObsKind::Execute) {
+        ev.begin = ev.cycle;
+        ev.dur = u64(*doc.find("dur"));
+        ev.label = *labels.insert(doc.str("name")).first;
+    } else if (const auto v = args.find("op")) {
+        ev.label = *labels.insert(std::string(v->text())).first;
+    }
+    if (ev.kind == ObsKind::Mem) {
+        const auto lat = args.find("lat");
+        EXPECT_TRUE(lat) << line;
+        ev.dur = lat ? u64(*lat) : 0;
+    }
+    return ev;
+}
+
+/** Every event of the Chrome trace at @p path (track metadata has no
+ *  "cat" and is left out). */
+std::vector<ObsEvent>
+readChromeTrace(const std::string &path)
+{
+    std::vector<ObsEvent> events;
     std::ifstream in(path);
     EXPECT_TRUE(in.good()) << "cannot read " << path;
     std::string line;
-    while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        TextEvent ev;
-        fields >> ev.cycle >> ev.kind;
-        std::string tok;
-        while (fields >> tok)
-            if (tok.rfind("seq=", 0) == 0)
-                ev.seq = std::stoull(tok.substr(4));
-        events.push_back(ev);
-    }
+    while (std::getline(in, line))
+        if (line.find("\"cat\":") != std::string::npos)
+            events.push_back(decodeChromeEvent(line));
     return events;
 }
 
@@ -321,7 +374,8 @@ TEST(ObsSink, ParseFilterAcceptsAllAndEmpty)
 TEST(ObsSink, ParseFilterSelectsNamedKinds)
 {
     const std::uint32_t mask = ObsSink::parseFilter("fetch,retire,tc-hit");
-    ObsSink sink;
+    std::vector<ObsEvent> seen;
+    ObsSink sink(std::make_unique<CaptureWriter>(seen));
     sink.setFilter(mask);
     EXPECT_TRUE(sink.enabled(ObsKind::Fetch));
     EXPECT_TRUE(sink.enabled(ObsKind::Retire));
@@ -367,8 +421,8 @@ TEST(ObsSink, EveryKindNameRoundTrips)
 TEST(ObsSink, RecordRespectsFilterAndCountsPerKind)
 {
     std::vector<ObsEvent> seen;
-    ObsSink sink;
-    sink.addWriter(std::make_unique<CaptureWriter>(seen));
+    int ends = 0;
+    ObsSink sink(std::make_unique<CaptureWriter>(seen, &ends));
     sink.setFilter(ObsSink::parseFilter("fetch,retire"));
 
     ObsEvent fetch;
@@ -381,7 +435,11 @@ TEST(ObsSink, RecordRespectsFilterAndCountsPerKind)
     sink.record(issue);    // filtered out
     sink.record(retire);
     sink.record(fetch);
+    // Nothing is staged: the writer holds each event on return.
+    EXPECT_EQ(seen.size(), 3u);
+    EXPECT_EQ(ends, 0);
     sink.finish();
+    EXPECT_EQ(ends, 1);
 
     EXPECT_EQ(sink.recorded(), 3u);
     EXPECT_EQ(sink.recorded(ObsKind::Fetch), 2u);
@@ -393,36 +451,11 @@ TEST(ObsSink, RecordRespectsFilterAndCountsPerKind)
     EXPECT_EQ(seen[2].kind, ObsKind::Fetch);
 }
 
-TEST(ObsSink, RecordReachesEveryWriterBeforeFinish)
-{
-    std::vector<ObsEvent> first;
-    std::vector<ObsEvent> second;
-    int ends = 0;
-    ObsSink sink;
-    sink.addWriter(std::make_unique<CaptureWriter>(first, &ends));
-    sink.addWriter(std::make_unique<CaptureWriter>(second, &ends));
-    ObsEvent ev;
-    ev.kind = ObsKind::Fetch;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        ev.cycle = i;
-        sink.record(ev);
-        // Nothing is staged: both writers hold the event on return.
-        ASSERT_EQ(first.size(), i + 1);
-        ASSERT_EQ(second.size(), i + 1);
-        EXPECT_EQ(first.back().cycle, i);
-        EXPECT_EQ(second.back().cycle, i);
-    }
-    EXPECT_EQ(ends, 0);
-    sink.finish();
-    EXPECT_EQ(ends, 2);
-}
-
 TEST(ObsSink, FinishIsIdempotent)
 {
     std::vector<ObsEvent> seen;
     int ends = 0;
-    ObsSink sink;
-    sink.addWriter(std::make_unique<CaptureWriter>(seen, &ends));
+    ObsSink sink(std::make_unique<CaptureWriter>(seen, &ends));
     ObsEvent ev;
     ev.kind = ObsKind::Retire;
     sink.record(ev);
@@ -436,11 +469,10 @@ TEST(ObsWriters, UnwritablePathThrows)
 {
     const std::string bad = "/no-such-dir-ctcp/obs.out";
     EXPECT_THROW(ChromeTraceWriter writer(bad), std::runtime_error);
-    EXPECT_THROW(ObsTextWriter writer(bad), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
-// Writer bytes: the trace formats are a contract, so both writers are
+// Writer bytes: the trace format is a contract, so the writer is
 // checked byte for byte against a printf rendering of the format.
 // ---------------------------------------------------------------------
 
@@ -548,6 +580,10 @@ chromeReference(const std::vector<ObsEvent> &events)
             appendf(out, "%s\"arg1\":%" PRId64, sep, ev.arg1);
             sep = ",";
         }
+        if (ev.kind == ObsKind::Mem) {
+            appendf(out, "%s\"lat\":%" PRIu64, sep, ev.dur);
+            sep = ",";
+        }
         if (!ev.label.empty() && ev.kind != ObsKind::Execute)
             appendf(out, "%s\"op\":\"%.*s\"", sep,
                     static_cast<int>(ev.label.size()), ev.label.data());
@@ -557,6 +593,11 @@ chromeReference(const std::vector<ObsEvent> &events)
     return out;
 }
 
+/**
+ * The one-line-per-event text trace earlier builds wrote beside the
+ * Chrome file: every field it printed must stay readable from the
+ * Chrome events.
+ */
 std::string
 textReference(const std::vector<ObsEvent> &events)
 {
@@ -677,27 +718,23 @@ randomEvents(std::uint64_t seed, std::size_t count)
     return events;
 }
 
-/** Both writers' files for @p events, recorded through one sink. */
-std::pair<std::string, std::string>
-writeBoth(const std::vector<ObsEvent> &events)
+/** The Chrome trace of @p events, recorded through a sink. */
+std::string
+writeChrome(const std::vector<ObsEvent> &events)
 {
     const std::string json = test::tmpPath("writer_bytes.trace.json");
-    const std::string text = test::tmpPath("writer_bytes.trace.txt");
     {
-        ObsSink sink;
-        sink.addWriter(std::make_unique<ChromeTraceWriter>(json));
-        sink.addWriter(std::make_unique<ObsTextWriter>(text));
+        ObsSink sink(std::make_unique<ChromeTraceWriter>(json));
         for (const ObsEvent &ev : events)
             sink.record(ev);
     }
     EXPECT_FALSE(std::filesystem::exists(json + ".tmp"));
-    EXPECT_FALSE(std::filesystem::exists(text + ".tmp"));
-    return {readFile(json), readFile(text)};
+    return readFile(json);
 }
 
 TEST(ObsWriters, BytesMatchPrintfReference)
 {
-    // Enough events that both writers drain their buffers many times.
+    // Enough events that the writer drains its buffer many times.
     const std::vector<ObsEvent> events = randomEvents(16, 30'000);
     std::set<int> tids;
     std::set<ObsKind> kinds;
@@ -711,15 +748,36 @@ TEST(ObsWriters, BytesMatchPrintfReference)
     ASSERT_EQ(tids.size(), 11u); // 0-2 and clusters 0-7
     ASSERT_TRUE(zeroDurExecute);
 
-    const auto [json, text] = writeBoth(events);
+    const std::string json = writeChrome(events);
     EXPECT_GT(json.size(), 10 * TraceBuffer::capacity);
     EXPECT_EQ(firstDifference(json, chromeReference(events)), "");
-    EXPECT_EQ(firstDifference(text, textReference(events)), "");
 
     // A trace without events is just the header and trailer.
-    const auto [emptyJson, emptyText] = writeBoth({});
-    EXPECT_EQ(emptyJson, chromeReference({}));
-    EXPECT_EQ(emptyText, "");
+    EXPECT_EQ(writeChrome({}), chromeReference({}));
+}
+
+TEST(ObsWriters, ChromeEventsCarryEveryTextTraceField)
+{
+    // Seeded events as the simulator emits them: an execute slice
+    // starts at its emission cycle and lasts at least one cycle.
+    std::vector<ObsEvent> events = randomEvents(17, 5'000);
+    for (ObsEvent &ev : events) {
+        if (ev.kind == ObsKind::Execute) {
+            ev.begin = ev.cycle;
+            ev.dur = ev.dur ? ev.dur : 1;
+        }
+    }
+    writeChrome(events);
+    const std::vector<ObsEvent> decoded =
+        readChromeTrace(test::tmpPath("writer_bytes.trace.json"));
+    ASSERT_EQ(decoded.size(), events.size());
+    std::size_t mem = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(textReference({decoded[i]}), textReference({events[i]}))
+            << "event " << i;
+        mem += events[i].kind == ObsKind::Mem;
+    }
+    EXPECT_GT(mem, 300u);
 }
 
 // ---------------------------------------------------------------------
@@ -760,13 +818,14 @@ TEST(ObsTrace, PipelineStagesOrderedPerInstruction)
 {
     // Every instruction must move through the pipeline in order:
     // fetch <= rename <= issue <= execute <= complete <= retire.
-    const std::vector<TextEvent> events =
-        parseTextTrace(tracedRun().textPath);
+    const std::vector<ObsEvent> events =
+        readChromeTrace(tracedRun().jsonPath);
     ASSERT_FALSE(events.empty());
-    const std::vector<std::string> order = {
-        "fetch", "rename", "issue", "execute", "complete", "retire"};
-    std::map<std::uint64_t, std::map<std::string, std::uint64_t>> first;
-    for (const TextEvent &ev : events)
+    const std::vector<ObsKind> order = {
+        ObsKind::Fetch, ObsKind::Rename, ObsKind::Issue,
+        ObsKind::Execute, ObsKind::Complete, ObsKind::Retire};
+    std::map<std::uint64_t, std::map<ObsKind, std::uint64_t>> first;
+    for (const ObsEvent &ev : events)
         if (ev.seq != invalidSeqNum && !first[ev.seq].count(ev.kind))
             first[ev.seq][ev.kind] = ev.cycle;
 
@@ -778,8 +837,9 @@ TEST(ObsTrace, PipelineStagesOrderedPerInstruction)
             if (a == stages.end() || b == stages.end())
                 continue;
             ASSERT_LE(a->second, b->second)
-                << "seq " << seq << ": " << order[i] << "@" << a->second
-                << " after " << order[i + 1] << "@" << b->second;
+                << "seq " << seq << ": " << obsKindName(order[i]) << "@"
+                << a->second << " after " << obsKindName(order[i + 1])
+                << "@" << b->second;
             ++checked;
         }
     }
@@ -794,16 +854,16 @@ TEST(ObsTrace, CyclesMonotonePerKind)
     // is stamped with the current cycle at emission, so each kind's
     // cycle sequence must be non-decreasing. ("mem" is stamped with
     // the load's service cycle, which can complete out of order.)
-    const std::vector<TextEvent> events =
-        parseTextTrace(tracedRun().textPath);
+    const std::vector<ObsEvent> events =
+        readChromeTrace(tracedRun().jsonPath);
     ASSERT_FALSE(events.empty());
-    std::map<std::string, std::uint64_t> last;
-    for (const TextEvent &ev : events) {
-        if (ev.kind == "mem")
+    std::map<ObsKind, std::uint64_t> last;
+    for (const ObsEvent &ev : events) {
+        if (ev.kind == ObsKind::Mem)
             continue;
         const auto it = last.find(ev.kind);
         if (it != last.end()) {
-            ASSERT_GE(ev.cycle, it->second) << ev.kind;
+            ASSERT_GE(ev.cycle, it->second) << obsKindName(ev.kind);
         }
         last[ev.kind] = ev.cycle;
     }
@@ -864,7 +924,6 @@ TEST(ObsTrace, RerunIsByteIdentical)
     const TraceRun &run = tracedRun();
     SimConfig cfg = tracedConfig();
     cfg.obs.traceEventsPath = test::tmpPath("obs_rerun.trace.json");
-    cfg.obs.traceTextPath = test::tmpPath("obs_rerun.trace.txt");
     cfg.obs.intervalPath = test::tmpPath("obs_rerun.intervals.csv");
     cfg.obs.intervalCycles = kInterval;
     const Program program = workloads::build("gzip");
@@ -873,13 +932,11 @@ TEST(ObsTrace, RerunIsByteIdentical)
 
     EXPECT_EQ(result.cycles, run.result.cycles);
     EXPECT_EQ(readFile(cfg.obs.traceEventsPath), readFile(run.jsonPath));
-    EXPECT_EQ(readFile(cfg.obs.traceTextPath), readFile(run.textPath));
     EXPECT_EQ(readFile(cfg.obs.intervalPath), readFile(run.csvPath));
     // The rerun's files are as large as the shared run's; free them now
     // rather than at process exit.
-    for (const std::string *path : {&cfg.obs.traceEventsPath,
-                                     &cfg.obs.traceTextPath,
-                                     &cfg.obs.intervalPath})
+    for (const std::string *path :
+         {&cfg.obs.traceEventsPath, &cfg.obs.intervalPath})
         std::filesystem::remove(*path);
 }
 

@@ -4,10 +4,10 @@
  *
  * In-process: report JSON decoding (campaign and single-run),
  * interval CSV decoding, HTML self-containment and determinism, and
- * the comparator's tolerance/structural semantics. End-to-end: the
- * ctcpsim --report flow plus the ctcp_report / ctcp_compare binaries'
- * exit-code contract (0 match, 1 drift with a delta table, 2 usage),
- * which CI gates on.
+ * the comparator's tolerance/structural semantics. End-to-end: ctcpsim
+ * reports rendered by ctcp_report, plus the ctcp_report / ctcp_compare
+ * binaries' exit-code contract (0 match, 1 drift with a delta table,
+ * 2 usage), which CI gates on.
  */
 
 #include <gtest/gtest.h>
@@ -360,21 +360,27 @@ TEST(ReportTools, CtcpsimReportFlowAndCompareGate)
                      "ctcp_rt_nonexistent.json"),
               1);
 
-    // Single-run --report writes HTML directly from ctcpsim.
+    // A single run's --json --accounting output and its interval CSV
+    // render the same way.
+    const std::string run_json = dir + "ctcp_rt_run.json";
     const std::string run_html = dir + "ctcp_rt_run.html";
     const std::string intervals = dir + "ctcp_rt_run.csv";
-    ASSERT_EQ(runCmd(std::string(CTCP_CTCPSIM_PATH) +
-                     " --bench gzip --instructions 20000"
-                     " --interval-stats " + intervals +
-                     " --interval 1000 --report " + run_html),
+    ASSERT_EQ(runCmd("(" + std::string(CTCP_CTCPSIM_PATH) +
+                     " --bench gzip --instructions 20000 --accounting"
+                     " --json --interval-stats " + intervals +
+                     " --interval 1000 >" + run_json + ")"),
+              0);
+    ASSERT_EQ(runCmd(std::string(CTCP_REPORT_PATH) + " " + run_json +
+                     " --intervals " + intervals + " -o " + run_html),
               0);
     const std::string run_page = slurp(run_html);
     EXPECT_NE(run_page.find("gzip/base"), std::string::npos);
+    EXPECT_NE(run_page.find("class=\"heat\""), std::string::npos);
     EXPECT_NE(run_page.find("<polyline"), std::string::npos);
     EXPECT_EQ(run_page.find("<script"), std::string::npos);
 
     for (const std::string &p :
-         {json_a, json_b, html, run_html, intervals})
+         {json_a, json_b, html, run_json, run_html, intervals})
         std::remove(p.c_str());
 }
 

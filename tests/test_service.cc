@@ -775,15 +775,20 @@ TEST_F(ServerRouting, SubmitRunReportLifecycle)
 
     // The report is a conflict until the run finishes...
     waitDone(id);
-    // ...and afterwards both formats serve.
+    // ...and afterwards it serves, as JSON only.
     const service::HttpResponse json =
         get("/v1/runs/" + id + "/report?format=json");
     EXPECT_EQ(json.status, 200);
+    EXPECT_EQ(json.contentType, "application/json");
     EXPECT_NE(json.body.find("\"campaign\""), std::string::npos);
-    const service::HttpResponse csv =
-        get("/v1/runs/" + id + "/report?format=csv");
-    EXPECT_EQ(csv.status, 200);
-    EXPECT_EQ(csv.contentType, "text/csv");
+    EXPECT_EQ(get("/v1/runs/" + id + "/report").body, json.body);
+    for (const char *format : {"csv", "xml", ""}) {
+        const service::HttpResponse other = get(
+            "/v1/runs/" + id + "/report?format=" + std::string(format));
+        EXPECT_EQ(other.status, 400) << format;
+        EXPECT_NE(other.body.find("unknown format"), std::string::npos)
+            << other.body;
+    }
 
     // Status snapshot and the run listing both know the run.
     const service::HttpResponse status = get("/v1/runs/" + id);

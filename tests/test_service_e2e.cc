@@ -60,7 +60,7 @@ TEST(ServiceE2E, StreamedRunMatchesBatchByteForByte)
     ASSERT_FALSE(id.empty());
 
     // Follow the event stream to completion: one journal record per
-    // job, each a complete JSON line.
+    // job, each a complete JSON line without the stats text.
     const CommandResult events =
         daemon.ctl("events " + id + " --follow");
     EXPECT_EQ(events.status, 0);
@@ -70,6 +70,7 @@ TEST(ServiceE2E, StreamedRunMatchesBatchByteForByte)
         ++lines;
         EXPECT_EQ(line.front(), '{') << line;
         EXPECT_EQ(line.back(), '}') << line;
+        EXPECT_EQ(line.find("statsText"), std::string::npos) << line;
     }
     EXPECT_EQ(lines, 4);
 
@@ -83,6 +84,21 @@ TEST(ServiceE2E, StreamedRunMatchesBatchByteForByte)
     const std::string html = daemon.dir() + "/live.html";
     EXPECT_EQ(daemon.ctl("html " + id + " --out " + html).status, 0);
     EXPECT_NE(slurp(html).find("<!DOCTYPE html>"), std::string::npos);
+
+    // Commands reject a flag they do not read, a flag without its
+    // value, a second id or a missing one, before any request is made.
+    const std::string unused = daemon.dir() + "/unused.out";
+    for (const std::string &args :
+         {"report " + id + " --csv", "report " + id + " --out",
+          "status " + id + " --follow", "events " + id + " --out " + unused,
+          "cancel " + id + " --timeout 5", "wait " + id + " --follow",
+          "html " + id + " --host-timing --out " + unused,
+          "report " + id + " " + id, std::string("status"),
+          std::string("list --csv")}) {
+        const CommandResult rejected = daemon.ctl(args);
+        EXPECT_EQ(rejected.status, 2) << args << ": " << rejected.output;
+    }
+    EXPECT_FALSE(std::filesystem::exists(unused));
 }
 
 TEST(ServiceE2E, KilledDaemonResumesFromJournalByteForByte)

@@ -155,8 +155,8 @@ TEST(ShardE2E, CtcpsimHalvesMergeByteForByte)
 TEST(ShardE2E, AccountedHalvesMergeWithTheirAccounting)
 {
     // Halves run with --accounting journal each job's accounting
-    // block; the merged JSON and CSV reports carry it, as the unsliced
-    // `ctcpsim --campaign --accounting` reports do.
+    // block; the merged report carries it, as the unsliced `ctcpsim
+    // --campaign --accounting` report does.
     const std::string dir = daemonDir("accounted_halves");
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -168,7 +168,6 @@ TEST(ShardE2E, AccountedHalvesMergeWithTheirAccounting)
                   0);
     };
     ctcpsim(kMatrix, "--accounting --out " + dir + "/batch.json");
-    ctcpsim(kMatrix, "--accounting --out " + dir + "/batch.csv");
     const std::string batch_json = slurp(dir + "/batch.json");
     ASSERT_NE(batch_json.find("\"accounting\""), std::string::npos);
 
@@ -182,9 +181,8 @@ TEST(ShardE2E, AccountedHalvesMergeWithTheirAccounting)
     const CommandResult json = merge(dir, kMatrix, journals);
     EXPECT_EQ(json.status, 0);
     EXPECT_EQ(json.output, batch_json);
-    const CommandResult csv = merge(dir, kMatrix, journals, "--csv");
-    EXPECT_EQ(csv.status, 0);
-    EXPECT_EQ(csv.output, slurp(dir + "/batch.csv"));
+    // The report is JSON only: the retired CSV switch is a usage error.
+    EXPECT_EQ(merge(dir, kMatrix, journals, "--csv").status, 2);
 
     // The slot a lost host never finished runs here with accounting.
     const std::string first = slurp(journals[1]);

@@ -9,7 +9,6 @@
 
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
 #include "common/sim_error.hh"
@@ -195,7 +194,8 @@ TEST(Simulator, StatsAreInternallyConsistent)
     Program p = loopProgram(20000);
     SimConfig cfg = quickConfig();
     cfg.assign.strategy = AssignStrategy::Fdrt;
-    SimResult r = CtcpSimulator(cfg, p).run();
+    CtcpSimulator sim(cfg, p);
+    SimResult r = sim.run();
 
     EXPECT_GE(r.pctFromTraceCache, 0.0);
     EXPECT_LE(r.pctFromTraceCache, 100.0);
@@ -206,7 +206,7 @@ TEST(Simulator, StatsAreInternallyConsistent)
     EXPECT_NEAR(options, 100.0, 0.1);
     EXPECT_GE(r.meanFwdDistance, 0.0);
     EXPECT_LE(r.meanFwdDistance, 3.0);
-    EXPECT_FALSE(r.statsText.empty());
+    EXPECT_FALSE(sim.statsText().empty());
 }
 
 TEST(Simulator, TraceCacheDominatesSteadyStateFetch)
@@ -257,18 +257,34 @@ TEST(Simulator, AllStrategiesRetireIdenticalStreams)
     EXPECT_EQ(insts[0], insts[3]);
 }
 
+/** A finished run's result and its full stats text. */
+struct Run
+{
+    SimResult result;
+    std::string statsText;
+};
+
+Run
+runToEnd(const SimConfig &cfg, const Program &p)
+{
+    CtcpSimulator sim(cfg, p);
+    Run run{sim.run(), ""};
+    run.statsText = sim.statsText();
+    return run;
+}
+
 /**
  * Run the same (config, program) with memoized dispatch plans on and
- * off and return both results. The plan cache is a pure performance
+ * off and return both runs. The plan cache is a pure performance
  * memo — every observable stat must be byte-identical either way.
  */
-std::pair<SimResult, SimResult>
+std::pair<Run, Run>
 runPlansOnOff(SimConfig cfg, const Program &p)
 {
     cfg.debug.disableDispatchPlans = false;
-    SimResult with_plans = CtcpSimulator(cfg, p).run();
+    Run with_plans = runToEnd(cfg, p);
     cfg.debug.disableDispatchPlans = true;
-    SimResult without_plans = CtcpSimulator(cfg, p).run();
+    Run without_plans = runToEnd(cfg, p);
     return {std::move(with_plans), std::move(without_plans)};
 }
 
@@ -283,10 +299,10 @@ TEST(Simulator, DispatchPlanCacheInvisibleAllStrategies)
           AssignStrategy::Adaptive}) {
         cfg.assign.strategy = s;
         const auto [planned, replanned] = runPlansOnOff(cfg, p);
-        EXPECT_EQ(planned.toJson(), replanned.toJson())
-            << "strategy " << planned.strategy;
+        EXPECT_EQ(planned.result.toJson(), replanned.result.toJson())
+            << "strategy " << planned.result.strategy;
         EXPECT_EQ(planned.statsText, replanned.statsText)
-            << "strategy " << planned.strategy;
+            << "strategy " << planned.result.strategy;
     }
 }
 
@@ -339,7 +355,7 @@ TEST(Simulator, DispatchPlanCacheSurvivesTraceCacheEviction)
         nullptr);
     EXPECT_GT(evicts, 0.0)
         << "config failed to provoke trace-cache eviction";
-    EXPECT_EQ(planned.toJson(), replanned.toJson());
+    EXPECT_EQ(planned.result.toJson(), replanned.result.toJson());
     EXPECT_EQ(planned.statsText, replanned.statsText);
 }
 
@@ -356,11 +372,12 @@ TEST(Simulator, DispatchPlanCacheInvisibleAcrossAdaptiveSwitches)
     cfg.assign.adaptiveInterval = 1000;
     cfg.assign.adaptiveHysteresis = 1;
     const auto [planned, replanned] = runPlansOnOff(cfg, p);
-    const auto intervals = planned.metrics.find("adaptive.intervals");
-    ASSERT_NE(intervals, planned.metrics.end());
+    const auto intervals =
+        planned.result.metrics.find("adaptive.intervals");
+    ASSERT_NE(intervals, planned.result.metrics.end());
     EXPECT_GT(intervals->second, 1.0)
         << "run too short to exercise the adaptive chooser";
-    EXPECT_EQ(planned.toJson(), replanned.toJson());
+    EXPECT_EQ(planned.result.toJson(), replanned.result.toJson());
     EXPECT_EQ(planned.statsText, replanned.statsText);
 }
 
@@ -384,26 +401,29 @@ TEST(Simulator, JsonOutputWellFormedAndComplete)
 
 TEST(Simulator, PipelineTraceRecordsStages)
 {
-    // The obs text writer is the pipeline trace: one "<cycle> <kind>
-    // ..." line per event, with trace-cache fetches marked from=tc.
+    // The Chrome trace is the pipeline trace: one event per line, with
+    // trace-cache fetches marked by a nonzero arg0.
     Program p = loopProgram(500);
     SimConfig cfg = quickConfig();
-    cfg.obs.traceTextPath = test::tmpPath("pipeline_trace.txt");
+    cfg.obs.traceEventsPath = test::tmpPath("pipeline_trace.json");
     CtcpSimulator(cfg, p).run();
 
-    std::ifstream in(cfg.obs.traceTextPath);
+    std::ifstream in(cfg.obs.traceEventsPath);
     ASSERT_TRUE(in);
     std::set<std::string> kinds;
     std::size_t tc_fetches = 0, ic_fetches = 0;
     std::string line;
     while (std::getline(in, line)) {
-        std::istringstream fields(line);
-        std::string cycle, kind;
-        fields >> cycle >> kind;
+        const std::size_t at = line.find("\"cat\":\"");
+        if (at == std::string::npos)
+            continue;
+        const std::size_t from = at + 7;
+        const std::string kind =
+            line.substr(from, line.find('"', from) - from);
         kinds.insert(kind);
         if (kind == "fetch")
-            ++(line.find(" from=tc") != std::string::npos ? tc_fetches
-                                                          : ic_fetches);
+            ++(line.find("\"arg0\":1") != std::string::npos ? tc_fetches
+                                                             : ic_fetches);
     }
     EXPECT_GT(ic_fetches, 0u);   // cold start: the I-cache delivers
     EXPECT_GT(tc_fetches, 0u);   // steady state: the trace cache does

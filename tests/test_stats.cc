@@ -45,7 +45,7 @@ fixed(double value, int precision)
 
 TEST(AppendFixed, MatchesPrintfOnSeededAndEdgeValues)
 {
-    // No golden pins statsText, so this is the fence for its bytes.
+    // No golden pins the stats text, so this is the fence for its bytes.
     std::vector<double> values = {
         0.0, -0.0, 1.0, -1.0, 0.5, 99.99995, 1e300, -1e300, 1e-300,
         std::numeric_limits<double>::max(),
@@ -210,20 +210,6 @@ TEST(IntervalRecorder, TrailingSampleNeverDoubleCounts)
     EXPECT_EQ(rec.rows(), 2u);
     rec.sample(23);   // genuine trailing partial interval
     EXPECT_EQ(rec.rows(), 3u);
-}
-
-TEST(IntervalRecorder, JsonShape)
-{
-    double v = 0.0;
-    IntervalRecorder rec(50);
-    rec.addGauge("v", [&] { return v; });
-    v = 4;
-    rec.sample(50);
-    const std::string json = rec.toJson();
-    EXPECT_NE(json.find("\"interval\": 50"), std::string::npos);
-    EXPECT_NE(json.find("\"columns\": [\"cycle\", \"v\"]"),
-              std::string::npos);
-    EXPECT_NE(json.find("[50, 4.000000]"), std::string::npos);
 }
 
 TEST(IntervalRecorder, WriteFileRejectsUnwritablePath)

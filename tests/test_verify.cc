@@ -101,11 +101,11 @@ TEST(InvariantChecker, CleanRunMatchesUncheckedRun)
         SimConfig on = checkedConfig(40'000, 1);
         off.assign.strategy = s;
         on.assign.strategy = s;
-        const SimResult unchecked = CtcpSimulator(off, prog).run();
-        const SimResult checked = CtcpSimulator(on, prog).run();
-        EXPECT_EQ(unchecked.statsText, checked.statsText)
+        CtcpSimulator unchecked(off, prog);
+        CtcpSimulator checked(on, prog);
+        EXPECT_EQ(unchecked.run().cycles, checked.run().cycles);
+        EXPECT_EQ(unchecked.statsText(), checked.statsText())
             << "strategy " << assignStrategyName(s);
-        EXPECT_EQ(unchecked.cycles, checked.cycles);
     }
 }
 
@@ -205,13 +205,13 @@ TEST(InvariantChecker, RejectsDuplicatePhysicalSlotDirectly)
 
 TEST(Watchdog, StalledRetirementAbortsWithHang)
 {
-    const std::string trace = test::tmpPath("watchdog_trace.txt");
+    const std::string trace = test::tmpPath("watchdog_trace.json");
     std::remove(trace.c_str());
 
     Program prog = workloads::build("gzip");
     SimConfig cfg = checkedConfig(1'000'000, 0);
     cfg.watchdogCycles = 3'000;
-    cfg.obs.traceTextPath = trace;
+    cfg.obs.traceEventsPath = trace;
     cfg.obs.traceFilter = "snapshot";
     {
         CtcpSimulator sim(cfg, prog);
@@ -227,8 +227,8 @@ TEST(Watchdog, StalledRetirementAbortsWithHang)
     }
     // The abort dumped a pipeline-state snapshot through the obs sink.
     const std::string dumped = readFile(trace);
-    EXPECT_NE(dumped.find("snapshot"), std::string::npos);
-    EXPECT_NE(dumped.find("rob"), std::string::npos);
+    EXPECT_NE(dumped.find("\"cat\":\"snapshot\""), std::string::npos);
+    EXPECT_NE(dumped.find("\"op\":\"rob\""), std::string::npos);
     std::remove(trace.c_str());
 }
 

@@ -54,8 +54,7 @@ usage(const char *prog)
         "options:\n"
         "  --campaign SPEC   campaign matrix spec (required)\n"
         "  --merged FILE     merged journal output path (required)\n"
-        "  --out FILE        report destination (default stdout)\n"
-        "  --csv             CSV report instead of JSON\n"
+        "  --out FILE        report JSON destination (default stdout)\n"
         "  --run-missing     execute slots no journal covers locally\n"
         "                    instead of reporting them missing\n"
         "  --jobs N          worker threads for --run-missing; accepts\n"
@@ -79,7 +78,7 @@ int
 main(int argc, char **argv)
 {
     std::string spec, merged_path, out_path = "-";
-    bool csv = false, run_missing = false;
+    bool run_missing = false;
     unsigned jobs = 0;
     std::vector<std::string> inputs;
     for (int i = 1; i < argc; ++i) {
@@ -93,8 +92,6 @@ main(int argc, char **argv)
             merged_path = argv[++i];
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--csv") {
-            csv = true;
         } else if (arg == "--run-missing") {
             run_missing = true;
         } else if (arg == "--jobs" && i + 1 < argc) {
@@ -154,9 +151,7 @@ main(int argc, char **argv)
         const ctcp::campaign::Report report =
             ctcp::campaign::runCampaign(all, options);
 
-        const std::string body = csv
-            ? report.toCsv(options.accounting)
-            : report.toJson(false, options.accounting);
+        const std::string body = report.toJson(false, options.accounting);
         if (out_path.empty() || out_path == "-") {
             std::fwrite(body.data(), 1, body.size(), stdout);
         } else {

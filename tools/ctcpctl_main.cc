@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -56,11 +57,12 @@ usage(const char *prog)
         "                             run finishes\n"
         "  cancel ID                  request cancellation\n"
         "  wait ID [--timeout S]      block until the run finishes\n"
-        "  report ID [--csv]          final aggregated report\n"
-        "         [--host-timing]     (byte-identical to the batch\n"
-        "         [--out FILE]        path); 1 while not finished\n"
+        "  report ID [--host-timing]  final aggregated report JSON\n"
+        "         [--out FILE]        (byte-identical to the batch\n"
+        "                             path); 1 while not finished\n"
         "  html ID --out FILE         live HTML report snapshot\n"
         "\n"
+        "A flag the command does not read is an error (exit 2).\n"
         "--version prints the version and exits.\n"
         "exit status: 0 ok, 1 daemon-side failure, 2 usage/transport\n",
         prog);
@@ -145,6 +147,59 @@ parseSeconds(const std::string &text, const std::string &what)
     } catch (const std::invalid_argument &e) {
         die(e.what());
     }
+}
+
+/** A flag a per-run command reads, and whether a value follows it. */
+struct RunFlag
+{
+    const char *name;
+    bool takesValue;
+};
+
+/** The per-run commands and the flags each reads. */
+const std::map<std::string, std::vector<RunFlag>> runCommands = {
+    {"status", {}},
+    {"events", {{"--follow", false}}},
+    {"cancel", {}},
+    {"wait", {{"--timeout", true}}},
+    {"report", {{"--host-timing", false}, {"--out", true}}},
+    {"html", {{"--out", true}}},
+};
+
+/**
+ * Split a per-run command's @p args into its run id and its flags
+ * (name -> value, "" for a switch). A flag @p known does not list, a
+ * flag without its value, a second id or no id exits 2.
+ */
+std::map<std::string, std::string>
+parseRunArgs(const std::string &command, const std::vector<std::string> &args,
+             const std::vector<RunFlag> &known, std::string &id)
+{
+    std::map<std::string, std::string> flags;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        const std::string &arg = args[i];
+        if (arg.empty() || arg[0] != '-') {
+            if (!id.empty())
+                die(command + " takes one run id");
+            id = arg;
+            continue;
+        }
+        const auto flag = std::find_if(
+            known.begin(), known.end(),
+            [&](const RunFlag &f) { return arg == f.name; });
+        if (flag == known.end())
+            die("unknown " + command + " option '" + arg + "'");
+        if (!flag->takesValue) {
+            flags[arg];
+        } else if (i + 1 < args.size()) {
+            flags[arg] = args[++i];
+        } else {
+            die("missing value for " + arg);
+        }
+    }
+    if (id.empty())
+        die(command + " needs a run id");
+    return flags;
 }
 
 int
@@ -325,26 +380,8 @@ main(int argc, char **argv)
     if (g_socket.empty())
         die("--socket is required");
 
-    auto flag = [&](const std::string &name) {
-        for (const auto &a : args)
-            if (a == name)
-                return true;
-        return false;
-    };
-    auto value = [&](const std::string &name,
-                     const std::string &fallback) {
-        for (std::size_t i = 0; i + 1 < args.size(); ++i)
-            if (args[i] == name)
-                return args[i + 1];
-        return fallback;
-    };
-    auto positional = [&]() -> std::string {
-        for (const auto &a : args)
-            if (a.empty() || a[0] != '-')
-                return a;
-        return std::string();
-    };
-
+    if ((command == "ping" || command == "list") && !args.empty())
+        die(command + " takes no arguments");
     if (command == "ping") {
         const HttpResponse resp = request("GET", "/v1/ping");
         if (resp.status != 200)
@@ -363,12 +400,20 @@ main(int argc, char **argv)
     }
 
     // Everything below addresses one run.
-    if (command != "status" && command != "events" && command != "cancel" &&
-        command != "wait" && command != "report" && command != "html")
+    const auto known = runCommands.find(command);
+    if (known == runCommands.end())
         die("unknown command '" + command + "'");
-    const std::string id = positional();
-    if (id.empty())
-        die(command + " needs a run id");
+    std::string id;
+    const std::map<std::string, std::string> flags =
+        parseRunArgs(command, args, known->second, id);
+    auto flag = [&](const std::string &name) {
+        return flags.count(name) != 0;
+    };
+    auto value = [&](const std::string &name,
+                     const std::string &fallback) {
+        const auto it = flags.find(name);
+        return it != flags.end() ? it->second : fallback;
+    };
 
     if (command == "status") {
         const HttpResponse resp = request("GET", "/v1/runs/" + id);
@@ -391,8 +436,7 @@ main(int argc, char **argv)
         return cmdWait(id, parseSeconds(value("--timeout", "0"),
                                         "--timeout"));
     if (command == "report") {
-        std::string target = "/v1/runs/" + id + "/report";
-        target += flag("--csv") ? "?format=csv" : "?format=json";
+        std::string target = "/v1/runs/" + id + "/report?format=json";
         if (flag("--host-timing"))
             target += "&host_timing=1";
         const HttpResponse resp = request("GET", target);

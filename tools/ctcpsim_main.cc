@@ -25,7 +25,6 @@
 #include "common/version.hh"
 #include "config/presets.hh"
 #include "core/simulator.hh"
-#include "obs/report.hh"
 #include "obs/sink.hh"
 #include "stats/interval.hh"
 #include "stats/table.hh"
@@ -81,16 +80,15 @@ usage(const char *prog)
         "                        chrome://tracing or Perfetto); in\n"
         "                        campaign mode FILE is a directory and\n"
         "                        each job writes <label>.trace.json\n"
-        "  --trace-text FILE     compact one-line-per-event text trace\n"
-        "  --trace-filter KINDS  comma-separated event kinds to record\n"
-        "                        (fetch, tc-hit, tc-miss, trace-build,\n"
-        "                        assign, rename, issue, execute,\n"
-        "                        forward, complete, retire, flush, mem;\n"
-        "                        default all)\n"
-        "  --interval-stats FILE interval time series (CSV, or JSON\n"
-        "                        when FILE ends in .json); in campaign\n"
-        "                        mode FILE is a directory and each job\n"
-        "                        writes <label>.intervals.csv\n"
+        "  --trace-filter KINDS  comma-separated event kinds for\n"
+        "                        --trace-events to record (fetch,\n"
+        "                        tc-hit, tc-miss, trace-build, assign,\n"
+        "                        rename, issue, execute, forward,\n"
+        "                        complete, retire, flush, mem; default\n"
+        "                        all)\n"
+        "  --interval-stats FILE interval time series (CSV); in\n"
+        "                        campaign mode FILE is a directory and\n"
+        "                        each job writes <label>.intervals.csv\n"
         "  --interval N          sampling period in cycles for\n"
         "                        --interval-stats (default 10000)\n"
         "  --accounting          attribute every cluster issue slot to\n"
@@ -99,12 +97,8 @@ usage(const char *prog)
         "                        pressure, fetch starvation, idle) and\n"
         "                        record the inter-cluster forwarding\n"
         "                        matrix; adds an \"accounting\" block\n"
-        "                        to --json / --out output\n"
-        "  --report FILE         write a self-contained HTML report\n"
-        "                        (cycle-accounting bars, forwarding\n"
-        "                        heatmap, IPC sparklines when\n"
-        "                        --interval-stats is set); implies\n"
-        "                        --accounting\n"
+        "                        to --json / --out output, which\n"
+        "                        ctcp_report renders as HTML\n"
         "\n"
         "campaign mode (runs a workload x config matrix instead):\n"
         "  --campaign MATRIX     submit the matrix to the concurrent\n"
@@ -112,12 +106,11 @@ usage(const char *prog)
         "  --jobs N              worker threads (default: one per\n"
         "                        hardware thread); results do not\n"
         "                        depend on N\n"
-        "  --out FILE            write aggregated results to FILE\n"
-        "                        (CSV when FILE ends in .csv, else\n"
-        "                        JSON)\n"
+        "  --out FILE            write the aggregated report JSON to\n"
+        "                        FILE\n"
         "  Each mode rejects the flags only the other reads (exit 2).\n"
         "  With --campaign, the workload, cluster assignment, machine\n"
-        "  and ablation flags, --json and --trace-text are errors: set\n"
+        "  and ablation flags and --json are errors: set\n"
         "  bench=, budget=, strategy=, clusters=, topology= or preset=\n"
         "  in MATRIX instead. Without it, --jobs, --out,\n"
         "  --max-attempts and --journal are errors.\n"
@@ -184,7 +177,6 @@ constexpr SingleRunFlag singleRunFlags[] = {
     {"--topology", "topology="},
     {"--preset", "preset="},
     {"--json", nullptr},
-    {"--trace-text", nullptr},
     {"--zero-fwd", nullptr},
     {"--zero-crit-fwd", nullptr},
     {"--zero-intra-fwd", nullptr},
@@ -212,25 +204,6 @@ struct RobustnessFlags
     std::uint64_t watchdogCycles = 0;
 };
 
-/** Render report JSON text into a self-contained HTML file. */
-void
-writeHtmlReport(const std::string &json_text,
-                const std::string &interval_path,
-                const std::string &report_path, const std::string &title)
-{
-    using namespace ctcp;
-    try {
-        report::ReportView view = report::fromJsonText(json_text);
-        if (!interval_path.empty())
-            report::loadIntervalSeries(interval_path, view);
-        atomicWriteFile(report_path, report::renderHtml(view, title));
-    } catch (const std::exception &e) {
-        die(std::string("writing --report failed: ") + e.what());
-    }
-    std::fprintf(stderr, "wrote HTML report to %s\n",
-                 report_path.c_str());
-}
-
 /** Set by the campaign-mode SIGINT handler; polled between jobs. */
 std::atomic<bool> g_interrupted{false};
 
@@ -243,8 +216,7 @@ onCampaignInterrupt(int)
 /** Run a --campaign matrix and export/print the aggregated report. */
 int
 runCampaignMode(const std::string &matrix, ctcp::campaign::Options options,
-                const std::string &out_path,
-                const std::string &report_path, bool host_timing,
+                const std::string &out_path, bool host_timing,
                 const RobustnessFlags &robust)
 {
     using namespace ctcp;
@@ -318,25 +290,17 @@ runCampaignMode(const std::string &matrix, ctcp::campaign::Options options,
                 report.failed());
 
     if (!out_path.empty()) {
-        const bool csv = out_path.size() >= 4 &&
-            out_path.compare(out_path.size() - 4, 4, ".csv") == 0;
         try {
             // Staged + renamed: a crash mid-export leaves any
             // previous report intact, never a truncated one.
-            atomicWriteFile(
-                out_path,
-                csv ? report.toCsv(options.accounting)
-                    : report.toJson(host_timing, options.accounting));
+            atomicWriteFile(out_path,
+                            report.toJson(host_timing, options.accounting));
         } catch (const std::exception &e) {
             die(e.what());
         }
-        std::fprintf(stderr, "wrote %s results to %s\n",
-                     csv ? "CSV" : "JSON", out_path.c_str());
+        std::fprintf(stderr, "wrote JSON results to %s\n",
+                     out_path.c_str());
     }
-    if (!report_path.empty())
-        writeHtmlReport(report.toJson(host_timing, true),
-                        options.intervalDir, report_path,
-                        "ctcpsim campaign report");
     return report.failed() ? 1 : 0;
 }
 
@@ -361,12 +325,12 @@ main(int argc, char **argv)
     unsigned campaign_jobs = 0;
     std::string out_path;
     std::string trace_events;
-    std::string trace_text;
     std::string trace_filter;
+    bool trace_filter_set = false;
     std::string interval_stats;
     Cycle interval_cycles = 10'000;
+    bool interval_set = false;
     bool accounting = false;
-    std::string report_path;
     RobustnessFlags robust;
     double deadline_seconds = 0.0;
     unsigned max_attempts = 1;
@@ -478,10 +442,9 @@ main(int argc, char **argv)
             host_timing = true;
         } else if (arg == "--trace-events") {
             trace_events = next_arg(i);
-        } else if (arg == "--trace-text") {
-            trace_text = next_arg(i);
         } else if (arg == "--trace-filter") {
             trace_filter = next_arg(i);
+            trace_filter_set = true;
             try {
                 ObsSink::parseFilter(trace_filter);   // fail fast
             } catch (const std::invalid_argument &e) {
@@ -495,11 +458,9 @@ main(int argc, char **argv)
             } catch (const std::invalid_argument &e) {
                 die(e.what());
             }
+            interval_set = true;
         } else if (arg == "--accounting") {
             accounting = true;
-        } else if (arg == "--report") {
-            report_path = next_arg(i);
-            accounting = true;     // a report needs the taxonomy
         } else if (arg == "--check-invariants") {
             robust.checkLevel = 1;
         } else if (arg == "--watchdog") {
@@ -540,6 +501,12 @@ main(int argc, char **argv)
                  : std::string()));
     if (!campaign_set && campaign_flag)
         die(std::string(campaign_flag) + " requires --campaign");
+    // In either mode a flag that tunes an output would be ignored
+    // without that output, so it is an error instead.
+    if (interval_set && interval_stats.empty())
+        die("--interval requires --interval-stats");
+    if (trace_filter_set && trace_events.empty())
+        die("--trace-filter requires --trace-events");
 
     if (campaign_set) {
         campaign::Options options;
@@ -554,7 +521,7 @@ main(int argc, char **argv)
         options.journalPath = journal_path;
         options.accounting = accounting;
         return runCampaignMode(campaign_matrix, options, out_path,
-                               report_path, host_timing, robust);
+                               host_timing, robust);
     }
     if (clusters_set || cluster_width_set)
         applyMachineScale(
@@ -567,7 +534,6 @@ main(int argc, char **argv)
         cfg.watchdogCycles = robust.watchdogCycles;
     cfg.deadlineSeconds = deadline_seconds;
     cfg.obs.traceEventsPath = trace_events;
-    cfg.obs.traceTextPath = trace_text;
     cfg.obs.traceFilter = trace_filter;
     cfg.obs.intervalPath = interval_stats;
     if (!interval_stats.empty())
@@ -590,17 +556,7 @@ main(int argc, char **argv)
             std::printf("%s",
                         r.toJson(host_timing, accounting).c_str());
         else
-            std::printf("%s", r.statsText.c_str());
-        if (!report_path.empty()) {
-            // Sparklines need the CSV flavor of --interval-stats.
-            const bool csv_intervals = !interval_stats.empty() &&
-                (interval_stats.size() < 5 ||
-                 interval_stats.compare(interval_stats.size() - 5, 5,
-                                        ".json") != 0);
-            writeHtmlReport(r.toJson(host_timing, true),
-                            csv_intervals ? interval_stats : "",
-                            report_path, "ctcpsim run report: " + bench);
-        }
+            std::printf("%s", sim.statsText().c_str());
         if (host_timing && !json)
             std::fprintf(stderr,
                          "host: %.3fs, %.0f sim insts/s\n",
